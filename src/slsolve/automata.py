@@ -527,25 +527,6 @@ def nfa_multi_slice(nfa: Nfa, sources: Iterable[int], targets: Iterable[int]) ->
     )
 
 
-def nfa_reachable_sets(nfa: Nfa) -> list[frozenset[int]]:
-    """For each state, the set of states reachable from it (reflexive)."""
-    fwd: dict[int, set[int]] = {q: set() for q in range(nfa.n_states)}
-    for q, _, r in nfa.transitions:
-        fwd[q].add(r)
-    out = []
-    for q in range(nfa.n_states):
-        seen = {q}
-        queue = deque([q])
-        while queue:
-            p = queue.popleft()
-            for r in fwd[p]:
-                if r not in seen:
-                    seen.add(r)
-                    queue.append(r)
-        out.append(frozenset(seen))
-    return out
-
-
 def nfa_enumerate(
     nfa: Nfa, max_len: int, limit: Optional[int] = None
 ) -> list[str]:

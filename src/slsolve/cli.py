@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             default=2_000_000,
-            help="work budget for the bounded integer walk",
+            help="work budget: cut placements plus bounded integer walk steps",
         )
         p.add_argument(
             "--model", action="store_true", help="print the satisfying assignment"

@@ -69,6 +69,7 @@ from .constraints import (
 )
 from .solver import (
     AcForest,
+    Budget,
     NodeId,
     Shape,
     Verdict,
@@ -874,17 +875,6 @@ class LoweredProblem:
     alphabet: Alphabet
 
 
-class Budget:
-    """A mutable work meter shared across walks of one solve call."""
-
-    def __init__(self, limit: int) -> None:
-        self.remaining = limit
-
-    def charge(self, amount: int = 1) -> bool:
-        self.remaining -= amount
-        return self.remaining >= 0
-
-
 @dataclass(frozen=True)
 class WalkResult:
     status: str  # "sat" | "unsat" | "within" | "resource"
@@ -1353,11 +1343,12 @@ def solve_extended(
             stats["scenarios"] = len(scenarios)
             stats["walks"] = walks
             stats["budget-left"] = budget.remaining
+            stats["cut-placements"] = budget.placements
 
     for _values, var_nfas in normalize_regular(problem):
         branches += 1
         for forest in _branch_forests(
-            problem, graph, shapes, var_nfas, norm_ts, seg_cache
+            problem, graph, shapes, var_nfas, norm_ts, seg_cache, budget
         ):
             forests += 1
             feasible = _propagate(forest)
@@ -1393,6 +1384,7 @@ def solve_extended(
                     any_resource = True
             if any_resource:
                 break
+        any_resource = any_resource or budget.remaining < 0
         if any_resource:
             break
 

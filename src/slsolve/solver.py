@@ -12,7 +12,11 @@ Solving runs in three stages:
    constraint automaton, and the intermediate transducer states at piece
    boundaries of a transducer application, are enumerated explicitly —
    this is the only exponential dial, and it is exponential in the
-   problem's dimension, not its size.
+   problem's dimension, not its size.  Boundaries are placed one at a
+   time; each piece is sliced (once per branch) and intersected onto
+   its node as soon as both its boundaries are fixed, so a dead prefix
+   prunes every tuple extending it.  Each placement costs one unit of
+   the solve's work budget.
 
 3. *Forest solving*: under fixed choices the remaining problem is a
    forest whose nodes are value pieces and whose edges are transducer
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .automata import (
     EPSILON,
@@ -73,6 +77,10 @@ from .transducer import (
 #: A piece of some variable's value: (variable name, piece index).
 NodeId = tuple[str, int]
 
+#: One choice point of the splitting stage: its boundary options, its
+#: first boundary, and its piece attacher (see ``_branch_forests``).
+Choice = tuple[Callable[[], list], int, Callable]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -91,6 +99,27 @@ class Verdict:
     @property
     def is_sat(self) -> bool:
         return self.status == "sat"
+
+
+class Budget:
+    """A mutable work meter shared by everything one solve call does.
+
+    Cut and boundary placements and counter-walk steps draw on one limit;
+    ``placements`` counts the former.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.remaining = limit
+        self.placements = 0
+
+    def charge(self, amount: int = 1) -> bool:
+        self.remaining -= amount
+        return self.remaining >= 0
+
+    def place(self) -> bool:
+        """Charge one cut or boundary placement."""
+        self.placements += 1
+        return self.charge()
 
 
 @dataclass(frozen=True)
@@ -276,41 +305,20 @@ def _word_step(nfa: Nfa, states: frozenset[int], word: str) -> frozenset[int]:
 
 
 def _pieces_for(
-    nfa: Nfa, shape: Shape, cuts: tuple[int, ...]
-) -> Optional[list[Nfa]]:
-    """Slice a variable's automaton into per-piece automata for given cuts.
+    nfa: Nfa, literal: str, start: int, finals: frozenset[int]
+) -> Optional[Nfa]:
+    """The automaton of one piece of a split variable, or None if empty.
 
-    ``cuts[j]`` is the automaton state reached exactly when piece ``j``
-    ends.  The literal gaps of the shape are consumed inside the slices
-    (as multiple entry states), so only piece boundaries are ever
-    enumerated.  Returns None as soon as any slice is empty.
+    The piece runs from ``start`` (the previous cut, or the initial
+    state), past the literal gap ``literal``, which is consumed inside
+    the slice as several entry states, into ``finals``.  ``nfa`` must be
+    epsilon-free.
     """
-    if nfa.has_epsilon:
-        nfa = nfa_eps_eliminate(nfa)
-    m = len(shape.slots)
-    pieces: list[Nfa] = []
-    for j in range(m):
-        if j == 0:
-            starts = _word_step(nfa, frozenset({nfa.initial}), shape.literals[0])
-        else:
-            starts = _word_step(nfa, frozenset({cuts[j - 1]}), shape.literals[j])
-        if not starts:
-            return None
-        if j < m - 1:
-            finals: frozenset[int] = frozenset({cuts[j]})
-        else:
-            finals = frozenset(
-                q
-                for q in range(nfa.n_states)
-                if _word_step(nfa, frozenset({q}), shape.literals[m]) & nfa.finals
-            )
-        if not finals:
-            return None
-        piece = nfa_trim(nfa_eps_eliminate(nfa_multi_slice(nfa, starts, finals)))
-        if nfa_is_empty(piece):
-            return None
-        pieces.append(piece)
-    return pieces
+    starts = _word_step(nfa, frozenset({start}), literal)
+    if not starts or not finals:
+        return None
+    piece = nfa_trim(nfa_eps_eliminate(nfa_multi_slice(nfa, starts, finals)))
+    return None if nfa_is_empty(piece) else piece
 
 
 def _segment_machine(
@@ -570,68 +578,152 @@ def _branch_forests(
     var_nfas: dict[str, Nfa],
     norm_ts: dict[int, Transducer],
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer],
+    budget: Budget,
 ) -> Iterator[AcForest]:
     """Enumerate the cut-resolved forests of one membership branch.
 
     Choice points (variables whose automata need real cuts, transducer
-    applications over split arguments) are explored depth-first with
-    state ids ascending; forced choices are resolved up front.  A branch
-    dies as soon as any piece automaton or segment relation is empty, or
-    as soon as the pieces landing on one node have an empty
-    intersection.  Two refinements keep the search small: unsplit
-    transducer images pin their node to the forward range of their
-    definition chain, and split applications enumerate only boundary
-    pairs that a one-shot reachability filter leaves alive.
+    applications over split arguments) are explored depth-first; forced
+    choices (boundary 0 throughout) are attached up front.  A choice
+    point's boundaries — automaton or transducer states — are placed one
+    at a time, states ascending, so tuples come out in lexicographic
+    order.  Piece ``j`` depends only on boundaries ``j - 1`` and ``j``,
+    so it is attached as soon as boundary ``j`` is fixed (sliced once
+    per branch through a memo; segments through ``seg_cache``) and
+    detached on backtrack; an empty piece, segment relation or node
+    intersection drops every tuple extending the prefix.  Unsplit
+    transducer images are pinned to the forward range of their
+    definition chain, and split applications place only boundary pairs
+    that a one-shot reachability filter leaves alive.  Each placement
+    charges ``budget`` one unit; once it runs out the enumeration stops,
+    which the caller sees in ``budget.remaining``.
     """
     primary = primary_nodes(problem, graph, shapes)
     universal = nfa_universal(problem.alphabet)
     nodes: dict[NodeId, Nfa] = {}
     edges: list[tuple[NodeId, NodeId, Transducer]] = []
+    slices: dict[tuple[str, str, int, Optional[int]], Optional[Nfa]] = {}
 
-    def add_pieces(shape: Shape, pieces: list[Nfa]) -> Optional[list[tuple[NodeId, Optional[Nfa]]]]:
-        """Intersect pieces onto their nodes; None (after undo) if one empties."""
-        saved: list[tuple[NodeId, Optional[Nfa]]] = []
-        for j, piece in enumerate(pieces):
+    def place(
+        options: list[Iterable[int]], first: int, attach: Callable
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield each boundary tuple whose pieces all attach.
+
+        ``options[j]`` holds the candidates for inner boundary ``j``;
+        ``attach(j, prev, cut)`` adds piece ``j`` from boundary ``prev``
+        to ``cut`` (None after the last piece) and returns its undo
+        callback, or None if the piece dies.
+        """
+        options = [*options, (None,)]
+        exhausted = object()
+        cuts: list[int] = []
+        undos: list[Callable[[], object]] = []
+        pending = [iter(options[0])]
+        while pending:
+            cut = next(pending[-1], exhausted)
+            if cut is exhausted:
+                pending.pop()
+                if undos:
+                    undos.pop()()
+                    cuts.pop()
+                continue
+            if cut is not None and not budget.place():
+                break
+            undo = attach(len(cuts), cuts[-1] if cuts else first, cut)
+            if undo is None:
+                continue
+            if cut is None:
+                yield tuple(cuts)
+                undo()
+                continue
+            cuts.append(cut)
+            undos.append(undo)
+            pending.append(iter(options[len(cuts)]))
+        for undo in reversed(undos):
+            undo()
+
+    def var_choice(var: str) -> Choice:
+        """How to place a variable's cuts and attach its pieces."""
+        nfa = var_nfas[var]
+        if nfa.has_epsilon:
+            nfa = nfa_eps_eliminate(nfa)
+        shape = shapes[var]
+        lits = shape.literals
+        m = len(shape.slots)
+        last = frozenset(
+            q
+            for q in range(nfa.n_states)
+            if _word_step(nfa, frozenset({q}), lits[-1]) & nfa.finals
+        )
+
+        def attach(j: int, prev: int, cut: Optional[int]):
+            key = (var, lits[j], prev, cut)
+            if key not in slices:
+                finals = last if cut is None else frozenset({cut})
+                slices[key] = _pieces_for(nfa, lits[j], prev, finals)
+            piece = slices[key]
+            if piece is None:
+                return None
             node = shape.slots[j]
             old = nodes.get(node)
-            saved.append((node, old))
             new = piece if old is None else nfa_intersect(old, piece)
             if nfa_is_empty(new):
-                undo(saved)
                 return None
             nodes[node] = new
-        return saved
-
-    def undo(saved: list[tuple[NodeId, Optional[Nfa]]]) -> None:
-        for node, old in reversed(saved):
             if old is None:
-                nodes.pop(node, None)
-            else:
-                nodes[node] = old
+                return lambda: nodes.pop(node)
+            return lambda: nodes.update({node: old})
 
-    def rel_segments(
-        idx: int, rel: TransducerEq, d: tuple[int, ...]
-    ) -> Optional[list[tuple[NodeId, NodeId, Transducer]]]:
+        def options() -> list[Iterable[int]]:
+            pairs = filters.get(image_rel_idx.get(var, -1))
+            if pairs is None:
+                return [range(nfa.n_states)] * (m - 1)
+            return [sorted({c for _d, c in pairs[j]}) for j in range(m - 1)]
+
+        return options, nfa.initial, attach
+
+    def rel_choice(idx: int) -> Choice:
+        """How to place an application's boundaries and attach its segments."""
+        rel = problem.relations[idx]
+        assert isinstance(rel, TransducerEq)
         t = norm_ts[idx]
-        arg_shape = shapes[rel.arg]
-        m = len(arg_shape.slots)
-        out: list[tuple[NodeId, NodeId, Transducer]] = []
-        for k in range(m):
-            from_state = t.initial if k == 0 else d[k - 1]
-            to_key = d[k] if k < m - 1 else None
-            key = (idx, k, from_state, to_key)
+        lits = shapes[rel.arg].literals
+        slots = shapes[rel.arg].slots
+        m = len(slots)
+
+        def attach(k: int, prev: int, d: Optional[int]):
+            key = (idx, k, prev, d)
             seg = seg_cache.get(key)
             if seg is None:
-                to_states = frozenset({d[k]}) if k < m - 1 else t.finals
-                post_lit = arg_shape.literals[m] if k == m - 1 else ""
-                seg = _segment_machine(
-                    t, arg_shape.literals[k], from_state, to_states, post_lit
-                )
+                to_states = t.finals if d is None else frozenset({d})
+                post_lit = lits[-1] if d is None else ""
+                seg = _segment_machine(t, lits[k], prev, to_states, post_lit)
                 seg_cache[key] = seg
             if not seg.finals:
                 return None
-            out.append((arg_shape.slots[k], (rel.lhs, k), seg))
-        return out
+            edges.append((slots[k], (rel.lhs, k), seg))
+            return edges.pop
+
+        def options() -> list[Iterable[int]]:
+            pairs = filters.get(idx)
+            if pairs is None:
+                return [range(t.n_states)] * (m - 1)
+            cuts = chosen[rel.lhs]
+            return [
+                sorted({d for d, c in pairs[k] if c == cuts[k]}) for k in range(m - 1)
+            ]
+
+        return options, t.initial, attach
+
+    def forced(m: int, choice: Choice) -> bool:
+        """Attach boundary 0 throughout for good; False if a piece dies."""
+        _options, prev, attach = choice
+        for j in range(m):
+            cut = 0 if j < m - 1 else None
+            if attach(j, prev, cut) is None:
+                return False
+            prev = cut
+        return True
 
     image_rel_idx: dict[str, int] = {
         rel.lhs: idx
@@ -655,21 +747,22 @@ def _branch_forests(
                     return
                 nodes[(var, 0)] = rng
 
-    # Forced choices next; any emptiness kills the whole branch.
+    # Forced choices next; any emptiness kills the whole branch.  A level
+    # is a choice point with the variable whose cuts it places (None for
+    # an application); its options are built on entry, once the choices
+    # of earlier levels are known.
     chosen: dict[str, tuple[int, ...]] = {}
-    levels: list[tuple[str, object]] = []
+    levels: list[tuple[Optional[str], Choice]] = []
+    filters: dict[int, list[set[tuple[int, int]]]] = {}
     for var in graph.order:
-        shape = shapes[var]
-        nfa = var_nfas[var]
-        if len(shape.slots) >= 2 and nfa.n_states > 1:
-            levels.append(("var", var))
+        m = len(shapes[var].slots)
+        if m >= 2 and var_nfas[var].n_states > 1:
+            levels.append((var, var_choice(var)))
         else:
-            chosen[var] = (0,) * (len(shape.slots) - 1)
-            pieces = _pieces_for(nfa, shape, chosen[var])
-            if pieces is None or add_pieces(shape, pieces) is None:
+            chosen[var] = (0,) * (m - 1)
+            if not forced(m, var_choice(var)):
                 return
 
-    filters: dict[int, list[set[tuple[int, int]]]] = {}
     for idx, rel in enumerate(problem.relations):
         if not isinstance(rel, TransducerEq):
             continue
@@ -696,12 +789,9 @@ def _branch_forests(
             continue
         m = len(shapes[rel.arg].slots)
         if m >= 2 and norm_ts[idx].n_states > 1:
-            levels.append(("rel", idx))
-        else:
-            segs = rel_segments(idx, rel, (0,) * (m - 1))
-            if segs is None:
-                return
-            edges.extend(segs)
+            levels.append((None, rel_choice(idx)))
+        elif not forced(m, rel_choice(idx)):
+            return
 
     def assemble() -> AcForest:
         children: dict[NodeId, list[tuple[NodeId, Transducer]]] = {
@@ -718,55 +808,11 @@ def _branch_forests(
         if i == len(levels):
             yield assemble()
             return
-        kind, payload = levels[i]
-        if kind == "var":
-            var = payload
-            assert isinstance(var, str)
-            shape = shapes[var]
-            nfa = var_nfas[var]
-            n_cuts = len(shape.slots) - 1
-            pairs = filters.get(image_rel_idx.get(var, -1))
-            if pairs is None:
-                cut_iter = iter_product(range(nfa.n_states), repeat=n_cuts)
-            else:
-                cut_iter = iter_product(
-                    *(sorted({c for _d, c in pairs[j]}) for j in range(n_cuts))
-                )
-            for cuts in cut_iter:
-                pieces = _pieces_for(nfa, shape, cuts)
-                if pieces is None:
-                    continue
-                saved = add_pieces(shape, pieces)
-                if saved is None:
-                    continue
+        var, (options, first, attach) = levels[i]
+        for cuts in place(options(), first, attach):
+            if var is not None:
                 chosen[var] = cuts
-                yield from rec(i + 1)
-                del chosen[var]
-                undo(saved)
-        else:
-            idx = payload
-            assert isinstance(idx, int)
-            rel = problem.relations[idx]
-            assert isinstance(rel, TransducerEq)
-            m = len(shapes[rel.arg].slots)
-            pairs = filters.get(idx)
-            if pairs is None:
-                d_iter = iter_product(range(norm_ts[idx].n_states), repeat=m - 1)
-            else:
-                cuts = chosen[rel.lhs]
-                d_iter = iter_product(
-                    *(
-                        sorted({d for d, c in pairs[j] if c == cuts[j]})
-                        for j in range(m - 1)
-                    )
-                )
-            for d in d_iter:
-                segs = rel_segments(idx, rel, d)
-                if segs is None:
-                    continue
-                edges.extend(segs)
-                yield from rec(i + 1)
-                del edges[-len(segs):]
+            yield from rec(i + 1)
 
     yield from rec(0)
 
@@ -851,12 +897,13 @@ def solve(
     the search is exhaustive only up to ``int_bound`` (a default is
     derived from the problem when None), so the negative answer weakens
     to ``unsat-within-bounds`` unless the bound provably covers all
-    integers; ``resource_limit`` caps the size of that bounded walk,
-    yielding ``resource-limit`` when exceeded.
+    integers.  ``resource_limit`` caps the work of every solve: each cut
+    or boundary placement costs one unit, as does each step of the
+    bounded walk, and the answer is ``resource-limit`` once it runs out.
 
     Models returned are always verified against the original problem
     before being reported.  A ``stats`` dict, when supplied, is filled
-    with deterministic search counters.
+    with deterministic search counters, whatever the verdict.
     """
     check_straightline(problem)
     folded = fold_constant_relations(problem)
@@ -879,6 +926,7 @@ def solve(
         if isinstance(rel, TransducerEq)
     }
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer] = {}
+    budget = Budget(resource_limit)
     branches = forests = feasible_forests = 0
 
     def note() -> None:
@@ -886,11 +934,12 @@ def solve(
             stats["membership-branches"] = branches
             stats["forests"] = forests
             stats["feasible-forests"] = feasible_forests
+            stats["cut-placements"] = budget.placements
 
     for _values, var_nfas in normalize_regular(folded):
         branches += 1
         for forest in _branch_forests(
-            folded, graph, shapes, var_nfas, norm_ts, seg_cache
+            folded, graph, shapes, var_nfas, norm_ts, seg_cache, budget
         ):
             forests += 1
             feasible = _propagate(forest)
@@ -904,6 +953,9 @@ def solve(
                 )
             note()
             return Verdict("sat", model=model)
+        if budget.remaining < 0:
+            note()
+            return Verdict("resource-limit")
     note()
     return Verdict("unsat")
 

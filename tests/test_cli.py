@@ -78,6 +78,18 @@ def test_solve_resource_limit(slp, capsys):
     assert capsys.readouterr().out == "resource-limit\n"
 
 
+def test_string_only_solve_stops_at_the_resource_limit(slp, capsys):
+    path = slp(
+        'alphabet "ab"\nstr x0 x1 x2\nx1 = x0 . x0\nx2 = x1 . x1\n'
+        "regc (in x2 /a(ba)*/)\n"
+    )
+    assert run(["solve", path, "--resource-limit", "2", "--stats"]) == 3
+    assert capsys.readouterr().out == (
+        "resource-limit\ncut-placements=3\nfeasible-forests=0\nforests=0\n"
+        "membership-branches=1\n"
+    )
+
+
 def test_solve_stats_are_sorted_key_value_lines(slp, capsys):
     assert run(["solve", slp(SQUARE_UNSAT), "--stats"]) == 1
     lines = capsys.readouterr().out.splitlines()
