@@ -836,9 +836,10 @@ def _propagate(forest: AcForest) -> Optional[dict[NodeId, Nfa]]:
             cur = nfa_reduce(pre_image_within(machine, feasible[child], cur))
             if nfa_is_empty(cur):
                 return None
-        cur = nfa_reduce(cur)
-        if nfa_is_empty(cur):
-            return None
+        if not forest.children[node]:
+            cur = nfa_reduce(cur)
+            if nfa_is_empty(cur):
+                return None
         feasible[node] = cur
     return feasible
 
@@ -905,9 +906,10 @@ def solve(
     before being reported.  A ``stats`` dict, when supplied, is filled
     with deterministic search counters, whatever the verdict.
     """
-    check_straightline(problem)
+    graph = check_straightline(problem)
     folded = fold_constant_relations(problem)
-    graph = check_straightline(folded)
+    if folded is not problem:
+        graph = check_straightline(folded)
     if folded.has_extensions:
         from .extensions import solve_extended
 

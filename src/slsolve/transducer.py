@@ -283,6 +283,18 @@ def _image(
     during the walk with a memoised silent closure per (transducer,
     bound) state pair, so the result is epsilon-free from the start.
 
+    A product state is keyed by the part of its silent closure that can
+    still matter — the pairs whose transducer state has a free-labelled
+    arc, or that accept — together with its ``within`` state.  Finality
+    and outgoing arcs depend on nothing else, so raw states with equal
+    keys accept the same words and merging them keeps every language.
+    This is what stops copy rules from multiplying a pre-image: the
+    normalized ``c/c`` consumes ``c`` into a per-letter echo state whose
+    only arc, emitting ``c``, is silent there (the free side is the
+    input).  The echo state is thus left out of its own key, which
+    equals that of the state it returns to, and no state per (letter,
+    target, bound) is built.
+
     ``within``, when given, is intersected in on the fly: its states
     ride along on the free side, and moves it cannot follow are never
     expanded.  A small bounding automaton therefore prunes the whole
@@ -299,10 +311,15 @@ def _image(
 
     t_arcs = t.arcs
     a_by_sym = a.arcs_by_symbol
+    emitting = {
+        q
+        for q, arcs in t_arcs.items()
+        if any((outs if forward else ins) != EPSILON for ins, outs, _ in arcs)
+    }
     closures: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def closure_of(ts: int, as_: int) -> tuple[tuple[int, int], ...]:
-        """All (transducer, bound) pairs reachable by free-empty arcs."""
+        """The pairs reachable by free-empty arcs that can emit or accept."""
         got = closures.get((ts, as_))
         if got is not None:
             return got
@@ -324,11 +341,20 @@ def _image(
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-        got = tuple(sorted(seen))
+        got = tuple(
+            sorted(
+                (q, s)
+                for q, s in seen
+                if q in emitting or (q in t.finals and s in a.finals)
+            )
+        )
         closures[(ts, as_)] = got
         return got
 
-    start = (t.initial, a.initial, w.initial if w is not None else -1)
+    start = (
+        closure_of(t.initial, a.initial),
+        w.initial if w is not None else -1,
+    )
     ids = {start: 0}
     order = [start]
     queue = deque([start])
@@ -336,9 +362,8 @@ def _image(
     finals = set()
     while queue:
         state = queue.popleft()
-        ts, as_, ws = state
+        cl, ws = state
         sid = ids[state]
-        cl = closure_of(ts, as_)
         if any(q in t.finals and s in a.finals for q, s in cl):
             if w is None or ws in w.finals:
                 finals.add(sid)
@@ -359,9 +384,10 @@ def _image(
                     ta_targets = tuple(
                         (tr, s2) for s2 in a_by_sym[s].get(bound, ())
                     )
-                for pair in ta_targets:
+                for tr2, s2 in ta_targets:
+                    target = closure_of(tr2, s2)
                     for wt in w_targets:
-                        nxt = (pair[0], pair[1], wt)
+                        nxt = (target, wt)
                         nid = ids.get(nxt)
                         if nid is None:
                             nid = ids[nxt] = len(order)

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import slsolve.solver
 from slsolve.automata import Alphabet, nfa_membership
 from slsolve.constraints import (
     And,
@@ -192,6 +193,36 @@ def test_solve_refuses_problems_outside_the_fragment():
     )
     with pytest.raises(MultiplyDefined):
         solve(doubled)
+
+
+def test_straightline_check_runs_once_unless_folding_changes_the_problem(
+    monkeypatch,
+):
+    checked = []
+    real = slsolve.solver.check_straightline
+
+    def counting(problem):
+        checked.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(slsolve.solver, "check_straightline", counting)
+    relational = Problem(
+        alphabet=AB,
+        str_vars=("y", "x"),
+        relations=(ConcatEq("x", (Var("y"), Lit("a"))),),
+        regular=reg("x", "ba"),
+    )
+    assert solve(relational).model == {"y": "b", "x": "ba"}
+    assert checked == [relational]
+
+    checked.clear()
+    constant = Problem(
+        alphabet=AB,
+        str_vars=("x",),
+        relations=(ConcatEq("x", (Lit("ab"),)),),
+    )
+    assert solve(constant).model == {"x": "ab"}
+    assert checked == [constant, fold_constant_relations(constant)]
 
 
 def test_empty_problem_is_trivially_sat():
