@@ -5,6 +5,11 @@ decision procedure itself) reduces to a small algebra over these
 machines, so the operations here are written for determinism first:
 states are dense ints, iteration is id-ordered, and every constructed
 machine depends only on its inputs, never on hash order.
+
+Every product, closure and trim is a search through one of two kernels:
+:func:`explore`, a breadth-first search that numbers states in discovery
+order and records the arcs between them, and :func:`reachable`, a plain
+reachability set (with :func:`live_states` on top of it for trimming).
 """
 
 from __future__ import annotations
@@ -12,10 +17,66 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 #: The empty word, used as the epsilon label on transitions.
 EPSILON = ""
+
+
+def explore(
+    start: Hashable,
+    successors: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
+    cap: Optional[int] = None,
+) -> Optional[tuple[list, list[tuple[int, object, int]]]]:
+    """Breadth-first search from ``start``, numbering states as found.
+
+    ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns
+    ``(order, arcs)``: ``order[i]`` is the state given id ``i`` (first-in,
+    first-out discovery order, so equal inputs give equal numberings) and
+    ``arcs`` lists every ``(source id, label, target id)`` in the order
+    yielded.  Returns None as soon as more than ``cap`` (at least 1)
+    states are found.
+    """
+    ids = {start: 0}
+    order = [start]
+    arcs: list[tuple[int, object, int]] = []
+    for sid, state in enumerate(order):
+        for label, nxt in successors(state):
+            nid = ids.get(nxt)
+            if nid is None:
+                nid = ids[nxt] = len(order)
+                order.append(nxt)
+                if cap is not None and nid >= cap:
+                    return None
+            arcs.append((sid, label, nid))
+    return order, arcs
+
+
+def reachable(
+    seeds: Iterable[Hashable],
+    next_states: Callable[[Hashable], Iterable[Hashable]],
+) -> set:
+    """Every state reachable from ``seeds`` (included) via ``next_states``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for r in next_states(stack.pop()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return seen
+
+
+def live_states(
+    n: int, edges: Iterable[tuple[int, int]], initial: int, finals: Iterable[int]
+) -> set[int]:
+    """States of ``range(n)`` both reachable from ``initial`` and co-reachable."""
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for q, r in edges:
+        fwd[q].append(r)
+        rev[r].append(q)
+    return reachable((initial,), fwd.__getitem__) & reachable(finals, rev.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -100,14 +161,8 @@ class Nfa:
     @cached_property
     def arcs(self) -> dict[int, list[tuple[str, int]]]:
         """Outgoing arcs per state, epsilon first, then alphabet order."""
-        idx = self.alphabet._index
-        decorated = {
-            (q, -1 if sym == EPSILON else idx[sym], r): (q, sym, r)
-            for q, sym, r in self.transitions
-        }
         out: dict[int, list[tuple[str, int]]] = {q: [] for q in range(self.n_states)}
-        for key in sorted(decorated):
-            q, sym, r = decorated[key]
+        for q, sym, r in sorted_transitions(self.alphabet, self.transitions):
             out[q].append((sym, r))
         return out
 
@@ -126,16 +181,17 @@ class Nfa:
     def has_epsilon(self) -> bool:
         return any(sym == EPSILON for _, sym, _ in self.transitions)
 
+    @cached_property
+    def _eps_targets(self) -> list[list[int]]:
+        """Epsilon successors per state."""
+        out: list[list[int]] = [[] for _ in range(self.n_states)]
+        for q, sym, r in self.transitions:
+            if sym == EPSILON:
+                out[q].append(r)
+        return out
+
     def eps_closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for sym, r in self.arcs[q]:
-                if sym == EPSILON and r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
+        return frozenset(reachable(states, self._eps_targets.__getitem__))
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
         """One closed move: epsilon-closure after reading ``symbol``."""
@@ -220,28 +276,13 @@ def nfa_trim(nfa: Nfa) -> Nfa:
     The initial state is always kept (possibly as a dead state) so the
     result is well-formed even for the empty language.
     """
-    fwd: dict[int, set[int]] = {q: set() for q in range(nfa.n_states)}
-    rev: dict[int, set[int]] = {q: set() for q in range(nfa.n_states)}
-    for q, _, r in nfa.transitions:
-        fwd[q].add(r)
-        rev[r].add(q)
-    reach = {nfa.initial}
-    queue = deque([nfa.initial])
-    while queue:
-        q = queue.popleft()
-        for r in fwd[q]:
-            if r not in reach:
-                reach.add(r)
-                queue.append(r)
-    co = set(nfa.finals)
-    queue = deque(co)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    keep = sorted((reach & co) | {nfa.initial})
+    live = live_states(
+        nfa.n_states,
+        [(q, r) for q, _, r in nfa.transitions],
+        nfa.initial,
+        nfa.finals,
+    )
+    keep = sorted(live | {nfa.initial})
     remap = {q: i for i, q in enumerate(keep)}
     kept = set(keep)
     transitions = tuple(
@@ -320,36 +361,24 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
         raise ValueError("alphabet mismatch")
     a = nfa_eps_eliminate(a)
     b = nfa_eps_eliminate(b)
-    start = (a.initial, b.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    queue = deque([start])
-    transitions: list[tuple[int, str, int]] = []
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
-        arcs_b = b.arcs_by_symbol[qb]
-        for sym, dests_a in a.arcs_by_symbol[qa].items():
-            dests_b = arcs_b.get(sym)
-            if not dests_b:
-                continue
-            for ra in dests_a:
-                for rb in dests_b:
-                    nxt = (ra, rb)
-                    if nxt not in ids:
-                        ids[nxt] = len(order)
-                        order.append(nxt)
-                        queue.append(nxt)
-                    transitions.append((ids[pair], sym, ids[nxt]))
+    a_by_sym = a.arcs_by_symbol
+    b_by_sym = b.arcs_by_symbol
+
+    def successors(pair: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
+        arcs_b = b_by_sym[pair[1]]
+        return [
+            (sym, (ra, rb))
+            for sym, dests_a in a_by_sym[pair[0]].items()
+            for ra in dests_a
+            for rb in arcs_b.get(sym, ())
+        ]
+
+    order, arcs = explore((a.initial, b.initial), successors)
     finals = frozenset(
-        ids[p] for p in order if p[0] in a.finals and p[1] in b.finals
+        i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
     )
     product = Nfa(
-        a.alphabet,
-        len(order),
-        sorted_transitions(a.alphabet, transitions),
-        0,
-        finals,
+        a.alphabet, len(order), sorted_transitions(a.alphabet, arcs), 0, finals
     )
     return nfa_trim(product)
 
@@ -409,29 +438,16 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
 def nfa_determinize(nfa: Nfa) -> Nfa:
     """Complete subset-construction DFA (includes the sink subset)."""
     nfa = nfa_eps_eliminate(nfa)
-    start = frozenset({nfa.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    queue = deque([start])
-    transitions: list[tuple[int, str, int]] = []
-    while queue:
-        subset = queue.popleft()
+    by_sym = nfa.arcs_by_symbol
+
+    def successors(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for sym in nfa.alphabet:
-            nxt = frozenset(
-                r for q in subset for r in nfa.arcs_by_symbol[q].get(sym, ())
-            )
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions.append((ids[subset], sym, ids[nxt]))
-    finals = frozenset(ids[s] for s in order if s & nfa.finals)
+            yield sym, frozenset(r for q in subset for r in by_sym[q].get(sym, ()))
+
+    order, arcs = explore(frozenset({nfa.initial}), successors)
+    finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
     return Nfa(
-        nfa.alphabet,
-        len(order),
-        sorted_transitions(nfa.alphabet, transitions),
-        0,
-        finals,
+        nfa.alphabet, len(order), sorted_transitions(nfa.alphabet, arcs), 0, finals
     )
 
 
@@ -457,14 +473,8 @@ def nfa_is_empty(nfa: Nfa) -> bool:
     return nfa.initial not in nfa.finals and not (reach & nfa.finals)
 
 
-def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
-    """The length-then-lex least accepted word, or None if the language is empty.
-
-    Lexicographic order follows the alphabet's declared symbol order.
-    Runs in polynomial time: a reverse BFS computes each state's distance
-    to acceptance, then the word is built greedily one symbol at a time.
-    """
-    nfa = nfa_eps_eliminate(nfa)
+def _distances_to_finals(nfa: Nfa) -> list[int]:
+    """Each state's word distance to acceptance; ``n_states + 1`` if none."""
     rev: dict[int, set[int]] = {q: set() for q in range(nfa.n_states)}
     for q, _, r in nfa.transitions:
         rev[r].add(q)
@@ -480,7 +490,19 @@ def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
             if dist[p] == inf:
                 dist[p] = dist[q] + 1
                 queue.append(p)
-    if dist[nfa.initial] == inf:
+    return dist
+
+
+def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
+    """The length-then-lex least accepted word, or None if the language is empty.
+
+    Lexicographic order follows the alphabet's declared symbol order.
+    Runs in polynomial time: a reverse BFS computes each state's distance
+    to acceptance, then the word is built greedily one symbol at a time.
+    """
+    nfa = nfa_eps_eliminate(nfa)
+    dist = _distances_to_finals(nfa)
+    if dist[nfa.initial] > nfa.n_states:
         return None
     word = []
     states = {nfa.initial}
@@ -502,11 +524,6 @@ def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
         states = chosen[1]
         remaining -= 1
     return "".join(word)
-
-
-def nfa_slice(nfa: Nfa, source: int, target: int) -> Nfa:
-    """Same transition structure, re-anchored to run from one state to another."""
-    return replace(nfa, initial=source, finals=frozenset({target}))
 
 
 def nfa_multi_slice(nfa: Nfa, sources: Iterable[int], targets: Iterable[int]) -> Nfa:
@@ -538,21 +555,7 @@ def nfa_enumerate(
     """
     nfa = nfa_eps_eliminate(nfa)
     # Prune prefixes that cannot reach acceptance within the length budget.
-    rev: dict[int, set[int]] = {q: set() for q in range(nfa.n_states)}
-    for q, _, r in nfa.transitions:
-        rev[r].add(q)
-    inf = nfa.n_states + 1
-    dist = [inf] * nfa.n_states
-    queue = deque()
-    for f in sorted(nfa.finals):
-        dist[f] = 0
-        queue.append(f)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if dist[p] == inf:
-                dist[p] = dist[q] + 1
-                queue.append(p)
+    dist = _distances_to_finals(nfa)
 
     out: list[str] = []
     start = frozenset({nfa.initial})

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
-from .automata import Alphabet, nfa_eps_eliminate
+from .automata import Alphabet, explore, nfa_eps_eliminate
 from .constraints import (
     And,
     Assignment,
@@ -80,7 +80,7 @@ from .solver import (
     split_concat,
 )
 from .straightline import DependencyGraph
-from .transducer import Transducer, transducer_normalize
+from .transducer import Transducer
 
 
 class ResourceLimit(RuntimeError):
@@ -734,10 +734,8 @@ class MultiTrackAutomaton:
         self._edges: list[tuple[int, int, Transducer]] = []
         for node in self.tracks:
             for child, machine in forest.children[node]:
-                if not machine.is_normalized:
-                    machine = transducer_normalize(machine)
                 self._edges.append(
-                    (self._index[node], self._index[child], machine)
+                    (self._index[node], self._index[child], machine.normalized)
                 )
         self._out_edges: list[list[int]] = [[] for _ in self.tracks]
         self._parent_edge: list[Optional[int]] = [None] * len(self.tracks)
@@ -832,32 +830,19 @@ class MultiTrackAutomaton:
         Exhaustive search for differential testing; raises
         :class:`ResourceLimit` when the walk outgrows ``state_cap``.
         """
-        start = (self.initial(), ("",) * self.n_tracks)
-        seen = {start}
-        queue = deque([start])
-        found: set[tuple[str, ...]] = set()
-        while queue:
-            state, words = queue.popleft()
-            if self.is_final(state):
-                found.add(words)
+
+        def successors(item: tuple) -> Iterator[tuple[str, tuple]]:
+            state, words = item
             for track, ch, nxt in self.moves(state):
-                if len(words[track]) >= max_len:
-                    continue
-                grown = words[:track] + (words[track] + ch,) + words[track + 1 :]
-                item = (nxt, grown)
-                if item not in seen:
-                    if len(seen) >= state_cap:
-                        raise ResourceLimit(
-                            f"tuple enumeration exceeded {state_cap} states"
-                        )
-                    seen.add(item)
-                    queue.append(item)
-        return found
+                if len(words[track]) < max_len:
+                    grown = words[:track] + (words[track] + ch,) + words[track + 1 :]
+                    yield ch, (nxt, grown)
 
-
-def build_tree_solution_automaton(forest: AcForest) -> MultiTrackAutomaton:
-    """The multi-track automaton whose runs are the forest's solutions."""
-    return MultiTrackAutomaton(forest)
+        start = (self.initial(), ("",) * self.n_tracks)
+        explored = explore(start, successors, cap=state_cap)
+        if explored is None:
+            raise ResourceLimit(f"tuple enumeration exceeded {state_cap} states")
+        return {words for state, words in explored[0] if self.is_final(state)}
 
 
 # ---------------------------------------------------------------------------
@@ -1298,7 +1283,7 @@ def default_int_bound(problem: Problem) -> int:
                 return 1_048_576
     for rel in problem.relations:
         if isinstance(rel, TransducerEq):
-            product *= transducer_normalize(rel.transducer).n_states
+            product *= rel.transducer.normalized.n_states
             if product > 1_048_576:
                 return 1_048_576
     return max(64, product)
@@ -1327,7 +1312,7 @@ def solve_extended(
     budget = Budget(resource_limit)
 
     norm_ts = {
-        idx: transducer_normalize(rel.transducer)
+        idx: rel.transducer.normalized
         for idx, rel in enumerate(problem.relations)
         if isinstance(rel, TransducerEq)
     }
@@ -1357,7 +1342,7 @@ def solve_extended(
             refined = AcForest(
                 forest.order, feasible, forest.children, forest.parent
             )
-            mta = build_tree_solution_automaton(refined)
+            mta = MultiTrackAutomaton(refined)
             for scenario in scenarios:
                 walks += 1
                 lowered = LoweredProblem(

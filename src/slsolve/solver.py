@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .automata import (
     EPSILON,
     Nfa,
+    explore,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -49,6 +50,7 @@ from .automata import (
     nfa_reduce,
     nfa_trim,
     nfa_universal,
+    reachable,
 )
 from .constraints import (
     And,
@@ -496,15 +498,15 @@ def _boundary_filter(
             return ("end", q, s)
         return ("post", i, q, s)
 
-    def successors(state: tuple) -> Iterator[tuple]:
+    def successors(state: tuple) -> Iterator[tuple[None, tuple]]:
         kind = state[0]
         if kind == "pre":
             _, j, i, q, s = state
             for q2 in in_rules[q].get(lits[j][i], ()):
-                yield make_pre(j, i + 1, q2, s)
+                yield None, make_pre(j, i + 1, q2, s)
             for b, q2 in out_rules[q]:
                 for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield ("pre", j, i, q2, s2)
+                    yield None, ("pre", j, i, q2, s2)
         elif kind == "main":
             _, j, q, s, r = state
             zone = zones[j]
@@ -512,60 +514,55 @@ def _boundary_filter(
             for ch, q2s in in_rules[q].items():
                 for r2 in zone_arcs.get(ch, ()):
                     for q2 in q2s:
-                        yield ("main", j, q2, s, r2)
+                        yield None, ("main", j, q2, s, r2)
             for b, q2 in out_rules[q]:
                 for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield ("main", j, q2, s2, r)
+                    yield None, ("main", j, q2, s2, r)
             if r in zone.finals:
                 if j < m - 1:
-                    yield ("bnd", j, q, s)
+                    yield None, ("bnd", j, q, s)
                 else:
-                    yield make_post(0, q, s)
+                    yield None, make_post(0, q, s)
         elif kind == "bnd":
             _, j, q, s = state
-            yield make_pre(j + 1, 0, q, s)
+            yield None, make_pre(j + 1, 0, q, s)
         elif kind == "post":
             _, i, q, s = state
             for q2 in in_rules[q].get(lits[m][i], ()):
-                yield make_post(i + 1, q2, s)
+                yield None, make_post(i + 1, q2, s)
             for b, q2 in out_rules[q]:
                 for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield ("post", i, q2, s2)
+                    yield None, ("post", i, q2, s2)
         else:
             _, q, s = state
             for b, q2 in out_rules[q]:
                 for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield ("end", q2, s2)
+                    yield None, ("end", q2, s2)
 
-    start = make_pre(0, 0, t.initial, a_img.initial)
-    preds: dict[tuple, list[tuple]] = {start: []}
-    queue = [start]
-    accepting: list[tuple] = []
-    while queue:
-        state = queue.pop()
-        if state[0] == "end" and state[1] in t.finals and state[2] in a_img.finals:
-            accepting.append(state)
-        for nxt in successors(state):
-            known = preds.get(nxt)
-            if known is None:
-                if len(preds) > _FILTER_STATE_CAP:
-                    return None
-                preds[nxt] = [state]
-                queue.append(nxt)
-            else:
-                known.append(state)
-
-    alive: set[tuple] = set(accepting)
-    queue = list(accepting)
-    while queue:
-        state = queue.pop()
-        for prev in preds[state]:
-            if prev not in alive:
-                alive.add(prev)
-                queue.append(prev)
+    explored = explore(
+        make_pre(0, 0, t.initial, a_img.initial),
+        successors,
+        cap=_FILTER_STATE_CAP + 1,
+    )
+    if explored is None:
+        return None
+    order, arcs = explored
+    # Every explored state is reachable; keep those that reach acceptance.
+    preds: list[list[int]] = [[] for _ in order]
+    for src, _, dst in arcs:
+        preds[dst].append(src)
+    alive = reachable(
+        (
+            i
+            for i, state in enumerate(order)
+            if state[0] == "end" and state[1] in t.finals and state[2] in a_img.finals
+        ),
+        preds.__getitem__,
+    )
 
     out: list[set[tuple[int, int]]] = [set() for _ in range(m - 1)]
-    for state in alive:
+    for i in alive:
+        state = order[i]
         if state[0] == "bnd":
             out[state[1]].add((state[2], state[3]))
     return out
@@ -882,6 +879,21 @@ def _join_model(
     return model
 
 
+def _checked_fold(problem: Problem) -> tuple[Problem, DependencyGraph]:
+    """Fold constant relations, straight-line-checking before and after.
+
+    The original is checked first so that input outside the fragment is
+    refused even when folding would hide the fault (a second definition
+    ``x = "a"`` folds into a membership); the folded problem is checked
+    again only when folding changed it.
+    """
+    graph = check_straightline(problem)
+    folded = fold_constant_relations(problem)
+    if folded is not problem:
+        graph = check_straightline(folded)
+    return folded, graph
+
+
 def solve(
     problem: Problem,
     *,
@@ -906,10 +918,7 @@ def solve(
     before being reported.  A ``stats`` dict, when supplied, is filled
     with deterministic search counters, whatever the verdict.
     """
-    graph = check_straightline(problem)
-    folded = fold_constant_relations(problem)
-    if folded is not problem:
-        graph = check_straightline(folded)
+    folded, graph = _checked_fold(problem)
     if folded.has_extensions:
         from .extensions import solve_extended
 
@@ -923,7 +932,7 @@ def solve(
 
     shapes = split_concat(folded, graph)
     norm_ts = {
-        idx: transducer_normalize(rel.transducer)
+        idx: rel.transducer.normalized
         for idx, rel in enumerate(folded.relations)
         if isinstance(rel, TransducerEq)
     }
@@ -977,8 +986,7 @@ def max_model_bound(problem: Problem) -> int:
     models this solver reports, which makes it usable as an enumeration
     cap.  Integer variables are not covered.
     """
-    folded = fold_constant_relations(problem)
-    graph = check_straightline(folded)
+    folded, graph = _checked_fold(problem)
     shapes = split_concat(folded, graph)
 
     tree = folded.regular
@@ -1013,9 +1021,7 @@ def max_model_bound(problem: Problem) -> int:
             continue
         arg_shape = shapes[rel.arg]
         lit_len = sum(len(s) for s in arg_shape.literals)
-        rel_factor[idx] = transducer_normalize(rel.transducer).n_states * (
-            lit_len + 1
-        )
+        rel_factor[idx] = rel.transducer.normalized.n_states * (lit_len + 1)
         for k, slot in enumerate(arg_shape.slots):
             child = (rel.lhs, k)
             child_edges.setdefault(slot, []).append((child, idx))

@@ -4,24 +4,27 @@ Transitions carry a pair of *words* (input, output); authoring-friendly
 machines like the HTML escapers write multi-character outputs directly.
 :func:`transducer_normalize` rewrites any machine into the one-sided
 single-character form the algebra below expects, and every image
-operation normalizes its argument first, so callers may hand over either
-form.
+operation works on :attr:`Transducer.normalized`, so callers may hand
+over either form and each machine is normalized at most once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .automata import (
     EPSILON,
     Alphabet,
     Nfa,
+    explore,
+    live_states,
     nfa_eps_eliminate,
     nfa_from_word,
     nfa_trim,
+    reachable,
 )
 
 
@@ -61,6 +64,11 @@ class Transducer:
             or (ins == EPSILON and len(outs) == 1)
             for _, ins, outs, _ in self.transitions
         )
+
+    @cached_property
+    def normalized(self) -> "Transducer":
+        """This machine in normalized form (itself when already normalized)."""
+        return transducer_normalize(self)
 
     def _key(self, t: tuple[int, str, str, int]) -> tuple:
         q, ins, outs, r = t
@@ -198,21 +206,10 @@ def transducer_normalize(t: Transducer) -> Transducer:
     for q, a, b, r in chain:
         by_state[q].append((a, b, r))
 
-    def closure(q: int) -> set[int]:
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for r in fwd[p]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
     rules: list[tuple[int, str, str, int]] = []
     finals: set[int] = set()
     for q in range(n):
-        cl = closure(q)
+        cl = reachable((q,), fwd.__getitem__)
         if cl & t.finals:
             finals.add(q)
         for p in cl:
@@ -225,28 +222,10 @@ def transducer_normalize(t: Transducer) -> Transducer:
 
 def transducer_trim(t: Transducer) -> Transducer:
     """Drop states that are unreachable or cannot reach acceptance."""
-    fwd: dict[int, set[int]] = {q: set() for q in range(t.n_states)}
-    rev: dict[int, set[int]] = {q: set() for q in range(t.n_states)}
-    for q, _, _, r in t.transitions:
-        fwd[q].add(r)
-        rev[r].add(q)
-    reach = {t.initial}
-    queue = deque(reach)
-    while queue:
-        q = queue.popleft()
-        for r in fwd[q]:
-            if r not in reach:
-                reach.add(r)
-                queue.append(r)
-    co = set(t.finals)
-    queue = deque(co)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    keep = sorted((reach & co) | {t.initial})
+    live = live_states(
+        t.n_states, [(q, r) for q, _, _, r in t.transitions], t.initial, t.finals
+    )
+    keep = sorted(live | {t.initial})
     kept = set(keep)
     remap = {q: i for i, q in enumerate(keep)}
     rules = tuple(
@@ -261,11 +240,6 @@ def transducer_trim(t: Transducer) -> Transducer:
         remap[t.initial],
         frozenset(remap[f] for f in t.finals if f in kept),
     )
-
-
-def transducer_slice(t: Transducer, source: int, target: int) -> Transducer:
-    """Same rules, re-anchored to run from ``source`` to ``target``."""
-    return replace(t, initial=source, finals=frozenset({target}))
 
 
 def _image(
@@ -305,98 +279,76 @@ def _image(
         raise ValueError("alphabet mismatch")
     if within is not None and within.alphabet != t.alphabet:
         raise ValueError("alphabet mismatch")
-    t = t if t.is_normalized else transducer_normalize(t)
+    t = t.normalized
     a = nfa_eps_eliminate(a)
     w = nfa_eps_eliminate(within) if within is not None else None
 
-    t_arcs = t.arcs
     a_by_sym = a.arcs_by_symbol
-    emitting = {
-        q
-        for q, arcs in t_arcs.items()
-        if any((outs if forward else ins) != EPSILON for ins, outs, _ in arcs)
-    }
+    # Arcs per transducer state, oriented: (free, bound, target) for those
+    # that emit a letter of the result, (bound, target) for silent ones.
+    emitting: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
+    silent: list[list[tuple[str, int]]] = [[] for _ in range(t.n_states)]
+    for q, arcs in t.arcs.items():
+        for ins, outs, tr in arcs:
+            bound, free = (ins, outs) if forward else (outs, ins)
+            if free == EPSILON:
+                silent[q].append((bound, tr))
+            else:
+                emitting[q].append((free, bound, tr))
     closures: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def step(s: int, bound: str, tr: int) -> Iterable[tuple[int, int]]:
+        """The pairs after an arc into ``tr`` reading ``bound`` from ``s``."""
+        if bound == EPSILON:
+            return ((tr, s),)
+        return [(tr, s2) for s2 in a_by_sym[s].get(bound, ())]
 
     def closure_of(ts: int, as_: int) -> tuple[tuple[int, int], ...]:
         """The pairs reachable by free-empty arcs that can emit or accept."""
         got = closures.get((ts, as_))
         if got is not None:
             return got
-        seen = {(ts, as_)}
-        stack = [(ts, as_)]
-        while stack:
-            q, s = stack.pop()
-            for ins, outs, tr in t_arcs[q]:
-                bound, free = (ins, outs) if forward else (outs, ins)
-                if free != EPSILON:
-                    continue
-                if bound == EPSILON:
-                    targets = ((tr, s),)
-                else:
-                    targets = tuple(
-                        (tr, s2) for s2 in a_by_sym[s].get(bound, ())
-                    )
-                for nxt in targets:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+        seen = reachable(
+            ((ts, as_),),
+            lambda pair: [
+                nxt for bound, tr in silent[pair[0]] for nxt in step(pair[1], bound, tr)
+            ],
+        )
         got = tuple(
             sorted(
                 (q, s)
                 for q, s in seen
-                if q in emitting or (q in t.finals and s in a.finals)
+                if emitting[q] or (q in t.finals and s in a.finals)
             )
         )
         closures[(ts, as_)] = got
         return got
 
+    def successors(
+        state: tuple[tuple[tuple[int, int], ...], int]
+    ) -> Iterator[tuple[str, tuple]]:
+        cl, ws = state
+        for q, s in cl:
+            for free, bound, tr in emitting[q]:
+                w_targets = (-1,) if w is None else w.arcs_by_symbol[ws].get(free, ())
+                if w_targets:
+                    for tr2, s2 in step(s, bound, tr):
+                        target = closure_of(tr2, s2)
+                        for wt in w_targets:
+                            yield free, (target, wt)
+
     start = (
         closure_of(t.initial, a.initial),
         w.initial if w is not None else -1,
     )
-    ids = {start: 0}
-    order = [start]
-    queue = deque([start])
-    transitions: list[tuple[int, str, int]] = []
-    finals = set()
-    while queue:
-        state = queue.popleft()
-        cl, ws = state
-        sid = ids[state]
-        if any(q in t.finals and s in a.finals for q, s in cl):
-            if w is None or ws in w.finals:
-                finals.add(sid)
-        for q, s in cl:
-            for ins, outs, tr in t_arcs[q]:
-                bound, free = (ins, outs) if forward else (outs, ins)
-                if free == EPSILON:
-                    continue
-                if w is None:
-                    w_targets: tuple[int, ...] = (-1,)
-                else:
-                    w_targets = w.arcs_by_symbol[ws].get(free, ())
-                    if not w_targets:
-                        continue
-                if bound == EPSILON:
-                    ta_targets = ((tr, s),)
-                else:
-                    ta_targets = tuple(
-                        (tr, s2) for s2 in a_by_sym[s].get(bound, ())
-                    )
-                for tr2, s2 in ta_targets:
-                    target = closure_of(tr2, s2)
-                    for wt in w_targets:
-                        nxt = (target, wt)
-                        nid = ids.get(nxt)
-                        if nid is None:
-                            nid = ids[nxt] = len(order)
-                            order.append(nxt)
-                            queue.append(nxt)
-                        transitions.append((sid, free, nid))
-    product = Nfa(
-        t.alphabet, len(order), tuple(set(transitions)), 0, frozenset(finals)
+    order, arcs = explore(start, successors)
+    finals = frozenset(
+        i
+        for i, (cl, ws) in enumerate(order)
+        if any(q in t.finals and s in a.finals for q, s in cl)
+        and (w is None or ws in w.finals)
     )
+    product = Nfa(t.alphabet, len(order), tuple(set(arcs)), 0, finals)
     return nfa_trim(product)
 
 
@@ -432,7 +384,7 @@ def transducer_membership(t: Transducer, x: str, y: str) -> bool:
     move of a normalized machine advances ``i + j``, so the search space
     is finite.
     """
-    t = t if t.is_normalized else transducer_normalize(t)
+    t = t.normalized
     t.alphabet.check_word(x)
     t.alphabet.check_word(y)
     start = (0, 0, t.initial)

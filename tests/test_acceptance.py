@@ -9,6 +9,7 @@ import functools
 import itertools
 import random
 import time
+from dataclasses import replace
 
 from slsolve.automata import (
     Alphabet,
@@ -18,7 +19,6 @@ from slsolve.automata import (
     nfa_intersect,
     nfa_membership,
     nfa_nonempty_shortest,
-    nfa_slice,
     nfa_union,
     nfa_universal,
 )
@@ -51,7 +51,6 @@ from slsolve.transducer import (
     pre_image,
     transducer_membership,
     transducer_normalize,
-    transducer_slice,
 )
 from slsolve.websec import (
     WEB_ALPHABET,
@@ -253,10 +252,14 @@ def test_acceptance_automata_and_transducer_invariants():
     # splits it.
     words5 = words_up_to(ABC, 5)
     for a in gallery[:6]:
-        slices = [nfa_slice(a, a.initial, q) for q in range(a.n_states)]
+        slices = [replace(a, finals=frozenset({q})) for q in range(a.n_states)]
         tails = [
             functools.reduce(
-                nfa_union, (nfa_slice(a, q, f) for f in sorted(a.finals))
+                nfa_union,
+                (
+                    replace(a, initial=q, finals=frozenset({f}))
+                    for f in sorted(a.finals)
+                ),
             ) if a.finals else None
             for q in range(a.n_states)
         ]
@@ -302,8 +305,11 @@ def test_acceptance_automata_and_transducer_invariants():
                 assert transducer_membership(norm, x, y) == ((x, y) in pairs)
         halves = [
             (
-                transducer_slice(norm, norm.initial, p),
-                [transducer_slice(norm, p, f) for f in sorted(norm.finals)],
+                replace(norm, finals=frozenset({p})),
+                [
+                    replace(norm, initial=p, finals=frozenset({f}))
+                    for f in sorted(norm.finals)
+                ],
             )
             for p in range(norm.n_states)
         ]

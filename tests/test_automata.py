@@ -7,6 +7,7 @@ and slicing is validated through the full run-decomposition equivalence.
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,8 @@ from slsolve.automata import (
     EPSILON,
     Alphabet,
     Nfa,
+    explore,
+    live_states,
     nfa_complement,
     nfa_concat,
     nfa_determinize,
@@ -27,10 +30,10 @@ from slsolve.automata import (
     nfa_none,
     nfa_nonempty_shortest,
     nfa_reduce,
-    nfa_slice,
     nfa_trim,
     nfa_union,
     nfa_universal,
+    reachable,
 )
 from slsolve.regex import regex_parse
 
@@ -124,6 +127,36 @@ def test_from_word_empty():
 def test_none_and_universal():
     assert language(nfa_none(AB), 3) == frozenset()
     assert language(nfa_universal(AB), 2) == set(words_up_to(AB, 2))
+
+
+# ---------------------------------------------------------------------------
+# Search kernels
+
+
+@pytest.mark.parametrize("cap", [None, 1, 6, 7, 8])
+def test_explore_numbers_breadth_first_and_stops_past_the_cap(cap):
+    # A binary heap of seven nodes: breadth-first discovery is 0..6, where
+    # a depth-first walk would give 0, 1, 3, 4, 2, 5, 6.
+    def children(q):
+        return [(c, 2 * q + c) for c in (1, 2) if 2 * q + c < 7]
+
+    explored = explore(0, children, cap=cap)
+    if cap is not None and cap < 7:
+        assert explored is None
+        return
+    order, arcs = explored
+    assert order == list(range(7))
+    assert arcs == [(q, c, 2 * q + c) for q in range(3) for c in (1, 2)]
+
+
+def test_live_states_are_reachable_and_coreachable():
+    # 0 -> 1 -> 3 is live; 2 is a dead end, 4 is unreachable.
+    edges = [(0, 1), (1, 3), (0, 2), (4, 3), (3, 3)]
+    succ = {0: [1, 2], 1: [3], 2: [], 3: [3], 4: [3]}
+    assert reachable([0], succ.__getitem__) == {0, 1, 2, 3}
+    assert reachable([4, 2], succ.__getitem__) == {2, 3, 4}
+    assert live_states(5, edges, 0, {3}) == {0, 1, 3}
+    assert live_states(5, edges, 0, set()) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +329,14 @@ def test_shortest_agrees_with_enumeration():
 def test_slice_of_single_final_machine_is_identity():
     nfa = nfa_from_word("ab", AB)
     (final,) = nfa.finals
-    sliced = nfa_slice(nfa, nfa.initial, final)
+    sliced = replace(nfa, finals=frozenset({final}))
     assert language(sliced, 4) == language(nfa, 4)
 
 
 def test_slice_to_self_accepts_epsilon():
     nfa = nfa_from_word("ab", AB)
     for q in range(nfa.n_states):
-        assert nfa_membership(nfa_slice(nfa, q, q), "")
+        assert nfa_membership(replace(nfa, initial=q, finals=frozenset({q})), "")
 
 
 def test_slice_run_decomposition_exhaustive():
@@ -311,7 +344,7 @@ def test_slice_run_decomposition_exhaustive():
     for nfa in gallery(AB):
         flat = nfa_eps_eliminate(nfa)
         slice_from_start = [
-            language(nfa_slice(flat, flat.initial, q), 5)
+            language(replace(flat, finals=frozenset({q})), 5)
             for q in range(flat.n_states)
         ]
         slice_to_final = [
@@ -334,7 +367,7 @@ def test_multi_slice_is_union_of_slices():
     targets = list(range(nfa.n_states))
     combined = language(nfa_multi_slice(nfa, sources, targets), 4)
     separate = frozenset().union(
-        *(language(nfa_slice(nfa, 0, t), 4) for t in targets)
+        *(language(replace(nfa, initial=0, finals=frozenset({t})), 4) for t in targets)
     )
     assert combined == separate
 

@@ -9,6 +9,8 @@ force, and a seeded differential sweep against the exhaustive oracle.
 
 import itertools
 
+import pytest
+
 from slsolve.automata import Alphabet, nfa_enumerate
 from slsolve.constraints import (
     And,
@@ -31,8 +33,9 @@ from slsolve.constraints import (
     evaluate,
 )
 from slsolve.extensions import (
+    MultiTrackAutomaton,
+    ResourceLimit,
     _kmp_delta,
-    build_tree_solution_automaton,
     default_int_bound,
 )
 from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
@@ -396,8 +399,10 @@ def mk_forest(nodes, edges):
 def test_single_track_tuples_are_the_language():
     nfa = regex_parse("(a|bb)*", AB)
     forest = mk_forest([(("x", 0), nfa)], [])
-    tuples = build_tree_solution_automaton(forest).accepted_tuples(3)
-    assert tuples == {(w,) for w in nfa_enumerate(nfa, 3)}
+    mta = MultiTrackAutomaton(forest)
+    assert mta.accepted_tuples(3) == {(w,) for w in nfa_enumerate(nfa, 3)}
+    with pytest.raises(ResourceLimit):
+        mta.accepted_tuples(3, state_cap=4)
 
 
 def test_two_track_tuples_match_brute_force():
@@ -408,7 +413,7 @@ def test_two_track_tuples_match_brute_force():
         [(("x", 0), root_lang), (("y", 0), child_lang)],
         [(("x", 0), ("y", 0), machine)],
     )
-    tuples = build_tree_solution_automaton(forest).accepted_tuples(3)
+    tuples = MultiTrackAutomaton(forest).accepted_tuples(3)
     expected = {
         (x, y)
         for x in nfa_enumerate(root_lang, 3)
@@ -429,7 +434,7 @@ def test_branching_forest_tuples_match_brute_force():
         [(("x", 0), root_lang), (("y", 0), copy_lang), (("z", 0), drop_lang)],
         [(("x", 0), ("y", 0), copy), (("x", 0), ("z", 0), drop)],
     )
-    tuples = build_tree_solution_automaton(forest).accepted_tuples(2)
+    tuples = MultiTrackAutomaton(forest).accepted_tuples(2)
     expected = {
         (x, y, z)
         for x in nfa_enumerate(root_lang, 2)

@@ -184,15 +184,18 @@ def test_solve_refuses_problems_outside_the_fragment():
             TransducerEq("y", "copy", identity_transducer(AB), "x"),
         ),
     )
-    with pytest.raises(CyclicDefinition):
-        solve(cyclic)
+    # Folding turns the second definition of ``x`` into a membership, so
+    # the original problem has to be checked, not just the folded one.
     doubled = Problem(
         alphabet=AB,
         str_vars=("x", "y"),
         relations=(ConcatEq("x", (Var("y"),)), ConcatEq("x", (Lit("a"),))),
     )
-    with pytest.raises(MultiplyDefined):
-        solve(doubled)
+    for entry in (solve, max_model_bound):
+        with pytest.raises(CyclicDefinition):
+            entry(cyclic)
+        with pytest.raises(MultiplyDefined):
+            entry(doubled)
 
 
 def test_straightline_check_runs_once_unless_folding_changes_the_problem(
@@ -223,6 +226,47 @@ def test_straightline_check_runs_once_unless_folding_changes_the_problem(
     )
     assert solve(constant).model == {"x": "ab"}
     assert checked == [constant, fold_constant_relations(constant)]
+
+
+@pytest.mark.parametrize(
+    "pattern, machine",
+    [
+        ("(ab)*aaaaaaaab", erase_transducer(AB, "b")),
+        ("ab" * 10, identity_transducer(AB)),
+    ],
+    ids=["unsat", "sat"],
+)
+def test_capped_boundary_filter_falls_back_to_blind_placement(
+    monkeypatch, pattern, machine
+):
+    # y = T(x) with x cut into three pieces: the raw cut combinations are
+    # past the filter threshold, so the boundary filter runs.
+    problem = Problem(
+        alphabet=AB,
+        str_vars=("u", "v", "w", "x", "y"),
+        relations=(
+            ConcatEq("x", (Var("u"), Lit("b"), Var("v"), Var("w"))),
+            TransducerEq("y", "t", machine, "x"),
+        ),
+        regular=And((reg("y", pattern), reg("u", "a*b*"))),
+    )
+    filtered_stats: dict = {}
+    filtered = solve(problem, stats=filtered_stats)
+
+    results = []
+    real = slsolve.solver._boundary_filter
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(slsolve.solver, "_boundary_filter", recording)
+    monkeypatch.setattr(slsolve.solver, "_FILTER_STATE_CAP", 1)
+    blind_stats: dict = {}
+    blind = solve(problem, stats=blind_stats)
+    assert results and all(r is None for r in results)
+    assert blind == filtered
+    assert blind_stats["cut-placements"] > filtered_stats["cut-placements"]
 
 
 def test_empty_problem_is_trivially_sat():
