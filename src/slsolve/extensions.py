@@ -719,6 +719,10 @@ class MultiTrackAutomaton:
     produced by an output move of the segment above.  Projections of
     accepted runs onto tracks are therefore exactly the forest's
     solution tuples.
+
+    Moves and finality are memoised per product state: a forest has few
+    product states, and one automaton serves every scenario walked over
+    that forest as well as :meth:`accepted_tuples`.
     """
 
     def __init__(self, forest: AcForest) -> None:
@@ -762,6 +766,10 @@ class MultiTrackAutomaton:
         self.alphabet = (
             self._nfas[0].alphabet if self._nfas else None
         )
+        self._final: dict[tuple[int, ...], bool] = {}
+        self._moves: dict[
+            tuple[int, ...], tuple[tuple[int, str, tuple[int, ...]], ...]
+        ] = {}
 
     @property
     def n_tracks(self) -> int:
@@ -773,18 +781,29 @@ class MultiTrackAutomaton:
         return nfa_part + edge_part
 
     def is_final(self, state: tuple[int, ...]) -> bool:
-        n = len(self._nfas)
-        return all(
-            state[i] in nfa.finals for i, nfa in enumerate(self._nfas)
-        ) and all(
-            state[n + e] in machine.finals
-            for e, (_p, _c, machine) in enumerate(self._edges)
-        )
+        final = self._final.get(state)
+        if final is None:
+            n = len(self._nfas)
+            final = self._final[state] = all(
+                state[i] in nfa.finals for i, nfa in enumerate(self._nfas)
+            ) and all(
+                state[n + e] in machine.finals
+                for e, (_p, _c, machine) in enumerate(self._edges)
+            )
+        return final
 
     def moves(
         self, state: tuple[int, ...]
-    ) -> Iterator[tuple[int, str, tuple[int, ...]]]:
+    ) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
         """All (track, letter, successor) moves, in deterministic order."""
+        moves = self._moves.get(state)
+        if moves is None:
+            moves = self._moves[state] = tuple(self._expand(state))
+        return moves
+
+    def _expand(
+        self, state: tuple[int, ...]
+    ) -> Iterator[tuple[int, str, tuple[int, ...]]]:
         n = len(self._nfas)
         for i, nfa in enumerate(self._nfas):
             arcs = nfa.arcs_by_symbol[state[i]]
@@ -936,6 +955,10 @@ def counter_walk_solve(
     letter equal to their guessed character, making frozen values
     1-based positions.  The first satisfying state found (breadth-first,
     deterministic move order) is reconstructed into per-node words.
+
+    The counter updates of a move depend only on its track and letter,
+    so they are planned once per ``(track, letter)`` and reused by every
+    walk state that takes such a move.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
@@ -976,15 +999,6 @@ def counter_walk_solve(
         count_keys, key=lambda k: (mta.tracks.index(k[0]), k[1])
     )
     count_idx = {k: i for i, k in enumerate(count_order)}
-    track_len = [len_idx.get(node) for node in mta.tracks]
-    track_counts: list[list[tuple[str, int]]] = [
-        [(ch, count_idx[(node, ch)]) for (n2, ch) in count_order if n2 == node]
-        for node in mta.tracks
-    ]
-    track_terms: list[list[int]] = [
-        [t for t, (n2, _g) in enumerate(scenario.terms) if n2 == node]
-        for node in mta.tracks
-    ]
     deltas: dict[str, list[dict[str, int]]] = {}
     for _n, needle, _e in scenario.comps:
         if needle not in deltas:
@@ -994,17 +1008,48 @@ def counter_walk_solve(
     if lowered.int_tree is not None:
         mandatory.append(lowered.int_tree)
     hard_caps = _definite_caps(mandatory)
-    len_caps = [hard_caps.get(node) for node in mta.tracks]
-    count_caps = {
-        count_idx[key]: hard_caps[key] for key in count_order if key in hard_caps
-    }
-    track_comps: list[list[int]] = [
-        [c for c, (n2, _nd, _e) in enumerate(scenario.comps) if n2 == node]
-        for node in mta.tracks
-    ]
 
     def bump(value: int) -> int:
         return value + 1 if value <= cap else top
+
+    def plan_for(track: int, ch: str) -> tuple:
+        """The counter updates of a ``ch`` move on ``track``.
+
+        The length index and its cap, the ``(count index, cap)`` pairs,
+        the ``(comp, KMP row, needle length)`` triples and the ``(term,
+        can freeze)`` pairs.
+        """
+        node = mta.tracks[track]
+        ci = count_idx.get((node, ch))
+        return (
+            len_idx.get(node),
+            hard_caps.get(node),
+            () if ci is None else ((ci, hard_caps.get((node, ch))),),
+            tuple(
+                (c, [row[ch] for row in deltas[needle]], len(needle))
+                for c, (n2, needle, _e) in enumerate(scenario.comps)
+                if n2 == node
+            ),
+            tuple(
+                (t, guess == ch)
+                for t, (n2, guess) in enumerate(scenario.terms)
+                if n2 == node
+            ),
+        )
+
+    # Every string index in ``links`` and ``zeros`` is bound before the
+    # integers left free are enumerated, so those are fixed for the walk.
+    bound_indices = {link.index for link in scenario.links} | set(scenario.zeros)
+    free = [v for v in lowered.int_vars if v not in bound_indices]
+    free_set = set(free)
+    # Exhausting a free variable's range is bound-dependent only if some
+    # constraint actually reads that variable.
+    reads_free = any(
+        isinstance(term, IntTerm) and term.var in free_set
+        for tree in mandatory
+        for leaf in tree_leaves(tree)
+        for _c, term in leaf.atom.terms
+    )
 
     # --- the walk ---------------------------------------------------------
     init = (
@@ -1148,38 +1193,26 @@ def counter_walk_solve(
                     lower[pe.index] = max(lower.get(pe.index, 0), need)
 
             # Free integers: enumerate within the bound.
-            free = [v for v in lowered.int_vars if v not in ints]
             ranges = []
             for var in free:
                 lo = lower.get(var, 0)
                 if lo > int_bound:
                     raise _Saturated
                 ranges.append(range(lo, int_bound + 1))
-            trees = list(scenario.extra)
-            if lowered.int_tree is not None:
-                trees.append(lowered.int_tree)
             saw_unknown = False
             for combo in iter_product(*ranges):
                 if not budget.charge():
                     return WalkResult("resource")
                 candidate = dict(ints)
                 candidate.update(zip(free, combo))
-                values = [tree3(t, candidate, state) for t in trees]
+                values = [tree3(t, candidate, state) for t in mandatory]
                 if all(v is True for v in values):
                     words = _reconstruct(state)
                     return WalkResult("sat", words, candidate)
                 if None in values:
                     saw_unknown = True
-            if saw_unknown:
+            if saw_unknown or reads_free:
                 touched = True
-            # Exhausting a free variable's range is bound-dependent only
-            # if some constraint actually reads that variable.
-            free_set = set(free)
-            for tree in trees:
-                for leaf in tree_leaves(tree):
-                    for _c, term in leaf.atom.terms:
-                        if isinstance(term, IntTerm) and term.var in free_set:
-                            touched = True
             return None
         except _Saturated:
             touched = True
@@ -1201,65 +1234,66 @@ def counter_walk_solve(
         }
 
     # --- main loop --------------------------------------------------------
+    plans: dict[tuple[int, str], tuple] = {}
     while queue:
         state = queue.popleft()
         result = try_accept(state)
         if result is not None:
             return result
         prod, lens, counts, terms, comps = state
-        n_tracks = mta.n_tracks
         for track, ch, nxt_prod in mta.moves(prod):
+            plan = plans.get((track, ch))
+            if plan is None:
+                plan = plans[track, ch] = plan_for(track, ch)
+            li, len_cap, count_steps, comp_steps, term_steps = plan
             new_lens = lens
-            li = track_len[track]
             if li is not None:
                 grown = bump(lens[li])
-                cap_here = len_caps[track]
-                if cap_here is not None and grown > cap_here:
+                if len_cap is not None and grown > len_cap:
                     continue  # mandatory length ceiling: state can never accept
                 new_lens = lens[:li] + (grown,) + lens[li + 1 :]
             new_counts = counts
             dead = False
-            for ch2, ci in track_counts[track]:
-                if ch2 == ch:
-                    grown = bump(new_counts[ci])
-                    cap_here = count_caps.get(ci)
-                    if cap_here is not None and grown > cap_here:
-                        dead = True
-                        break
-                    new_counts = (
-                        new_counts[:ci] + (grown,) + new_counts[ci + 1 :]
-                    )
+            for ci, cap_here in count_steps:
+                grown = bump(new_counts[ci])
+                if cap_here is not None and grown > cap_here:
+                    dead = True
+                    break
+                new_counts = new_counts[:ci] + (grown,) + new_counts[ci + 1 :]
             if dead:
                 continue
             new_comps = comps
-            for c in track_comps[track]:
+            for c, kmp_row, needle_len in comp_steps:
                 q, first = new_comps[c]
-                needle = scenario.comps[c][1]
-                q2 = deltas[needle][q][ch]
-                if q2 == len(needle) and first == -1:
+                q2 = kmp_row[q]
+                if q2 == needle_len and first == -1:
                     assert li is not None
                     first = new_lens[li]
                 new_comps = new_comps[:c] + ((q2, first),) + new_comps[c + 1 :]
 
             # Position trackers: bump while unfrozen, optionally freeze on
             # a matching letter (after the bump, so positions are 1-based).
-            alternatives: list[list[tuple[int, int]]] = []
-            for t in track_terms[track]:
-                y, z = terms[t]
-                if z:
-                    alternatives.append([(y, z)])
-                else:
-                    y2 = bump(y)
-                    options = [(y2, 0)]
-                    if scenario.terms[t][1] == ch:
-                        options.append((y2, 1))
-                    alternatives.append(options)
-            tset = track_terms[track]
-            for combo in iter_product(*alternatives):
-                new_terms = list(terms)
-                for t, pair in zip(tset, combo):
-                    new_terms[t] = pair
-                nxt = (nxt_prod, new_lens, new_counts, tuple(new_terms), new_comps)
+            term_options = [terms]
+            if term_steps:
+                alternatives: list[list[tuple[int, int]]] = []
+                for t, can_freeze in term_steps:
+                    y, z = terms[t]
+                    if z:
+                        alternatives.append([(y, z)])
+                    else:
+                        y2 = bump(y)
+                        options = [(y2, 0)]
+                        if can_freeze:
+                            options.append((y2, 1))
+                        alternatives.append(options)
+                term_options = []
+                for combo in iter_product(*alternatives):
+                    new_terms = list(terms)
+                    for (t, _f), pair in zip(term_steps, combo):
+                        new_terms[t] = pair
+                    term_options.append(tuple(new_terms))
+            for new_terms in term_options:
+                nxt = (nxt_prod, new_lens, new_counts, new_terms, new_comps)
                 if nxt not in parents:
                     if not budget.charge():
                         return WalkResult("resource")

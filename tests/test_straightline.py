@@ -176,14 +176,25 @@ def test_dimension_of_unrelated_variables_is_one():
 # Scaling
 
 
-def test_hundred_thousand_atom_chain_is_checked_fast():
-    names = tuple(f"x{i}" for i in range(100_001))
-    relations = tuple(
-        concat(names[i + 1], names[i], Lit("a")) for i in range(100_000)
-    )
+def chain_check_seconds(n: int) -> float:
+    """The fastest of three checks of an ``n``-atom equation chain."""
+    names = tuple(f"x{i}" for i in range(n + 1))
+    relations = tuple(concat(names[i + 1], names[i], Lit("a")) for i in range(n))
     problem = Problem(alphabet=AB, str_vars=names, relations=relations)
-    start = time.monotonic()
-    graph = check_straightline(problem)
-    elapsed = time.monotonic() - start
-    assert graph.order == names
-    assert elapsed < 1.0
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        graph = check_straightline(problem)
+        times.append(time.perf_counter() - start)
+        assert graph.order == names
+    return min(times)
+
+
+def test_hundred_thousand_atom_chain_is_checked_fast():
+    # Linear time, stated as a ratio of two timings in one process so
+    # that a busy machine slows both sides: ten times the atoms must cost
+    # well under thirty times as much (about fifteen is usual; a
+    # quadratic check costs about a hundred).
+    small = chain_check_seconds(10_000)
+    large = chain_check_seconds(100_000)
+    assert large < 30 * small
