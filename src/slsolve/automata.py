@@ -4,7 +4,10 @@ Everything downstream (regular constraints, transducer images, the
 decision procedure itself) reduces to a small algebra over these
 machines, so the operations here are written for determinism first:
 states are dense ints, iteration is id-ordered, and every constructed
-machine depends only on its inputs, never on hash order.
+machine depends only on its inputs, never on hash order.  The
+:class:`Nfa` constructor fixes the arc order itself — callers may pass
+transitions in any order, with repeats — so equal machines compare and
+hash equal however they were built.
 
 Every product, closure and trim is a search through one of two kernels:
 :func:`explore`, a breadth-first search that numbers states in discovery
@@ -79,6 +82,20 @@ def live_states(
     return reachable((initial,), fwd.__getitem__) & reachable(finals, rev.__getitem__)
 
 
+def trim_renumbering(
+    n: int, edges: Iterable[tuple[int, int]], initial: int, finals: Iterable[int]
+) -> dict[int, int]:
+    """Dense new ids, in old-id order, for the live states and ``initial``.
+
+    The initial state is always kept (possibly as a dead state), so a
+    trimmed machine is well-formed even for the empty language.  States
+    missing from the map are dropped together with their arcs.
+    """
+    keep = live_states(n, edges, initial, finals)
+    keep.add(initial)
+    return {q: i for i, q in enumerate(sorted(keep))}
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered finite alphabet of single characters.
@@ -132,9 +149,11 @@ class Nfa:
     """A nondeterministic finite automaton with a single initial state.
 
     States are exactly ``range(n_states)``.  Transitions carry either a
-    single alphabet character or :data:`EPSILON`.  The transition tuple
-    is kept sorted by (source, symbol index, target) so that two equal
-    machines compare equal and all iteration is reproducible.
+    single alphabet character or :data:`EPSILON`.  Callers may pass them
+    in any order and with repeats: the constructor dedupes them and sorts
+    them by (source, symbol index, target), epsilon before every letter,
+    so two equal machines compare equal and all iteration is
+    reproducible.
     """
 
     alphabet: Alphabet
@@ -144,25 +163,30 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not (0 <= self.initial < self.n_states):
+        n = self.n_states
+        if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
+        idx = self.alphabet._index
+        keyed: dict[tuple[int, int, int], tuple[int, str, int]] = {}
         for q, sym, r in self.transitions:
-            if not (0 <= q < self.n_states and 0 <= r < self.n_states):
+            if not (0 <= q < n and 0 <= r < n):
                 raise ValueError(f"transition {(q, sym, r)} out of range")
-            if sym != EPSILON and sym not in self.alphabet:
+            s = -1 if sym == EPSILON else idx.get(sym)
+            if s is None:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            keyed[(q, s, r)] = (q, sym, r)
+        object.__setattr__(
+            self, "transitions", tuple(keyed[key] for key in sorted(keyed))
+        )
         for f in self.finals:
-            if not (0 <= f < self.n_states):
+            if not (0 <= f < n):
                 raise ValueError("final state out of range")
-
-    def _sym_key(self, sym: str) -> int:
-        return -1 if sym == EPSILON else self.alphabet.index(sym)
 
     @cached_property
     def arcs(self) -> dict[int, list[tuple[str, int]]]:
         """Outgoing arcs per state, epsilon first, then alphabet order."""
         out: dict[int, list[tuple[str, int]]] = {q: [] for q in range(self.n_states)}
-        for q, sym, r in sorted_transitions(self.alphabet, self.transitions):
+        for q, sym, r in self.transitions:
             out[q].append((sym, r))
         return out
 
@@ -210,17 +234,6 @@ class Nfa:
         return states
 
 
-def sorted_transitions(
-    alphabet: Alphabet, transitions: Iterable[tuple[int, str, int]]
-) -> tuple[tuple[int, str, int], ...]:
-    idx = alphabet._index
-    decorated = {
-        (q, -1 if sym == EPSILON else idx[sym], r): (q, sym, r)
-        for q, sym, r in transitions
-    }
-    return tuple(decorated[key] for key in sorted(decorated))
-
-
 def nfa_from_word(word: str, alphabet: Alphabet) -> Nfa:
     """The automaton accepting exactly ``word`` (a straight chain)."""
     alphabet.check_word(word)
@@ -262,40 +275,28 @@ def nfa_eps_eliminate(nfa: Nfa) -> Nfa:
                 if sym != EPSILON:
                     transitions.append((q, sym, r))
     return Nfa(
-        nfa.alphabet,
-        nfa.n_states,
-        sorted_transitions(nfa.alphabet, transitions),
-        nfa.initial,
-        frozenset(finals),
+        nfa.alphabet, nfa.n_states, transitions, nfa.initial, frozenset(finals)
     )
 
 
 def nfa_trim(nfa: Nfa) -> Nfa:
-    """Restrict to states both reachable and co-reachable, renumbered densely.
-
-    The initial state is always kept (possibly as a dead state) so the
-    result is well-formed even for the empty language.
-    """
-    live = live_states(
+    """Restrict to states both reachable and co-reachable, renumbered densely."""
+    remap = trim_renumbering(
         nfa.n_states,
         [(q, r) for q, _, r in nfa.transitions],
         nfa.initial,
         nfa.finals,
     )
-    keep = sorted(live | {nfa.initial})
-    remap = {q: i for i, q in enumerate(keep)}
-    kept = set(keep)
-    transitions = tuple(
-        (remap[q], sym, remap[r])
-        for q, sym, r in nfa.transitions
-        if q in kept and r in kept
-    )
     return Nfa(
         nfa.alphabet,
-        len(keep),
-        sorted_transitions(nfa.alphabet, transitions),
+        len(remap),
+        [
+            (remap[q], sym, remap[r])
+            for q, sym, r in nfa.transitions
+            if q in remap and r in remap
+        ],
         remap[nfa.initial],
-        frozenset(remap[f] for f in nfa.finals if f in kept),
+        frozenset(remap[f] for f in nfa.finals if f in remap),
     )
 
 
@@ -337,14 +338,10 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
             break
     if n_blocks == n:
         return nfa
-    transitions = sorted_transitions(
-        nfa.alphabet,
-        ((block[q], sym, block[r]) for q, sym, r in nfa.transitions),
-    )
     return Nfa(
         nfa.alphabet,
         n_blocks,
-        transitions,
+        [(block[q], sym, block[r]) for q, sym, r in nfa.transitions],
         block[nfa.initial],
         frozenset(block[f] for f in nfa.finals),
     )
@@ -377,10 +374,7 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     finals = frozenset(
         i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
     )
-    product = Nfa(
-        a.alphabet, len(order), sorted_transitions(a.alphabet, arcs), 0, finals
-    )
-    return nfa_trim(product)
+    return nfa_trim(Nfa(a.alphabet, len(order), arcs, 0, finals))
 
 
 def nfa_concat(parts: Sequence[Nfa]) -> Nfa:
@@ -408,7 +402,7 @@ def nfa_concat(parts: Sequence[Nfa]) -> Nfa:
     glued = Nfa(
         alphabet,
         offset,
-        sorted_transitions(alphabet, transitions),
+        transitions,
         parts[0].initial,
         frozenset(f + offsets[-1] for f in parts[-1].finals),
     )
@@ -426,13 +420,7 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
     finals = frozenset(
         {f + off_a for f in a.finals} | {f + off_b for f in b.finals}
     )
-    return Nfa(
-        a.alphabet,
-        1 + a.n_states + b.n_states,
-        sorted_transitions(a.alphabet, transitions),
-        0,
-        finals,
-    )
+    return Nfa(a.alphabet, 1 + a.n_states + b.n_states, transitions, 0, finals)
 
 
 def nfa_determinize(nfa: Nfa) -> Nfa:
@@ -446,9 +434,7 @@ def nfa_determinize(nfa: Nfa) -> Nfa:
 
     order, arcs = explore(frozenset({nfa.initial}), successors)
     finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
-    return Nfa(
-        nfa.alphabet, len(order), sorted_transitions(nfa.alphabet, arcs), 0, finals
-    )
+    return Nfa(nfa.alphabet, len(order), arcs, 0, finals)
 
 
 def nfa_complement(nfa: Nfa) -> Nfa:
@@ -470,7 +456,7 @@ def nfa_is_empty(nfa: Nfa) -> bool:
             if r not in reach:
                 reach.add(r)
                 queue.append(r)
-    return nfa.initial not in nfa.finals and not (reach & nfa.finals)
+    return True
 
 
 def _distances_to_finals(nfa: Nfa) -> list[int]:
@@ -532,16 +518,9 @@ def nfa_multi_slice(nfa: Nfa, sources: Iterable[int], targets: Iterable[int]) ->
     A fresh initial state (the last id) carries epsilon arcs to every
     requested source, keeping the single-initial invariant.
     """
-    sources = sorted(set(sources))
     fresh = nfa.n_states
     transitions = nfa.transitions + tuple((fresh, EPSILON, s) for s in sources)
-    return Nfa(
-        nfa.alphabet,
-        nfa.n_states + 1,
-        sorted_transitions(nfa.alphabet, transitions),
-        fresh,
-        frozenset(targets),
-    )
+    return Nfa(nfa.alphabet, nfa.n_states + 1, transitions, fresh, frozenset(targets))
 
 
 def nfa_enumerate(

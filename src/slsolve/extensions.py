@@ -747,22 +747,8 @@ class MultiTrackAutomaton:
             self._out_edges[pi].append(e)
             self._parent_edge[ci] = e
         # Per-edge rule maps: state -> char -> targets.
-        self._in_map: list[list[dict[str, tuple[int, ...]]]] = []
-        self._out_map: list[list[dict[str, tuple[int, ...]]]] = []
-        for _pi, _ci, machine in self._edges:
-            ins: list[dict[str, list[int]]] = [{} for _ in range(machine.n_states)]
-            outs: list[dict[str, list[int]]] = [{} for _ in range(machine.n_states)]
-            for q, a, b, r in machine.transitions:
-                if a:
-                    ins[q].setdefault(a, []).append(r)
-                else:
-                    outs[q].setdefault(b, []).append(r)
-            self._in_map.append(
-                [{c: tuple(v) for c, v in row.items()} for row in ins]
-            )
-            self._out_map.append(
-                [{c: tuple(v) for c, v in row.items()} for row in outs]
-            )
+        self._in_map = [machine.consuming for _p, _c, machine in self._edges]
+        self._out_map = [machine.emitting for _p, _c, machine in self._edges]
         self.alphabet = (
             self._nfas[0].alphabet if self._nfas else None
         )

@@ -51,7 +51,7 @@ from .constraints import (
 )
 from .regex import regex_parse
 from .straightline import check_straightline
-from .transducer import Transducer, apply_function, sorted_rules
+from .transducer import Transducer, apply_function
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _random_transducer(rng: random.Random, alphabet: Alphabet) -> Transducer:
                 out = rng.choice(["", rng.choice(alphabet.symbols)])
                 rules.append((q, c, out, rng.randrange(n)))
     finals = frozenset(rng.sample(range(n), rng.randint(1, n)))
-    return Transducer(alphabet, n, sorted_rules(rules), 0, finals)
+    return Transducer(alphabet, n, rules, 0, finals)
 
 
 def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> str:

@@ -60,7 +60,7 @@ from .constraints import (
     Var,
 )
 from .regex import RegexSyntaxError, regex_parse
-from .transducer import Transducer, sorted_rules
+from .transducer import Transducer
 
 
 class ParseError(ValueError):
@@ -198,6 +198,8 @@ def _parse_sexpr(tokens: list[tuple[str, str]], line_no: int):
                 items.append(node)
             if i >= len(tokens):
                 raise ParseError(line_no, "missing ')'")
+            if not items:
+                raise ParseError(line_no, "empty ()")
             return items, i + 1
         if kind == "rp":
             raise ParseError(line_no, "unexpected ')'")
@@ -384,13 +386,16 @@ class _FileParser:
         if not body:
             raise ParseError(line_no, f"empty {head} constraint")
         tokens = _tokenize_sexpr(body, line_no)
-        sexpr = _parse_sexpr(tokens, line_no)
-        if head == "regc":
-            self.reg_parts.append(self.reg_tree(sexpr, line_no))
-        elif head == "intc":
-            self.int_parts.append(self.int_tree(sexpr, line_no))
-        else:
-            self.char_parts.append(self.char_tree(sexpr, line_no))
+        try:
+            sexpr = _parse_sexpr(tokens, line_no)
+            if head == "regc":
+                self.reg_parts.append(self.reg_tree(sexpr, line_no))
+            elif head == "intc":
+                self.int_parts.append(self.int_tree(sexpr, line_no))
+            else:
+                self.char_parts.append(self.char_tree(sexpr, line_no))
+        except RecursionError:
+            raise ParseError(line_no, f"{head} constraint nested too deeply") from None
 
     def _boolean(self, sexpr, line_no: int, leaf) -> BoolTree:
         if isinstance(sexpr, list) and sexpr and sexpr[0] == ("id", "and"):
@@ -568,7 +573,7 @@ class _FileParser:
             )
         try:
             self.local_transducers[name] = Transducer(
-                alphabet, n_states, sorted_rules(rules), initial, frozenset(finals)
+                alphabet, n_states, rules, initial, frozenset(finals)
             )
         except ValueError as exc:
             raise ParseError(line_no, f"transducer {name!r}: {exc}") from None

@@ -9,7 +9,7 @@ repetition and other PCRE conveniences are deliberately absent.
 
 from __future__ import annotations
 
-from .automata import EPSILON, Alphabet, Nfa, sorted_transitions
+from .automata import EPSILON, Alphabet, Nfa
 
 _POSTFIX = {"*", "+", "?"}
 _SPECIAL = {"(", ")", "[", "]", "|", "*", "+", "?", ".", "\\"}
@@ -200,15 +200,18 @@ def regex_parse(pattern: str, alphabet: Alphabet) -> Nfa:
     The result may contain epsilon transitions; feed it through
     :func:`~slsolve.automata.nfa_eps_eliminate` where that matters.
 
-    :raises RegexSyntaxError: on malformed patterns or literals outside
-        the alphabet.
+    :raises RegexSyntaxError: on malformed patterns, literals outside
+        the alphabet, or nesting too deep for the recursive descent.
     """
     builder = _Builder(alphabet)
-    start, accept = _Parser(pattern, builder).parse()
+    try:
+        start, accept = _Parser(pattern, builder).parse()
+    except RecursionError:
+        raise RegexSyntaxError("pattern nested too deeply") from None
     return Nfa(
         alphabet,
         max(builder.n_states, 1),
-        sorted_transitions(alphabet, builder.transitions),
+        builder.transitions,
         start,
         frozenset({accept}),
     )

@@ -23,10 +23,12 @@ Solving runs in three stages:
    segments; emptiness propagates bottom-up through pre-images, and a
    concrete model is read back top-down through shortest witnesses.
 
-String-only problems are decided completely.  Problems with integer,
-character, index-of, or disequality constraints are routed to
-:mod:`slsolve.extensions`, which replaces stage 3 with a counter walk
-over a bounded integer space.
+String-only problems are decided completely within the solve's work
+budget (``resource_limit``): an answer of ``sat`` or ``unsat`` is
+definitive, and a search that spends the budget first answers
+``resource-limit``.  Problems with integer, character, index-of, or
+disequality constraints are routed to :mod:`slsolve.extensions`, which
+replaces stage 3 with a counter walk over a bounded integer space.
 """
 
 from __future__ import annotations
@@ -368,7 +370,7 @@ def _segment_machine(
     raw = Transducer(
         t.alphabet,
         rows * t.n_states,
-        tuple(sorted(set(rules))),
+        rules,
         sid(0, from_state),
         frozenset(sid(rows - 1, q) for q in to_states),
     )
@@ -480,13 +482,16 @@ def _boundary_filter(
     m = len(arg_shape.slots)
     lits = arg_shape.literals
 
-    in_rules: list[dict[str, list[int]]] = [{} for _ in range(t.n_states)]
-    out_rules: list[list[tuple[str, int]]] = [[] for _ in range(t.n_states)]
-    for q, ins, outs, r in t.transitions:
-        if ins == EPSILON:
-            out_rules[q].append((outs, r))
-        else:
-            in_rules[q].setdefault(ins, []).append(r)
+    consuming = t.consuming
+
+    def emit(q: int, s: int) -> Iterator[tuple[int, int]]:
+        """The (transducer, image) states after ``t`` emits a letter from ``q``."""
+        image_arcs = a_img.arcs_by_symbol[s]
+        for b, q2s in t.emitting[q].items():
+            s2s = image_arcs.get(b, ())
+            for q2 in q2s:
+                for s2 in s2s:
+                    yield q2, s2
 
     def make_pre(j: int, i: int, q: int, s: int) -> tuple:
         if i == len(lits[j]):
@@ -502,22 +507,20 @@ def _boundary_filter(
         kind = state[0]
         if kind == "pre":
             _, j, i, q, s = state
-            for q2 in in_rules[q].get(lits[j][i], ()):
+            for q2 in consuming[q].get(lits[j][i], ()):
                 yield None, make_pre(j, i + 1, q2, s)
-            for b, q2 in out_rules[q]:
-                for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield None, ("pre", j, i, q2, s2)
+            for q2, s2 in emit(q, s):
+                yield None, ("pre", j, i, q2, s2)
         elif kind == "main":
             _, j, q, s, r = state
             zone = zones[j]
             zone_arcs = zone.arcs_by_symbol[r]
-            for ch, q2s in in_rules[q].items():
+            for ch, q2s in consuming[q].items():
                 for r2 in zone_arcs.get(ch, ()):
                     for q2 in q2s:
                         yield None, ("main", j, q2, s, r2)
-            for b, q2 in out_rules[q]:
-                for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield None, ("main", j, q2, s2, r)
+            for q2, s2 in emit(q, s):
+                yield None, ("main", j, q2, s2, r)
             if r in zone.finals:
                 if j < m - 1:
                     yield None, ("bnd", j, q, s)
@@ -528,16 +531,14 @@ def _boundary_filter(
             yield None, make_pre(j + 1, 0, q, s)
         elif kind == "post":
             _, i, q, s = state
-            for q2 in in_rules[q].get(lits[m][i], ()):
+            for q2 in consuming[q].get(lits[m][i], ()):
                 yield None, make_post(i + 1, q2, s)
-            for b, q2 in out_rules[q]:
-                for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield None, ("post", i, q2, s2)
+            for q2, s2 in emit(q, s):
+                yield None, ("post", i, q2, s2)
         else:
             _, q, s = state
-            for b, q2 in out_rules[q]:
-                for s2 in a_img.arcs_by_symbol[s].get(b, ()):
-                    yield None, ("end", q2, s2)
+            for q2, s2 in emit(q, s):
+                yield None, ("end", q2, s2)
 
     explored = explore(
         make_pre(0, 0, t.initial, a_img.initial),
@@ -905,14 +906,15 @@ def solve(
 
     Raises :class:`slsolve.straightline.NotStraightLine` (or ValueError
     for ill-formed input) rather than guessing on problems outside the
-    fragment.  For string-only problems the answer is definitive.  When
-    integer, character, index-of or disequality constraints are present
-    the search is exhaustive only up to ``int_bound`` (a default is
-    derived from the problem when None), so the negative answer weakens
-    to ``unsat-within-bounds`` unless the bound provably covers all
-    integers.  ``resource_limit`` caps the work of every solve: each cut
-    or boundary placement costs one unit, as does each step of the
-    bounded walk, and the answer is ``resource-limit`` once it runs out.
+    fragment.  For string-only problems ``sat`` and ``unsat`` are
+    definitive.  When integer, character, index-of or disequality
+    constraints are present the search is exhaustive only up to
+    ``int_bound`` (a default is derived from the problem when None), so
+    the negative answer weakens to ``unsat-within-bounds`` unless the
+    bound provably covers all integers.  ``resource_limit`` caps the
+    work of every solve: each cut or boundary placement costs one unit,
+    as does each step of the bounded walk, and the answer is
+    ``resource-limit`` once it runs out.
 
     Models returned are always verified against the original problem
     before being reported.  A ``stats`` dict, when supplied, is filled

@@ -5,7 +5,9 @@ machines like the HTML escapers write multi-character outputs directly.
 :func:`transducer_normalize` rewrites any machine into the one-sided
 single-character form the algebra below expects, and every image
 operation works on :attr:`Transducer.normalized`, so callers may hand
-over either form and each machine is normalized at most once.
+over either form and each machine is normalized at most once.  As with
+:class:`~slsolve.automata.Nfa`, the :class:`Transducer` constructor
+fixes the arc order, so callers may pass transitions in any order.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .automata import (
     EPSILON,
     Alphabet,
     Nfa,
     explore,
-    live_states,
     nfa_eps_eliminate,
     nfa_from_word,
     nfa_trim,
     reachable,
+    trim_renumbering,
 )
 
 
@@ -37,6 +39,12 @@ class Transducer:
     be empty.  A machine is *normalized* when every transition has at
     most one non-empty side, that side is a single character, and no
     transition is empty on both sides.
+
+    Callers may pass transitions in any order and with repeats: the
+    constructor dedupes them and sorts them by source, then input word
+    (shorter first, then codepoint order), then output word (likewise),
+    then target.  On a normalized machine each state's emitting arcs thus
+    come before its consuming ones, each group in (letter, target) order.
     """
 
     alphabet: Alphabet
@@ -46,15 +54,21 @@ class Transducer:
     finals: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not (0 <= self.initial < self.n_states):
+        n = self.n_states
+        if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
+        keyed: dict[tuple, tuple[int, str, str, int]] = {}
         for q, ins, outs, r in self.transitions:
-            if not (0 <= q < self.n_states and 0 <= r < self.n_states):
+            if not (0 <= q < n and 0 <= r < n):
                 raise ValueError(f"transition {(q, ins, outs, r)} out of range")
             self.alphabet.check_word(ins)
             self.alphabet.check_word(outs)
+            keyed[(q, len(ins), ins, len(outs), outs, r)] = (q, ins, outs, r)
+        object.__setattr__(
+            self, "transitions", tuple(keyed[key] for key in sorted(keyed))
+        )
         for f in self.finals:
-            if not (0 <= f < self.n_states):
+            if not (0 <= f < n):
                 raise ValueError("final state out of range")
 
     @property
@@ -70,40 +84,33 @@ class Transducer:
         """This machine in normalized form (itself when already normalized)."""
         return transducer_normalize(self)
 
-    def _key(self, t: tuple[int, str, str, int]) -> tuple:
-        q, ins, outs, r = t
-        return (q, len(ins), ins, len(outs), outs, r)
-
     @cached_property
     def arcs(self) -> dict[int, list[tuple[str, str, int]]]:
+        """Outgoing ``(input, output, target)`` arcs per state, in arc order."""
         out: dict[int, list[tuple[str, str, int]]] = {
             q: [] for q in range(self.n_states)
         }
-        for q, ins, outs, r in sorted(set(self.transitions), key=self._key):
+        for q, ins, outs, r in self.transitions:
             out[q].append((ins, outs, r))
         return out
 
     @cached_property
-    def input_arcs(self) -> dict[int, dict[str, list[tuple[str, int]]]]:
-        """Arcs grouped by input word (normalized machines: char or epsilon)."""
-        out: dict[int, dict[str, list[tuple[str, int]]]] = {
-            q: {} for q in range(self.n_states)
-        }
-        for q, arcs in self.arcs.items():
-            for ins, outs, r in arcs:
-                out[q].setdefault(ins, []).append((outs, r))
-        return out
+    def consuming(self) -> list[dict[str, tuple[int, ...]]]:
+        """Per state of a normalized machine: consumed letter -> targets."""
+        return self._targets_by_letter(1)
 
+    @cached_property
+    def emitting(self) -> list[dict[str, tuple[int, ...]]]:
+        """Per state of a normalized machine: emitted letter -> targets."""
+        return self._targets_by_letter(2)
 
-def sorted_rules(
-    transitions: Iterable[tuple[int, str, str, int]],
-) -> tuple[tuple[int, str, str, int], ...]:
-    return tuple(
-        sorted(
-            set(transitions),
-            key=lambda t: (t[0], len(t[1]), t[1], len(t[2]), t[2], t[3]),
-        )
-    )
+    def _targets_by_letter(self, side: int) -> list[dict[str, tuple[int, ...]]]:
+        """Targets of the arcs with a letter on ``side``, in (letter, target) order."""
+        table: list[dict[str, list[int]]] = [{} for _ in range(self.n_states)]
+        for arc in self.transitions:
+            if arc[side]:
+                table[arc[0]].setdefault(arc[side], []).append(arc[3])
+        return [{c: tuple(rs) for c, rs in row.items()} for row in table]
 
 
 def identity_transducer(alphabet: Alphabet) -> Transducer:
@@ -139,7 +146,8 @@ def transducer_normalize(t: Transducer) -> Transducer:
     """
     if t.is_normalized:
         return t
-    chain: list[tuple[int, str, str, int]] = []
+    # A set: trie sharing makes identical arcs common.
+    chain: set[tuple[int, str, str, int]] = set()
     empty: list[tuple[int, int]] = []
     n = t.n_states
     fresh: dict[tuple, int] = {}
@@ -156,7 +164,7 @@ def transducer_normalize(t: Transducer) -> Transducer:
         here = q
         for i, ch in enumerate(word):
             nxt = state_for(("pre", q, word[: i + 1]))
-            chain.append((here, EPSILON, ch, nxt))
+            chain.add((here, EPSILON, ch, nxt))
             here = nxt
         return here
 
@@ -169,11 +177,11 @@ def transducer_normalize(t: Transducer) -> Transducer:
         here = source
         for i in range(len(word) - 1):
             nxt = state_for(("sfx", word[i + 1 :], r))
-            chain.append((here, EPSILON, word[i], nxt))
+            chain.add((here, EPSILON, word[i], nxt))
             here = nxt
-        chain.append((here, EPSILON, word[-1], r))
+        chain.add((here, EPSILON, word[-1], r))
 
-    for q, ins, outs, r in sorted(set(t.transitions), key=t._key):
+    for q, ins, outs, r in t.transitions:
         if ins == EPSILON and outs == EPSILON:
             empty.append((q, r))
         elif ins == EPSILON:
@@ -182,21 +190,18 @@ def transducer_normalize(t: Transducer) -> Transducer:
             if outs != EPSILON and outs[-1] == ins:
                 prefix_end = emit_via_trie(q, outs[:-1])
                 echo = state_for(("echo", ins, r))
-                chain.append((prefix_end, ins, EPSILON, echo))
-                chain.append((echo, EPSILON, ins, r))
+                chain.add((prefix_end, ins, EPSILON, echo))
+                chain.add((echo, EPSILON, ins, r))
             else:
                 prefix_end = emit_via_trie(q, outs)
-                chain.append((prefix_end, ins, EPSILON, r))
+                chain.add((prefix_end, ins, EPSILON, r))
         else:
             here = emit_via_trie(q, outs)
             for i in range(len(ins) - 1):
                 nxt = state_for(("cons", q, outs, ins, i))
-                chain.append((here, ins[i], EPSILON, nxt))
+                chain.add((here, ins[i], EPSILON, nxt))
                 here = nxt
-            chain.append((here, ins[-1], EPSILON, r))
-
-    # Deduplicate: trie sharing makes identical arcs common.
-    chain = sorted(set(chain))
+            chain.add((here, ins[-1], EPSILON, r))
 
     # Remove the empty-on-both-sides transitions exactly like NFA epsilons.
     fwd: dict[int, set[int]] = {q: set() for q in range(n)}
@@ -216,29 +221,25 @@ def transducer_normalize(t: Transducer) -> Transducer:
             for a, b, r in by_state[p]:
                 rules.append((q, a, b, r))
 
-    normalized = Transducer(t.alphabet, n, sorted_rules(rules), t.initial, frozenset(finals))
+    normalized = Transducer(t.alphabet, n, rules, t.initial, frozenset(finals))
     return transducer_trim(normalized)
 
 
 def transducer_trim(t: Transducer) -> Transducer:
     """Drop states that are unreachable or cannot reach acceptance."""
-    live = live_states(
+    remap = trim_renumbering(
         t.n_states, [(q, r) for q, _, _, r in t.transitions], t.initial, t.finals
-    )
-    keep = sorted(live | {t.initial})
-    kept = set(keep)
-    remap = {q: i for i, q in enumerate(keep)}
-    rules = tuple(
-        (remap[q], a, b, remap[r])
-        for q, a, b, r in t.transitions
-        if q in kept and r in kept
     )
     return Transducer(
         t.alphabet,
-        len(keep),
-        sorted_rules(rules),
+        len(remap),
+        [
+            (remap[q], a, b, remap[r])
+            for q, a, b, r in t.transitions
+            if q in remap and r in remap
+        ],
         remap[t.initial],
-        frozenset(remap[f] for f in t.finals if f in kept),
+        frozenset(remap[f] for f in t.finals if f in remap),
     )
 
 
@@ -284,24 +285,14 @@ def _image(
     w = nfa_eps_eliminate(within) if within is not None else None
 
     a_by_sym = a.arcs_by_symbol
-    # Arcs per transducer state, oriented: (free, bound, target) for those
-    # that emit a letter of the result, (bound, target) for silent ones.
-    emitting: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
-    silent: list[list[tuple[str, int]]] = [[] for _ in range(t.n_states)]
-    for q, arcs in t.arcs.items():
-        for ins, outs, tr in arcs:
-            bound, free = (ins, outs) if forward else (outs, ins)
-            if free == EPSILON:
-                silent[q].append((bound, tr))
-            else:
-                emitting[q].append((free, bound, tr))
+    # Targets per transducer state and letter: arcs that emit a letter of
+    # the result (their bound side is empty, so ``a`` stays put) and
+    # silent arcs (which read their bound letter from ``a``).
+    if forward:
+        emitting, silent = t.emitting, t.consuming
+    else:
+        emitting, silent = t.consuming, t.emitting
     closures: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-    def step(s: int, bound: str, tr: int) -> Iterable[tuple[int, int]]:
-        """The pairs after an arc into ``tr`` reading ``bound`` from ``s``."""
-        if bound == EPSILON:
-            return ((tr, s),)
-        return [(tr, s2) for s2 in a_by_sym[s].get(bound, ())]
 
     def closure_of(ts: int, as_: int) -> tuple[tuple[int, int], ...]:
         """The pairs reachable by free-empty arcs that can emit or accept."""
@@ -311,7 +302,10 @@ def _image(
         seen = reachable(
             ((ts, as_),),
             lambda pair: [
-                nxt for bound, tr in silent[pair[0]] for nxt in step(pair[1], bound, tr)
+                (tr, s2)
+                for bound, trs in silent[pair[0]].items()
+                for s2 in a_by_sym[pair[1]].get(bound, ())
+                for tr in trs
             ],
         )
         got = tuple(
@@ -329,11 +323,11 @@ def _image(
     ) -> Iterator[tuple[str, tuple]]:
         cl, ws = state
         for q, s in cl:
-            for free, bound, tr in emitting[q]:
+            for free, trs in emitting[q].items():
                 w_targets = (-1,) if w is None else w.arcs_by_symbol[ws].get(free, ())
                 if w_targets:
-                    for tr2, s2 in step(s, bound, tr):
-                        target = closure_of(tr2, s2)
+                    for tr in trs:
+                        target = closure_of(tr, s)
                         for wt in w_targets:
                             yield free, (target, wt)
 
@@ -348,8 +342,7 @@ def _image(
         if any(q in t.finals and s in a.finals for q, s in cl)
         and (w is None or ws in w.finals)
     )
-    product = Nfa(t.alphabet, len(order), tuple(set(arcs)), 0, finals)
-    return nfa_trim(product)
+    return nfa_trim(Nfa(t.alphabet, len(order), arcs, 0, finals))
 
 
 def post_image(t: Transducer, a: Nfa) -> Nfa:
@@ -394,17 +387,9 @@ def transducer_membership(t: Transducer, x: str, y: str) -> bool:
         i, j, q = queue.popleft()
         if i == len(x) and j == len(y) and q in t.finals:
             return True
-        for ins, outs, r in t.arcs[q]:
-            if ins != EPSILON:
-                if i < len(x) and x[i] == ins:
-                    nxt = (i + 1, j, r)
-                else:
-                    continue
-            else:
-                if j < len(y) and y[j] == outs:
-                    nxt = (i, j + 1, r)
-                else:
-                    continue
+        emits = t.emitting[q].get(y[j], ()) if j < len(y) else ()
+        consumes = t.consuming[q].get(x[i], ()) if i < len(x) else ()
+        for nxt in [(i, j + 1, r) for r in emits] + [(i + 1, j, r) for r in consumes]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -15,12 +15,7 @@ from importlib import resources
 
 from .automata import Alphabet
 from .constraints import Problem
-from .transducer import (
-    Transducer,
-    erase_transducer,
-    identity_transducer,
-    sorted_rules,
-)
+from .transducer import Transducer, erase_transducer, identity_transducer
 
 #: Characters sufficient for every benchmark: the letters and digits the
 #: markup fragments use, plus HTML/JS metacharacters.  Order is the tie
@@ -55,7 +50,7 @@ def html_escape_transducer(alphabet: Alphabet) -> Transducer:
     escapes = {c: out for c, out in _HTML_ESCAPES.items() if c in alphabet}
     _require(alphabet, set("".join(escapes.values())), "htmlEscape")
     rules = tuple((0, c, escapes.get(c, c), 0) for c in alphabet)
-    return Transducer(alphabet, 1, sorted_rules(rules), 0, frozenset({0}))
+    return Transducer(alphabet, 1, rules, 0, frozenset({0}))
 
 
 def escape_string_transducer(alphabet: Alphabet) -> Transducer:
@@ -63,7 +58,7 @@ def escape_string_transducer(alphabet: Alphabet) -> Transducer:
     escapes = {c: out for c, out in _JS_ESCAPES.items() if c in alphabet}
     _require(alphabet, set("".join(escapes.values())), "escapeString")
     rules = tuple((0, c, escapes.get(c, c), 0) for c in alphabet)
-    return Transducer(alphabet, 1, sorted_rules(rules), 0, frozenset({0}))
+    return Transducer(alphabet, 1, rules, 0, frozenset({0}))
 
 
 def innerhtml_decode_transducer(alphabet: Alphabet) -> Transducer:
@@ -107,7 +102,7 @@ def innerhtml_decode_transducer(alphabet: Alphabet) -> Transducer:
     return Transducer(
         alphabet,
         sink + 1,
-        sorted_rules(rules),
+        rules,
         ids[""],
         frozenset({ids[""], sink}),
     )

@@ -393,3 +393,34 @@ def test_enumerate_agrees_with_membership():
         found = set(nfa_enumerate(nfa, 5))
         for w in words_up_to(AB, 5):
             assert (w in found) == nfa_membership(nfa, w)
+
+
+def test_constructor_fixes_the_arc_order():
+    # Epsilon first, then letters in alphabet order (here b before a).
+    ba = Alphabet.of("ba")
+    nfa = Nfa(
+        ba,
+        2,
+        ((1, "b", 0), (0, "a", 1), (0, "b", 1), (0, EPSILON, 1), (0, "a", 1)),
+        0,
+        frozenset({1}),
+    )
+    assert nfa.transitions == ((0, EPSILON, 1), (0, "b", 1), (0, "a", 1), (1, "b", 0))
+
+
+def test_permuted_duplicated_transitions_give_the_same_machine():
+    def key(arc):
+        q, sym, r = arc
+        return (q, -1 if sym == EPSILON else ABC.index(sym), r)
+
+    rng = random.Random(41)
+    for _ in range(60):
+        nfa = random_nfa(rng, ABC, max_states=5)
+        canonical = tuple(sorted(set(nfa.transitions), key=key))
+        shuffled = list(canonical) * 2
+        rng.shuffle(shuffled)
+        sorted_machine = Nfa(ABC, nfa.n_states, canonical, nfa.initial, nfa.finals)
+        shuffled_machine = Nfa(ABC, nfa.n_states, shuffled, nfa.initial, nfa.finals)
+        assert shuffled_machine == sorted_machine
+        assert hash(shuffled_machine) == hash(sorted_machine)
+        assert shuffled_machine.transitions == canonical

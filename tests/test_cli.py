@@ -4,10 +4,14 @@ Everything runs through :func:`slsolve.cli.run` in-process with
 ``capsys``, so the assertions cover exactly what a shell user sees.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slsolve
 from slsolve.cli import main, run
 
 SQUARE_UNSAT = """\
@@ -219,3 +223,21 @@ def test_main_uses_process_argv(slp, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["slsolve", "dimension", slp(SQUARE_UNSAT)])
     assert main() == 0
     assert capsys.readouterr().out == "2\n"
+
+
+def test_too_deeply_nested_file_is_a_parse_error(slp):
+    depth = 10_000
+    tree = "(not " * depth + "(in x /a/)" + ")" * depth
+    path = slp('alphabet "ab"\nstr x\nregc ' + tree + "\n")
+    src = Path(slsolve.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "slsolve.cli", "solve", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"{path}:3:1: error: regc constraint nested too deeply\n"

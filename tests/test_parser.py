@@ -6,6 +6,8 @@ structures produced.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsolve.automata import EPSILON, nfa_enumerate, nfa_membership
 from slsolve.constraints import (
@@ -155,6 +157,9 @@ def test_empty_input_reports_missing_alphabet():
         ('alphabet "ab"\nstr x\nregc (not (in x /a/) (in x /b/))\n', 3, "one argument"),
         ('alphabet "ab"\nstr x\nregc (in x /(a/)\n', 3, "unbalanced"),
         ('alphabet "ab"\nstr x\nregc (in x "a")\n', 3, "expected (in"),
+        ('alphabet "ab"\nstr x\nregc (in () /a/)\n', 3, "empty ()"),
+        ('alphabet "ab"\nstr x\nintc (<= (len ()) 3)\n', 3, "empty ()"),
+        ('alphabet "ab"\nstr x\nint u\nintc (<= (* () u) 3)\n', 4, "empty ()"),
         ('alphabet "ab"\nstr x\nintc (<= (len x) y)\n', 3, "integer constant"),
         ('alphabet "ab"\nstr x\nintc (<= (count x \'ab\') 3)\n', 3, "cannot tokenize"),
         ('alphabet "ab"\nstr x\nint u\ncharc (= x[0] \'a\')\n', 4, "start at 1"),
@@ -263,3 +268,78 @@ def test_parsed_regex_respects_declared_alphabet():
     nfa = problem.regular.atom.nfa
     assert nfa_membership(nfa, "ab")
     assert sorted(nfa_enumerate(nfa, 1)) == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# Deep nesting and arbitrary input
+
+DEEP_HEAD = 'alphabet "ab"\nstr x\nint u\n'
+
+
+def nested(depth: int, wrapper: str, core: str) -> str:
+    return wrapper * depth + core + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "regc " + nested(100, "(not ", "(in x /a/)"),
+        "intc " + nested(100, "(not ", "(<= u 3)"),
+        "intc (<= " + nested(100, "(+ ", "u") + " 3)",
+        "regc (in x /" + nested(100, "(", "a") + "/)",
+    ],
+    ids=["regc", "intc", "sum", "regex"],
+)
+def test_nesting_a_hundred_deep_parses(line: str):
+    parse_problem(DEEP_HEAD + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, needle",
+    [
+        ("regc " + nested(10_000, "(not ", "(in x /a/)"), "regc constraint nested"),
+        ("intc " + nested(10_000, "(not ", "(<= u 3)"), "intc constraint nested"),
+        ("regc (in x /" + nested(10_000, "(", "a") + "/)", "pattern nested too deeply"),
+    ],
+    ids=["regc", "intc", "regex"],
+)
+def test_nesting_too_deep_is_a_parse_error(line: str, needle: str):
+    with pytest.raises(ParseError) as info:
+        parse_problem(DEEP_HEAD + line + "\n")
+    assert info.value.line_no == 4
+    assert needle in str(info.value)
+
+
+#: Heads of s-expression nodes with the usual number of arguments.
+_HEADS = [("", 0, 2), ("and", 1, 3), ("or", 1, 3), ("not", 1, 1), ("in", 2, 2),
+          ("<=", 2, 2), ("=", 2, 2), ("+", 1, 3), ("*", 2, 2), ("len", 1, 1),
+          ("count", 2, 2)]
+_SEXPRS = st.recursive(
+    st.sampled_from(["()", "x", "u", "/a*/", "/(a/", "'a'", '"ab"', "-3", "7", "x[u]"]),
+    lambda inner: st.sampled_from(_HEADS).flatmap(
+        lambda head: st.lists(inner, min_size=head[1], max_size=head[2]).map(
+            lambda args: "(" + " ".join([head[0], *args]) + ")"
+        )
+    ),
+    max_leaves=8,
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(["regc", "intc", "charc"]), _SEXPRS).map(" ".join),
+    st.lists(
+        st.sampled_from(
+            ["x", "u", "=", ".", '"ab"', '"c"', "!=", "identity(x)", "T(x)",
+             'indexof("a", x, first)', "transducer T {", "}", "states 1",
+             "initial 0", "final 0", "t 0 a/b 0", "t 0 ~/a 1", "str", "int", "y"]
+        ),
+        max_size=6,
+    ).map(" ".join),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["", 'alphabet "ab"\n', DEEP_HEAD]), _LINES)
+def test_any_line_parses_or_raises_a_parse_error(head: str, line: str):
+    try:
+        parse_problem(head + line + "\n")
+    except ParseError:
+        pass

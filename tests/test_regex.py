@@ -9,6 +9,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsolve.automata import Alphabet, nfa_enumerate, nfa_membership
 from slsolve.regex import RegexSyntaxError, regex_parse
@@ -114,3 +116,22 @@ def test_membership_example_from_docs():
     for w in ["", "a", "aaa", "b", "bb"]:
         assert nfa_membership(nfa, w)
     assert not nfa_membership(nfa, "ab")
+
+
+def test_nesting_a_hundred_deep_compiles():
+    nfa = regex_parse("(" * 100 + "a|b" + ")" * 100, AB)
+    assert sorted(nfa_enumerate(nfa, 2)) == ["a", "b"]
+
+
+def test_nesting_too_deep_is_a_syntax_error():
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        regex_parse("(" * 10_000 + "a" + ")" * 10_000, AB)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text(alphabet="ab()|*+?.[]^-\\c", max_size=16))
+def test_any_pattern_compiles_or_raises_a_syntax_error(pattern: str):
+    try:
+        regex_parse(pattern, AB)
+    except RegexSyntaxError:
+        pass

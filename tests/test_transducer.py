@@ -37,6 +37,12 @@ from slsolve.transducer import (
     transducer_normalize,
     transducer_trim,
 )
+from slsolve.websec import (
+    WEB_ALPHABET,
+    escape_string_transducer,
+    html_escape_transducer,
+    innerhtml_decode_transducer,
+)
 
 AB = Alphabet.of("ab")
 ANGLE = Alphabet.of("a b <".replace(" ", ""))
@@ -262,3 +268,68 @@ def test_pre_image_within_is_intersection_with_pre_image():
 def test_images_reject_alphabet_mismatch():
     with pytest.raises(ValueError):
         pre_image(identity_transducer(AB), nfa_universal(ANGLE))
+
+
+def test_constructor_fixes_the_arc_order():
+    # By source, then input word (shorter first), then output word, then target.
+    t = Transducer(
+        AB,
+        2,
+        [(1, "b", "", 0), (0, "ab", "b", 1), (0, "b", "", 1), (0, "", "a", 1),
+         (0, "b", "", 1), (0, "b", "ab", 0)],
+        0,
+        frozenset({1}),
+    )
+    assert t.transitions == (
+        (0, "", "a", 1),
+        (0, "b", "", 1),
+        (0, "b", "ab", 0),
+        (0, "ab", "b", 1),
+        (1, "b", "", 0),
+    )
+
+
+def test_permuted_duplicated_rules_give_the_same_machine():
+    def key(arc):
+        q, ins, outs, r = arc
+        return (q, len(ins), ins, len(outs), outs, r)
+
+    rng = random.Random(43)
+    for _ in range(60):
+        t = random_transducer(rng, ANGLE)
+        canonical = tuple(sorted(set(t.transitions), key=key))
+        shuffled = list(canonical) * 2
+        rng.shuffle(shuffled)
+        sorted_machine = Transducer(ANGLE, t.n_states, canonical, t.initial, t.finals)
+        shuffled_machine = Transducer(ANGLE, t.n_states, shuffled, t.initial, t.finals)
+        assert shuffled_machine == sorted_machine
+        assert hash(shuffled_machine) == hash(sorted_machine)
+        assert shuffled_machine.transitions == canonical
+
+
+def scanned_targets(t: Transducer, q: int, side: int) -> dict[str, tuple[int, ...]]:
+    """Letter -> sorted targets of ``q``'s arcs with a letter on ``side``."""
+    arcs = [arc for arc in t.transitions if arc[0] == q and arc[side]]
+    return {
+        c: tuple(sorted(arc[3] for arc in arcs if arc[side] == c))
+        for c in sorted({arc[side] for arc in arcs})
+    }
+
+
+def test_consume_and_emit_tables_match_a_scan_of_the_arcs():
+    machines = [
+        identity_transducer(WEB_ALPHABET),
+        escape_string_transducer(WEB_ALPHABET),
+        html_escape_transducer(WEB_ALPHABET),
+        innerhtml_decode_transducer(WEB_ALPHABET),
+    ]
+    rng = random.Random(44)
+    machines += [random_transducer(rng, ANGLE) for _ in range(40)]
+    for raw in machines:
+        t = raw.normalized
+        assert t.is_normalized
+        assert len(t.consuming) == len(t.emitting) == t.n_states
+        for q in range(t.n_states):
+            # Same letters, targets and (letter, target) order as the scan.
+            for table, side in ((t.consuming, 1), (t.emitting, 2)):
+                assert list(table[q].items()) == list(scanned_targets(t, q, side).items())
