@@ -13,7 +13,8 @@ this package is ultimately checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from itertools import product as iter_product
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .automata import Alphabet, Nfa, nfa_membership
 from .transducer import Transducer, transducer_membership
@@ -104,15 +105,31 @@ def tree_leaves(tree: BoolTree) -> list[Leaf]:
     return out
 
 
-def tree_eval(tree: BoolTree, leaf_value: Callable[[object], bool]) -> bool:
+def tree_eval(
+    tree: BoolTree, leaf_value: Callable[[object], Optional[bool]]
+) -> Optional[bool]:
+    """Evaluate ``tree`` in Kleene's three-valued logic.
+
+    ``leaf_value`` may answer None for a leaf whose truth is unknown;
+    ``and`` is false as soon as one child is, ``or`` true as soon as one
+    child is, and otherwise an unknown child leaves the node unknown.
+    Children after a deciding one are not evaluated.
+    """
     if isinstance(tree, Leaf):
         return leaf_value(tree.atom)
     if isinstance(tree, Not):
-        return not tree_eval(tree.child, leaf_value)
-    if isinstance(tree, And):
-        return all(tree_eval(c, leaf_value) for c in tree.children)
-    if isinstance(tree, Or):
-        return any(tree_eval(c, leaf_value) for c in tree.children)
+        value = tree_eval(tree.child, leaf_value)
+        return None if value is None else not value
+    if isinstance(tree, (And, Or)):
+        decides = isinstance(tree, Or)
+        unknown = False
+        for child in tree.children:
+            value = tree_eval(child, leaf_value)
+            if value is None:
+                unknown = True
+            elif bool(value) is decides:
+                return decides
+        return None if unknown else not decides
     raise TypeError(f"not a boolean tree node: {tree!r}")
 
 
@@ -143,6 +160,21 @@ def tree_eval_indexed(tree: BoolTree, values: Sequence[bool]) -> bool:
     if next(counter, None) is not None:
         raise ValueError("value vector longer than the tree's leaf count")
     return result
+
+
+def satisfying_vectors(tree: Optional[BoolTree]) -> Iterator[tuple[bool, ...]]:
+    """The leaf truth vectors that satisfy ``tree``, in search order.
+
+    Vectors index leaf occurrences in traversal order and are tried
+    all-true first, descending in binary order; a missing tree has the
+    single empty vector.
+    """
+    if tree is None:
+        yield ()
+        return
+    for values in iter_product((True, False), repeat=len(tree_leaves(tree))):
+        if tree_eval_indexed(tree, values):
+            yield values
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,23 @@ disequalities — is decided here by a bounded search:
    which character sits there, how a disequality is discharged — are
    enumerated up front as *scenarios*.
 
-2. For each branch of the core search, the forest of piece automata and
-   segment transducers is turned into a lazy multi-track product
-   automaton whose moves emit one letter on one track at a time.
+2. :func:`slsolve.solver.solve` runs its usual search and hands each
+   feasible forest of piece automata and segment transducers to
+   :class:`ScenarioWalks`, which turns it into a lazy multi-track
+   product automaton whose moves emit one letter on one track at a time.
 
-3. A breadth-first walk explores (product state, counter state) pairs,
-   counters capped at the integer bound.  Whenever the walk stands on an
-   accepting product state it tries to discharge the lowered
-   constraints from the counters; integer variables not pinned by a
-   linking equation are enumerated up to the bound.
+3. For each scenario, a breadth-first walk explores (product state,
+   counter state) pairs, counters capped at the integer bound.  Whenever
+   the walk stands on an accepting product state it tries to discharge
+   the lowered constraints from the counters; integer variables not
+   pinned by a linking equation are enumerated up to the bound.
 
 A satisfying walk reconstructs a full model, which is verified against
 the original problem before being reported.  A negative answer is
 definitive (``unsat``) only when no rejection depended on a capped
 counter or on the integer bound; otherwise it is reported as
-``unsat-within-bounds``.  Exploration is metered, and exhausting the
-meter yields ``resource-limit`` rather than an answer.
+``unsat-within-bounds``.  Exploration draws on the solve's work budget,
+and exhausting it yields ``resource-limit`` rather than an answer.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
-from .automata import Alphabet, explore, nfa_eps_eliminate
+from .automata import Alphabet, Nfa, explore, nfa_eps_eliminate
 from .constraints import (
     And,
     Assignment,
@@ -63,23 +64,11 @@ from .constraints import (
     Problem,
     TransducerEq,
     Var,
-    evaluate,
-    tree_eval_indexed,
+    satisfying_vectors,
+    tree_eval,
     tree_leaves,
 )
-from .solver import (
-    AcForest,
-    Budget,
-    NodeId,
-    Shape,
-    Verdict,
-    _branch_forests,
-    _propagate,
-    _join_model,
-    normalize_regular,
-    split_concat,
-)
-from .straightline import DependencyGraph
+from .solver import AcForest, Budget, NodeId, Shape, _join_model
 from .transducer import Transducer
 
 
@@ -189,9 +178,6 @@ class Scenario:
     extra: tuple[BoolTree, ...]
     comps: tuple[tuple[NodeId, str, int], ...]
     monitors: tuple[Monitor, ...]
-
-
-_EMPTY_SCENARIO = Scenario((), (), (), (), (), (), ())
 
 
 def _merge_scenarios(parts: Sequence[Scenario]) -> Scenario:
@@ -450,17 +436,13 @@ def lower_char_constraints(
 ) -> Iterator[Scenario]:
     """Enumerate scenarios discharging the character-equality tree.
 
-    Truth values are assigned per leaf occurrence (all-true first,
-    descending), filtered through the tree, and each assignment expands
-    into the cross product of its leaves' landing/guess choices.
+    Truth values are assigned per leaf occurrence in
+    :func:`satisfying_vectors` order, and each assignment expands into
+    the cross product of its leaves' landing/guess choices; a missing
+    tree yields the one empty scenario.
     """
-    if tree is None:
-        yield _EMPTY_SCENARIO
-        return
-    leaves = tree_leaves(tree)
-    for values in iter_product((True, False), repeat=len(leaves)):
-        if not tree_eval_indexed(tree, values):
-            continue
+    leaves = tree_leaves(tree) if tree is not None else []
+    for values in satisfying_vectors(tree):
         per_leaf = []
         for leaf, value in zip(leaves, values):
             atom = leaf.atom
@@ -729,11 +711,7 @@ class MultiTrackAutomaton:
         self.forest = forest
         self.tracks: tuple[NodeId, ...] = forest.order
         self._index = {node: i for i, node in enumerate(self.tracks)}
-        self._nfas = [
-            nfa_eps_eliminate(forest.nfas[node]) if forest.nfas[node].has_epsilon
-            else forest.nfas[node]
-            for node in self.tracks
-        ]
+        self._nfas = [nfa_eps_eliminate(forest.nfas[node]) for node in self.tracks]
         # Edges in a fixed order: by parent track, then child track.
         self._edges: list[tuple[int, int, Transducer]] = []
         for node in self.tracks:
@@ -749,9 +727,6 @@ class MultiTrackAutomaton:
         # Per-edge rule maps: state -> char -> targets.
         self._in_map = [machine.consuming for _p, _c, machine in self._edges]
         self._out_map = [machine.emitting for _p, _c, machine in self._edges]
-        self.alphabet = (
-            self._nfas[0].alphabet if self._nfas else None
-        )
         self._final: dict[tuple[int, ...], bool] = {}
         self._moves: dict[
             tuple[int, ...], tuple[tuple[int, str, tuple[int, ...]], ...]
@@ -1085,26 +1060,6 @@ def counter_walk_solve(
             return False
         return None
 
-    def tree3(
-        tree: BoolTree, ints: dict[str, int], state: tuple
-    ) -> Optional[bool]:
-        if isinstance(tree, Leaf):
-            atom = tree.atom
-            assert isinstance(atom, LoweredLinear)
-            return leaf_value(atom, ints, state)
-        if isinstance(tree, Not):
-            value = tree3(tree.child, ints, state)
-            return None if value is None else not value
-        values = [tree3(c, ints, state) for c in tree.children]
-        if isinstance(tree, And):
-            if False in values:
-                return False
-            return None if None in values else True
-        assert isinstance(tree, Or)
-        if True in values:
-            return True
-        return None if None in values else False
-
     def lens_sum(nodes: tuple[NodeId, ...], lens: tuple[int, ...]) -> int:
         total = 0
         for node in nodes:
@@ -1191,7 +1146,8 @@ def counter_walk_solve(
                     return WalkResult("resource")
                 candidate = dict(ints)
                 candidate.update(zip(free, combo))
-                values = [tree3(t, candidate, state) for t in mandatory]
+                truth = lambda atom: leaf_value(atom, candidate, state)  # noqa: E731
+                values = [tree_eval(t, truth) for t in mandatory]
                 if all(v is True for v in values):
                     words = _reconstruct(state)
                     return WalkResult("sat", words, candidate)
@@ -1309,93 +1265,63 @@ def default_int_bound(problem: Problem) -> int:
     return max(64, product)
 
 
-def solve_extended(
-    problem: Problem,
-    graph: DependencyGraph,
-    *,
-    int_bound: Optional[int] = None,
-    resource_limit: int = 2_000_000,
-    stats: Optional[dict] = None,
-) -> Verdict:
-    """Decide a problem with extension constraints, bounded by ``int_bound``.
+class ScenarioWalks:
+    """The extension solve's step for one feasible forest: walk its scenarios.
 
-    Reuses the core solver's branch enumeration for the string skeleton;
-    each surviving branch is crossed with every lowering scenario and
-    walked.  The first satisfying walk wins; otherwise the weakest
-    caveat seen anywhere (resource exhaustion, then bound dependence)
-    qualifies the negative answer.
+    Built once per solve, before the search: fixes the integer bound
+    (``default_int_bound`` when ``int_bound`` is None), lowers the integer
+    constraints and enumerates the scenarios onto ``shapes``.
+    :meth:`model` then walks every scenario over one forest's product
+    automaton, all on the solve's ``budget``.
     """
-    bound = default_int_bound(problem) if int_bound is None else int_bound
-    shapes = split_concat(problem, graph)
-    int_tree = lower_integer_terms(problem.integers, shapes)
-    scenarios = list(enumerate_scenarios(problem, shapes))
-    budget = Budget(resource_limit)
 
-    norm_ts = {
-        idx: rel.transducer.normalized
-        for idx, rel in enumerate(problem.relations)
-        if isinstance(rel, TransducerEq)
-    }
-    seg_cache: dict = {}
-    any_within = False
-    any_resource = False
-    walks = branches = forests = 0
+    def __init__(
+        self,
+        problem: Problem,
+        shapes: dict[str, Shape],
+        int_bound: Optional[int],
+        budget: Budget,
+    ) -> None:
+        self.problem = problem
+        self.shapes = shapes
+        self.budget = budget
+        self.int_bound = default_int_bound(problem) if int_bound is None else int_bound
+        self.int_tree = lower_integer_terms(problem.integers, shapes)
+        self.scenarios = list(enumerate_scenarios(problem, shapes))
+        self.walks = 0
+        #: Some walk's rejection depended on a capped counter or the bound.
+        self.within = False
 
-    def note() -> None:
-        if stats is not None:
-            stats["membership-branches"] = branches
-            stats["forests"] = forests
-            stats["scenarios"] = len(scenarios)
-            stats["walks"] = walks
-            stats["budget-left"] = budget.remaining
-            stats["cut-placements"] = budget.placements
+    def model(
+        self, forest: AcForest, feasible: dict[NodeId, Nfa]
+    ) -> Optional[Assignment]:
+        """The first satisfying walk's model (unverified), else None.
 
-    for _values, var_nfas in normalize_regular(problem):
-        branches += 1
-        for forest in _branch_forests(
-            problem, graph, shapes, var_nfas, norm_ts, seg_cache, budget
-        ):
-            forests += 1
-            feasible = _propagate(forest)
-            if feasible is None:
-                continue
-            refined = AcForest(
-                forest.order, feasible, forest.children, forest.parent
+        Every scenario is walked in turn, also after one walk has spent
+        the budget; the caller reads exhaustion off ``budget.remaining``.
+        """
+        mta = MultiTrackAutomaton(
+            AcForest(forest.order, feasible, forest.children, forest.parent)
+        )
+        problem = self.problem
+        for scenario in self.scenarios:
+            self.walks += 1
+            lowered = LoweredProblem(
+                mta, scenario, self.int_tree, problem.int_vars, problem.alphabet
             )
-            mta = MultiTrackAutomaton(refined)
-            for scenario in scenarios:
-                walks += 1
-                lowered = LoweredProblem(
-                    mta, scenario, int_tree, problem.int_vars, problem.alphabet
-                )
-                result = counter_walk_solve(lowered, bound, budget)
-                if result.status == "sat":
-                    assert result.node_words is not None
-                    assert result.int_values is not None
-                    model: Assignment = _join_model(
-                        problem, shapes, result.node_words
-                    )
-                    for var in problem.int_vars:
-                        model[var] = result.int_values.get(var, 0)
-                    if not evaluate(problem, model):
-                        raise RuntimeError(
-                            "internal error: extended model failed verification"
-                        )
-                    note()
-                    return Verdict("sat", model=model)
-                if result.status == "within":
-                    any_within = True
-                elif result.status == "resource":
-                    any_resource = True
-            if any_resource:
-                break
-        any_resource = any_resource or budget.remaining < 0
-        if any_resource:
-            break
+            result = counter_walk_solve(lowered, self.int_bound, self.budget)
+            if result.status == "sat":
+                assert result.node_words is not None
+                assert result.int_values is not None
+                model = _join_model(problem, self.shapes, result.node_words)
+                for var in problem.int_vars:
+                    model[var] = result.int_values.get(var, 0)
+                return model
+            if result.status == "within":
+                self.within = True
+        return None
 
-    note()
-    if any_resource:
-        return Verdict("resource-limit", int_bound=bound)
-    if any_within:
-        return Verdict("unsat-within-bounds", int_bound=bound)
-    return Verdict("unsat")
+    def note(self, stats: dict) -> None:
+        stats["scenarios"] = len(self.scenarios)
+        stats["walks"] = self.walks
+        stats["budget-left"] = self.budget.remaining

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .automata import EPSILON, Alphabet, Nfa, nfa_from_word
+from .automata import EPSILON, Alphabet, Nfa
 from .constraints import (
     And,
     BoolTree,
@@ -125,6 +125,18 @@ def _unquote_char(token: str, line_no: Optional[int]) -> str:
             raise ParseError(line_no, f"unknown escape \\{ch} in character literal")
         return ch
     return body
+
+
+def _int_literal(text: str, line_no: int) -> int:
+    """``int(text)``, refused as a ParseError where Python refuses it.
+
+    Python converts at most 4,300 digits from a string.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+        raise ParseError(line_no, f"bad integer literal {shown}") from None
 
 
 def _regex_body(token: str) -> str:
@@ -441,7 +453,7 @@ class _FileParser:
             if not (isinstance(bound_node, tuple) and bound_node[0] == "int"):
                 raise ParseError(line_no, "the bound must be an integer constant")
             terms, constant = self.int_expr(node[1], line_no)
-            bound = int(bound_node[1]) - constant
+            bound = _int_literal(bound_node[1], line_no) - constant
             return Leaf(LinearAtom(tuple(terms), bound))
 
         return self._boolean(sexpr, line_no, leaf)
@@ -460,7 +472,7 @@ class _FileParser:
             if node and node[0] == ("op", "*"):
                 if len(node) != 3 or node[1][0] != "int":
                     raise ParseError(line_no, "expected (* <int> <term>)")
-                coeff = int(node[1][1])
+                coeff = _int_literal(node[1][1], line_no)
                 sub_terms, sub_const = self.int_expr(node[2], line_no)
                 return (
                     [(coeff * c, t) for c, t in sub_terms],
@@ -480,7 +492,7 @@ class _FileParser:
             raise ParseError(line_no, "cannot parse integer expression")
         kind, text = node
         if kind == "int":
-            return [], int(text)
+            return [], _int_literal(text, line_no)
         if kind == "id":
             self.check_int_var(text, line_no)
             return [(1, IntTerm(text))], 0
@@ -497,7 +509,7 @@ class _FileParser:
                 var, index = match.group(1), match.group(2)
                 self.check_str_var(var, line_no)
                 if index.isdigit():
-                    value = int(index)
+                    value = _int_literal(index, line_no)
                     if value < 1:
                         raise ParseError(line_no, "character positions start at 1")
                     return CharPos(var, value)
@@ -547,21 +559,21 @@ class _FileParser:
                 break
             parts = raw.split()
             if parts[0] == "states" and len(parts) == 2 and parts[1].isdigit():
-                n_states = int(parts[1])
+                n_states = _int_literal(parts[1], rule_line)
             elif parts[0] == "initial" and len(parts) == 2 and parts[1].isdigit():
-                initial = int(parts[1])
+                initial = _int_literal(parts[1], rule_line)
             elif parts[0] == "final" and all(p.isdigit() for p in parts[1:]):
-                finals = [int(p) for p in parts[1:]]
+                finals = [_int_literal(p, rule_line) for p in parts[1:]]
             elif parts[0] == "t":
                 rule = _RULE_RE.match(raw)
                 if rule is None:
                     raise ParseError(rule_line, f"bad transducer rule: {raw!r}")
                 rules.append(
                     (
-                        int(rule.group(1)),
+                        _int_literal(rule.group(1), rule_line),
                         label_text(rule.group(2), rule_line),
                         label_text(rule.group(3), rule_line),
-                        int(rule.group(4)),
+                        _int_literal(rule.group(4), rule_line),
                     )
                 )
             else:
@@ -585,24 +597,6 @@ class _FileParser:
         if self.alphabet is None:
             raise ParseError(None, "missing alphabet directive")
 
-        # Variable-free concatenations are really regular constraints: fold
-        # them into the membership layer so every remaining equation
-        # genuinely relates variables.
-        relations: list[RelAtom] = []
-        folded: list[BoolTree] = []
-        for rel in self.relations:
-            if isinstance(rel, ConcatEq) and not any(
-                isinstance(item, Var) for item in rel.items
-            ):
-                word = "".join(item.text for item in rel.items)  # type: ignore[union-attr]
-                folded.append(
-                    Leaf(RegAtom(rel.lhs, nfa_from_word(word, self.alphabet)))
-                )
-            else:
-                relations.append(rel)
-
-        reg_parts = self.reg_parts + folded
-
         def combine(parts: list[BoolTree]) -> Optional[BoolTree]:
             if not parts:
                 return None
@@ -614,8 +608,8 @@ class _FileParser:
             alphabet=self.alphabet,
             str_vars=tuple(self.str_vars),
             int_vars=tuple(self.int_vars),
-            relations=tuple(relations),
-            regular=combine(reg_parts),
+            relations=tuple(self.relations),
+            regular=combine(self.reg_parts),
             integers=combine(self.int_parts),
             chars=combine(self.char_parts),
             indexofs=tuple(self.indexofs),

@@ -27,14 +27,15 @@ String-only problems are decided completely within the solve's work
 budget (``resource_limit``): an answer of ``sat`` or ``unsat`` is
 definitive, and a search that spends the budget first answers
 ``resource-limit``.  Problems with integer, character, index-of, or
-disequality constraints are routed to :mod:`slsolve.extensions`, which
-replaces stage 3 with a counter walk over a bounded integer space.
+disequality constraints run the same three stages; only what follows
+propagation differs: instead of extracting a model, each feasible forest
+goes to :mod:`slsolve.extensions` for a counter walk over a bounded
+integer space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iter_product
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .automata import (
@@ -65,7 +66,7 @@ from .constraints import (
     TransducerEq,
     Var,
     evaluate,
-    tree_eval_indexed,
+    satisfying_vectors,
     tree_leaves,
 )
 from .straightline import DependencyGraph, check_straightline
@@ -164,9 +165,10 @@ def fold_constant_relations(problem: Problem) -> Problem:
 
     ``x = "ab"`` pins ``x`` to a one-word language; treating it as a
     membership constraint (and ``x`` as a source variable) keeps every
-    remaining equation genuinely relational.  Problems built by the
-    parser arrive in this form already; folding here makes the solver
-    indifferent to how a problem was constructed.
+    remaining equation genuinely relational.  The parser keeps such
+    equations as written; :func:`solve` folds them (after checking the
+    problem as given), so a file and the same problem built through the
+    API get the same answer.
     """
     constant = [
         rel
@@ -191,17 +193,7 @@ def fold_constant_relations(problem: Problem) -> Problem:
     ]
     parts = ([problem.regular] if problem.regular is not None else []) + extra
     regular = parts[0] if len(parts) == 1 else And(tuple(parts))
-    return Problem(
-        alphabet=problem.alphabet,
-        str_vars=problem.str_vars,
-        int_vars=problem.int_vars,
-        relations=keep,
-        regular=regular,
-        integers=problem.integers,
-        chars=problem.chars,
-        indexofs=problem.indexofs,
-        disequalities=problem.disequalities,
-    )
+    return replace(problem, relations=keep, regular=regular)
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +205,19 @@ def normalize_regular(
 ) -> Iterator[tuple[tuple[bool, ...], dict[str, Nfa]]]:
     """Yield (leaf truth vector, per-variable automaton) per branch.
 
-    Leaf occurrences are indexed in traversal order; vectors are tried
-    all-true first, descending in binary order, and only vectors that
-    satisfy the constraint tree are yielded.  Under one vector each
-    variable's automaton is the intersection of its positively assigned
-    leaves with the complements of its negatively assigned ones (the
-    full language when a variable is unconstrained).  Complements are
-    built lazily, once per leaf, so branches that never falsify a leaf
-    never pay for determinization.
+    Vectors come in :func:`slsolve.constraints.satisfying_vectors`
+    order.  Under one vector each variable's automaton is the
+    intersection of its positively assigned leaves with the complements
+    of its negatively assigned ones (the full language when a variable
+    is unconstrained).  Complements are built lazily, once per leaf, so
+    branches that never falsify a leaf never pay for determinization.
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
     universal = nfa_universal(problem.alphabet)
     complements: dict[int, Nfa] = {}
 
-    for values in iter_product((True, False), repeat=len(leaves)):
-        if tree is not None and not tree_eval_indexed(tree, values):
-            continue
+    for values in satisfying_vectors(tree):
         var_nfas: dict[str, Nfa] = {v: universal for v in problem.str_vars}
         for idx, (leaf, value) in enumerate(zip(leaves, values)):
             atom = leaf.atom
@@ -474,11 +462,8 @@ def _boundary_filter(
     blind enumeration).
     """
     assert t.is_normalized
-    if a_img.has_epsilon:
-        a_img = nfa_eps_eliminate(a_img)
-    zones = [
-        nfa_eps_eliminate(z) if z.has_epsilon else z for z in zone_langs
-    ]
+    a_img = nfa_eps_eliminate(a_img)
+    zones = [nfa_eps_eliminate(z) for z in zone_langs]
     m = len(arg_shape.slots)
     lits = arg_shape.literals
 
@@ -642,9 +627,7 @@ def _branch_forests(
 
     def var_choice(var: str) -> Choice:
         """How to place a variable's cuts and attach its pieces."""
-        nfa = var_nfas[var]
-        if nfa.has_epsilon:
-            nfa = nfa_eps_eliminate(nfa)
+        nfa = nfa_eps_eliminate(var_nfas[var])
         shape = shapes[var]
         lits = shape.literals
         m = len(shape.slots)
@@ -916,22 +899,16 @@ def solve(
     as does each step of the bounded walk, and the answer is
     ``resource-limit`` once it runs out.
 
+    Both kinds of problem run the same three stages; only the step taken
+    on a feasible forest differs.  A string-only solve extracts a model
+    from the first one; an extension solve walks every scenario of each
+    (:class:`slsolve.extensions.ScenarioWalks`) until one walk succeeds.
+
     Models returned are always verified against the original problem
     before being reported.  A ``stats`` dict, when supplied, is filled
     with deterministic search counters, whatever the verdict.
     """
     folded, graph = _checked_fold(problem)
-    if folded.has_extensions:
-        from .extensions import solve_extended
-
-        return solve_extended(
-            folded,
-            graph,
-            int_bound=int_bound,
-            resource_limit=resource_limit,
-            stats=stats,
-        )
-
     shapes = split_concat(folded, graph)
     norm_ts = {
         idx: rel.transducer.normalized
@@ -940,6 +917,12 @@ def solve(
     }
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer] = {}
     budget = Budget(resource_limit)
+    walker = None
+    if folded.has_extensions:
+        from .extensions import ScenarioWalks
+
+        walker = ScenarioWalks(folded, shapes, int_bound, budget)
+    bound = None if walker is None else walker.int_bound
     branches = forests = feasible_forests = 0
 
     def note() -> None:
@@ -948,6 +931,8 @@ def solve(
             stats["forests"] = forests
             stats["feasible-forests"] = feasible_forests
             stats["cut-placements"] = budget.placements
+            if walker is not None:
+                walker.note(stats)
 
     for _values, var_nfas in normalize_regular(folded):
         branches += 1
@@ -959,17 +944,25 @@ def solve(
             if feasible is None:
                 continue
             feasible_forests += 1
-            model = _join_model(folded, shapes, _extract(forest, feasible))
-            if not evaluate(problem, model):
-                raise RuntimeError(
-                    "internal error: extracted model failed verification"
-                )
-            note()
-            return Verdict("sat", model=model)
+            if walker is None:
+                model = _join_model(folded, shapes, _extract(forest, feasible))
+            else:
+                model = walker.model(forest, feasible)
+            if model is not None:
+                if not evaluate(problem, model):
+                    raise RuntimeError("internal error: model failed verification")
+                note()
+                return Verdict("sat", model=model)
+            # A walk may have spent the budget; leaving now keeps the
+            # next placement from charging it (and counting) once more.
+            if budget.remaining < 0:
+                break
         if budget.remaining < 0:
             note()
-            return Verdict("resource-limit")
+            return Verdict("resource-limit", int_bound=bound)
     note()
+    if walker is not None and walker.within:
+        return Verdict("unsat-within-bounds", int_bound=bound)
     return Verdict("unsat")
 
 
@@ -994,12 +987,10 @@ def max_model_bound(problem: Problem) -> int:
     tree = folded.regular
     leaves = tree_leaves(tree) if tree is not None else []
     need_neg = [False] * len(leaves)
-    if tree is not None:
-        for values in iter_product((True, False), repeat=len(leaves)):
-            if tree_eval_indexed(tree, values):
-                for i, val in enumerate(values):
-                    if not val:
-                        need_neg[i] = True
+    for values in satisfying_vectors(tree):
+        for i, val in enumerate(values):
+            if not val:
+                need_neg[i] = True
 
     base: dict[str, int] = {v: 1 for v in folded.str_vars}
     for i, leaf in enumerate(leaves):

@@ -199,6 +199,24 @@ def test_parse_error_location_format(slp, capsys):
     assert "cannot parse right-hand side" in captured.err
 
 
+def test_oversized_integer_literal_is_a_parse_error(slp, capsys):
+    path = slp('alphabet "ab"\nstr x\nintc (<= (len x) ' + "9" * 5_000 + ")\n")
+    assert run(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:3:1: error: bad integer literal 999")
+
+
+def test_double_definition_through_a_literal_fails_cleanly(slp, capsys):
+    path = slp('alphabet "ab"\nstr y x\nx = "a"\nx = y . "b"\n')
+    assert run(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not straight-line: variable 'x' has more than one defining equation\n"
+    )
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     path = str(tmp_path / "absent.slp")
     assert run(["solve", path]) == 2

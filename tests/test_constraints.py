@@ -31,6 +31,7 @@ from slsolve.constraints import (
     Var,
     evaluate,
     problem_wellformed,
+    satisfying_vectors,
     tree_eval,
     tree_eval_indexed,
     tree_leaves,
@@ -59,6 +60,45 @@ def test_tree_eval_logic():
     assert tree_eval(tree, lambda atom: atom == "p")
     assert not tree_eval(tree, lambda atom: atom == "q")
     assert not tree_eval(tree, lambda atom: False)
+
+
+def test_tree_eval_is_kleene_three_valued():
+    def known(**truth):
+        return lambda atom: truth.get(atom)
+
+    p, q = Leaf("p"), Leaf("q")
+    assert tree_eval(p, known()) is None
+    assert tree_eval(Not(p), known()) is None
+    assert tree_eval(Not(p), known(p=True)) is False
+    assert tree_eval(And((p, q)), known(q=False)) is False
+    assert tree_eval(And((p, q)), known(q=True)) is None
+    assert tree_eval(And((p, q)), known(p=True, q=True)) is True
+    assert tree_eval(Or((p, q)), known(q=True)) is True
+    assert tree_eval(Or((p, q)), known(q=False)) is None
+    assert tree_eval(Or((p, q)), known(p=False, q=False)) is False
+    assert tree_eval(Or((And((p, q)), Not(q))), known(p=True)) is None
+    assert tree_eval(And((Or((p, q)), Not(q))), known(q=True)) is False
+
+
+def test_tree_eval_stops_at_the_deciding_child():
+    seen: list[str] = []
+
+    def truth(atom: str):
+        seen.append(atom)
+        return {"p": None, "q": False}.get(atom)
+
+    assert tree_eval(And((Leaf("p"), Leaf("q"), Leaf("r"))), truth) is False
+    assert seen == ["p", "q"]
+
+
+def test_satisfying_vectors_in_search_order():
+    tree = Or((Leaf("p"), Not(Leaf("q"))))
+    assert list(satisfying_vectors(tree)) == [
+        (True, True),
+        (True, False),
+        (False, False),
+    ]
+    assert list(satisfying_vectors(None)) == [()]
 
 
 def test_tree_eval_indexed_matches_positional_leaves():

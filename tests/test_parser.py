@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsolve.automata import EPSILON, nfa_enumerate, nfa_membership
+from slsolve.automata import EPSILON, Alphabet, nfa_enumerate, nfa_membership
 from slsolve.constraints import (
     And,
     CharAtom,
@@ -25,6 +25,7 @@ from slsolve.constraints import (
     LinearAtom,
     Lit,
     Not,
+    Problem,
     RegAtom,
     TransducerEq,
     Var,
@@ -37,6 +38,8 @@ from slsolve.parser import (
     quote_word,
     unquote,
 )
+from slsolve.solver import solve
+from slsolve.straightline import MultiplyDefined
 from slsolve.transducer import transducer_membership
 
 FULL_EXAMPLE = """\
@@ -110,13 +113,30 @@ def test_parse_indexof_variants():
     assert literal == IndexOfAtom("v", "ab", Lit("bab"), first=True)
 
 
-def test_literal_only_equation_becomes_membership():
+def test_literal_only_equation_stays_a_concatenation():
     problem = parse_problem('alphabet "ab"\nstr x\nx = "a" . "b"\n')
-    assert problem.relations == ()
-    assert isinstance(problem.regular, Leaf)
-    atom = problem.regular.atom
-    assert isinstance(atom, RegAtom) and atom.var == "x"
-    assert nfa_enumerate(atom.nfa, 4) == ["ab"]
+    assert problem.relations == (ConcatEq("x", (Lit("a"), Lit("b"))),)
+    assert problem.regular is None
+    assert solve(problem).model == {"x": "ab"}
+
+
+def test_double_definition_through_a_literal_is_refused():
+    # Folding ``x = "a"`` into a membership before the straight-line
+    # check would hide the second definition of ``x``.
+    text = 'alphabet "ab"\nstr y x\nx = "a"\nx = y . "b"\n'
+    parsed = parse_problem(text)
+    built = Problem(
+        alphabet=Alphabet.of("ab"),
+        str_vars=("y", "x"),
+        relations=(
+            ConcatEq("x", (Lit("a"),)),
+            ConcatEq("x", (Var("y"), Lit("b"))),
+        ),
+    )
+    assert parsed == built
+    for problem in (parsed, built):
+        with pytest.raises(MultiplyDefined):
+            solve(problem)
 
 
 def test_parse_accepts_blank_lines_and_comments_anywhere():
@@ -131,6 +151,17 @@ def test_empty_input_reports_missing_alphabet():
         parse_problem("")
     assert "alphabet" in str(info.value)
     assert info.value.line_no is None
+
+
+#: Longer than the 4,300 digits Python converts from a string.
+BIG = "7" * 5_000
+
+#: A transducer block whose ``{}`` line is line 4 of the file.
+BLOCK = 'alphabet "ab"\nstr x y\ntransducer t {{\n  {}\n}}\n'
+
+
+def big(text: str, line_no: int, name: str):
+    return pytest.param(text, line_no, "bad integer literal", id=f"big-{name}")
 
 
 @pytest.mark.parametrize(
@@ -166,6 +197,16 @@ def test_empty_input_reports_missing_alphabet():
         ('alphabet "ab"\nstr x\ncharc (= x[u] \'a\')\n', 3, "undeclared integer"),
         ('alphabet "ab"\nstr x y\ny = mystery(x)\n', 3, "mystery"),
         ('alphabet "ab"\nstr x\nnonsense line\n', 3, "cannot parse"),
+        big(f'alphabet "ab"\nstr x\nintc (<= (len x) {BIG})\n', 3, "bound"),
+        big(f'alphabet "ab"\nstr x\nintc (<= (len x) -{BIG})\n', 3, "negative-bound"),
+        big(f'alphabet "ab"\nstr x\nintc (<= (* {BIG} (len x)) 3)\n', 3, "coefficient"),
+        big(f'alphabet "ab"\nstr x\nintc (<= (+ (len x) {BIG}) 3)\n', 3, "constant"),
+        big(f'alphabet "ab"\nstr x\ncharc (= x[{BIG}] \'a\')\n', 3, "position"),
+        big(BLOCK.format(f"states {BIG}"), 4, "states"),
+        big(BLOCK.format(f"initial {BIG}"), 4, "initial"),
+        big(BLOCK.format(f"final 0 {BIG}"), 4, "final"),
+        big(BLOCK.format(f"t {BIG} a/a 0"), 4, "rule-source"),
+        big(BLOCK.format(f"t 0 a/a {BIG}"), 4, "rule-target"),
     ],
 )
 def test_parse_error_lines(text: str, line_no: int, needle: str):

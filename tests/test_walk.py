@@ -4,8 +4,9 @@
 counter updates once per (track, letter).  A copy of the walk it
 replaced — moves regenerated for every popped state, counter updates
 re-derived for every candidate successor — is kept here as the
-reference: every walk that ``solve_extended`` makes must give the same
-result and leave the same budget, including where the budget runs out.
+reference: every walk that ``solve`` makes on an extension problem must
+give the same result and leave the same budget, including where the
+budget runs out.
 """
 
 from __future__ import annotations
