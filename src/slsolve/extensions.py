@@ -15,7 +15,9 @@ disequalities — is decided here by a bounded search:
    "lengths differ" and "some shared position differs".  Choices that
    cannot be expressed as counters — which piece a position lands on,
    which character sits there, how a disequality is discharged — are
-   enumerated up front as *scenarios*.
+   enumerated up front as *scenarios*.  Where a position can land is
+   read off one walk over a variable's layout (:func:`_layout`), which
+   character sides and index-of placements share.
 
 2. :func:`slsolve.solver.solve` runs its usual search and hands each
    feasible forest of piece automata and segment transducers to
@@ -23,7 +25,8 @@ disequalities — is decided here by a bounded search:
    product automaton whose moves emit one letter on one track at a time.
 
 3. For each scenario, a breadth-first walk explores (product state,
-   counter state) pairs, counters capped at the integer bound.  Whenever
+   counter state) pairs, counters capped at the integer bound; piece
+   lengths and letter counts share one counter vector.  Whenever
    the walk stands on an accepting product state it tries to discharge
    the lowered constraints from the counters; integer variables not
    pinned by a linking equation are enumerated up to the bound.
@@ -64,6 +67,7 @@ from .constraints import (
     Problem,
     TransducerEq,
     Var,
+    _occurrences,
     satisfying_vectors,
     tree_eval,
     tree_leaves,
@@ -171,13 +175,13 @@ class Scenario:
     problem's own).
     """
 
-    terms: tuple[tuple[NodeId, str], ...]
-    links: tuple[LinkEq, ...]
-    zeros: tuple[Union[str, int], ...]
-    past_ends: tuple[PastEnd, ...]
-    extra: tuple[BoolTree, ...]
-    comps: tuple[tuple[NodeId, str, int], ...]
-    monitors: tuple[Monitor, ...]
+    terms: tuple[tuple[NodeId, str], ...] = ()
+    links: tuple[LinkEq, ...] = ()
+    zeros: tuple[Union[str, int], ...] = ()
+    past_ends: tuple[PastEnd, ...] = ()
+    extra: tuple[BoolTree, ...] = ()
+    comps: tuple[tuple[NodeId, str, int], ...] = ()
+    monitors: tuple[Monitor, ...] = ()
 
 
 def _merge_scenarios(parts: Sequence[Scenario]) -> Scenario:
@@ -198,30 +202,14 @@ def _merge_scenarios(parts: Sequence[Scenario]) -> Scenario:
         extra.extend(part.extra)
         comps.extend(part.comps)
         for link in part.links:
-            links.append(
-                LinkEq(
-                    link.index,
-                    link.shift,
-                    None if link.term is None else link.term + t_off,
-                    link.const,
-                    link.nodes,
-                )
-            )
+            term = None if link.term is None else link.term + t_off
+            links.append(LinkEq(link.index, link.shift, term, link.const, link.nodes))
         for mon in part.monitors:
-            monitors.append(
-                Monitor(
-                    tuple(
-                        MonitorPiece(
-                            mp.comp + c_off,
-                            mp.exit_state,
-                            None
-                            if mp.landing_term is None
-                            else mp.landing_term + t_off,
-                        )
-                        for mp in mon.pieces
-                    )
-                )
-            )
+            pieces = []
+            for mp in mon.pieces:
+                landing = None if mp.landing_term is None else mp.landing_term + t_off
+                pieces.append(MonitorPiece(mp.comp + c_off, mp.exit_state, landing))
+            monitors.append(Monitor(tuple(pieces)))
     return Scenario(
         tuple(terms),
         tuple(links),
@@ -288,100 +276,63 @@ def lower_integer_terms(
 
 
 def _length_differs(left: str, right: str, shapes: dict[str, Shape]) -> BoolTree:
-    """``|left| != |right|`` as a disjunction of two lowered inequalities."""
-    l_nodes, l_lit = _len_parts(shapes[left])
-    r_nodes, r_lit = _len_parts(shapes[right])
-    coeffs: dict[LoweredTerm, int] = {}
-    for node in l_nodes:
-        coeffs[PieceLen(node)] = coeffs.get(PieceLen(node), 0) + 1
-    for node in r_nodes:
-        coeffs[PieceLen(node)] = coeffs.get(PieceLen(node), 0) - 1
-    terms = tuple((c, t) for t, c in coeffs.items() if c != 0)
-    neg_terms = tuple((-c, t) for c, t in terms)
-    diff = l_lit - r_lit
-    # terms + diff <= -1   or   -(terms + diff) <= -1
-    return Or(
-        (
-            Leaf(LoweredLinear(terms, -1 - diff)),
-            Leaf(LoweredLinear(neg_terms, -1 + diff)),
-        )
-    )
+    """``|left| != |right|``: ``|l| - |r| <= -1`` or ``-|l| + |r| <= -1``."""
+
+    def shorter(sign: int) -> BoolTree:
+        atom = LinearAtom(((sign, LenTerm(left)), (-sign, LenTerm(right))), -1)
+        return Leaf(_linear_lower(atom, shapes))
+
+    return Or((shorter(1), shorter(-1)))
+
+
+# ---------------------------------------------------------------------------
+# Position layout
+
+
+def _layout(
+    shape: Shape, index: Union[str, int], shift: int = 0
+) -> Iterator[tuple[int, Optional[int], LinkEq]]:
+    """Every place a position can land in a variable's value, in layout order.
+
+    Zone ``2i`` is literal ``i``, one item per character with its 1-based
+    position ``k`` in the literal; zone ``2i+1`` is piece ``i``, one item
+    with ``k`` None.  Each item's :class:`LinkEq` reads ``value(index) +
+    shift == that position``; a piece's position counter is term 0, local
+    to the fragment until :func:`_merge_scenarios` re-indexes it.
+    """
+    const = 0
+    for i, lit in enumerate(shape.literals):
+        nodes = shape.slots[:i]
+        for k in range(1, len(lit) + 1):
+            yield 2 * i, k, LinkEq(index, shift, None, const + k, nodes)
+        const += len(lit)
+        if i < len(shape.slots):
+            yield 2 * i + 1, None, LinkEq(index, shift, 0, const, nodes)
 
 
 # ---------------------------------------------------------------------------
 # Character-position lowering
 
 
-@dataclass(frozen=True)
-class _SideSpec:
-    """One resolved side of a character comparison.
+def _side_choices(
+    side: CharConst | CharPos, shapes: dict[str, Shape], alphabet: Alphabet
+) -> Iterator[list[tuple[str, Scenario]]]:
+    """Every in-range resolution of one side, as its (character, fragment) choices.
 
-    ``char`` is the character the side denotes when it is statically
-    known (literal landings and constants); None means the side is a
-    walk term whose character is still to be guessed.  ``link`` carries
-    the position equation for landings; out-of-range resolutions carry a
-    ``zero`` or ``past_end`` requirement instead.
+    A constant, or a position landing in a literal, reads one known
+    character; a position landing in a piece becomes a walk term, with
+    one choice per guessed letter.
     """
-
-    char: Optional[str]
-    term_node: Optional[NodeId] = None
-    link: Optional[LinkEq] = None
-    zero: Optional[Union[str, int]] = None
-    past_end: Optional[PastEnd] = None
-
-
-def _side_landings(side: CharPos, shapes: dict[str, Shape]) -> Iterator[_SideSpec]:
-    """Every way the side's position can land inside its variable's layout."""
+    if isinstance(side, CharConst):
+        yield [(side.char, Scenario())]
+        return
     shape = shapes[side.var]
-    lit_prefix = 0
-    for i, lit in enumerate(shape.literals):
-        for k in range(1, len(lit) + 1):
-            yield _SideSpec(
-                char=lit[k - 1],
-                link=LinkEq(
-                    side.index, 0, None, lit_prefix + k, tuple(shape.slots[:i])
-                ),
-            )
-        lit_prefix += len(lit)
-        if i < len(shape.slots):
-            node = shape.slots[i]
-            yield _SideSpec(
-                char=None,
-                term_node=node,
-                link=LinkEq(side.index, 0, 0, lit_prefix, tuple(shape.slots[:i])),
-            )
-
-
-def _side_out_of_range(
-    side: CharPos, shapes: dict[str, Shape]
-) -> Iterator[_SideSpec]:
-    """Resolutions that place the side's position outside its variable."""
-    if not isinstance(side.index, int):
-        yield _SideSpec(char=None, zero=side.index)
-    nodes, lit_len = _len_parts(shapes[side.var])
-    yield _SideSpec(char=None, past_end=PastEnd(side.index, lit_len, tuple(nodes)))
-
-
-def _spec_scenario(spec: _SideSpec, gamma: Optional[str]) -> Scenario:
-    """Materialize one side resolution as a scenario fragment.
-
-    Term references are fragment-local (index 0); merging re-indexes.
-    """
-    terms: tuple[tuple[NodeId, str], ...] = ()
-    links: tuple[LinkEq, ...] = ()
-    zeros: tuple[Union[str, int], ...] = ()
-    past_ends: tuple[PastEnd, ...] = ()
-    if spec.term_node is not None:
-        assert gamma is not None and spec.link is not None
-        terms = ((spec.term_node, gamma),)
-        links = (spec.link,)
-    elif spec.link is not None:
-        links = (spec.link,)
-    if spec.zero is not None:
-        zeros = (spec.zero,)
-    if spec.past_end is not None:
-        past_ends = (spec.past_end,)
-    return Scenario(terms, links, zeros, past_ends, (), (), ())
+    for zone, k, link in _layout(shape, side.index):
+        if k is not None:
+            yield [(shape.literals[zone // 2][k - 1], Scenario(links=(link,)))]
+        else:
+            node = shape.slots[zone // 2]
+            yield [(ch, Scenario(((node, ch),), (link,))) for ch in alphabet.symbols]
 
 
 def _char_leaf_scenarios(
@@ -394,41 +345,20 @@ def _char_leaf_scenarios(
     or past the end) or binds both sides in range with distinct
     characters.
     """
-
-    def in_range(side: CharConst | CharPos) -> list[_SideSpec]:
-        if isinstance(side, CharConst):
-            return [_SideSpec(char=side.char)]
-        return list(_side_landings(side, shapes))
-
-    def char_options(spec: _SideSpec) -> tuple[str, ...]:
-        return alphabet.symbols if spec.char is None else (spec.char,)
-
-    if value:
-        for left in in_range(atom.left):
-            for right in in_range(atom.right):
-                for ch in char_options(left):
-                    if right.char is not None and right.char != ch:
-                        continue
-                    if left.char is not None and left.char != ch:
-                        continue
-                    yield _merge_scenarios(
-                        [_spec_scenario(left, ch), _spec_scenario(right, ch)]
-                    )
-        return
-
-    for side in (atom.left, atom.right):
-        if isinstance(side, CharPos):
-            for spec in _side_out_of_range(side, shapes):
-                yield _spec_scenario(spec, None)
-    for left in in_range(atom.left):
-        for right in in_range(atom.right):
-            for ch_l in char_options(left):
-                for ch_r in char_options(right):
-                    if ch_l == ch_r:
-                        continue
-                    yield _merge_scenarios(
-                        [_spec_scenario(left, ch_l), _spec_scenario(right, ch_r)]
-                    )
+    if not value:
+        for side in (atom.left, atom.right):
+            if isinstance(side, CharPos):
+                if not isinstance(side.index, int):
+                    yield Scenario(zeros=(side.index,))
+                nodes, lit_len = _len_parts(shapes[side.var])
+                yield Scenario(past_ends=(PastEnd(side.index, lit_len, tuple(nodes)),))
+    rights = list(_side_choices(atom.right, shapes, alphabet))
+    for left in _side_choices(atom.left, shapes, alphabet):
+        for right in rights:
+            for ch_l, frag_l in left:
+                for ch_r, frag_r in right:
+                    if (ch_l == ch_r) == value:
+                        yield _merge_scenarios([frag_l, frag_r])
 
 
 def lower_char_constraints(
@@ -469,9 +399,7 @@ def lower_disequalities(
     """
 
     def alternatives(idx: int, diseq: Disequality) -> Iterator[Scenario]:
-        yield Scenario(
-            (), (), (), (), (_length_differs(diseq.left, diseq.right, shapes),), (), ()
-        )
+        yield Scenario(extra=(_length_differs(diseq.left, diseq.right, shapes),))
         position = f"%d{idx}"
         atom = CharAtom(CharPos(diseq.left, position), CharPos(diseq.right, position))
         for scenario in _char_leaf_scenarios(atom, False, shapes, alphabet):
@@ -526,17 +454,6 @@ def _run_literal(
     return q, first
 
 
-def _occurrence_positions(needle: str, hay: str) -> list[int]:
-    out = []
-    start = 0
-    while True:
-        idx = hay.find(needle, start)
-        if idx < 0:
-            return out
-        out.append(idx + 1)
-        start = idx + 1
-
-
 def _indexof_var_scenarios(
     atom: IndexOfAtom, shapes: dict[str, Shape], alphabet: Alphabet
 ) -> Iterator[Scenario]:
@@ -545,55 +462,25 @@ def _indexof_var_scenarios(
     needle = atom.needle
     p = len(needle)
 
-    # Layout zones, in order: ("lit", text) and ("piece", node, slot index).
-    zones: list[tuple] = []
-    for i, lit in enumerate(shape.literals):
-        zones.append(("lit", lit, i))
-        if i < len(shape.slots):
-            zones.append(("piece", shape.slots[i], i))
-
-    def zone_link(
-        z: int, inner: Union[int, None], char_idx: int, term_slot: Optional[int]
-    ) -> LinkEq:
-        """value(result) + char_idx == position of the char in the layout."""
-        kind = zones[z][0]
-        slot_idx = zones[z][2]
-        nodes = tuple(shape.slots[:slot_idx])
-        lit_upto = slot_idx + (1 if kind == "piece" else 0)
-        const = sum(len(shape.literals[j]) for j in range(lit_upto))
-        if kind == "lit":
-            assert inner is not None
-            return LinkEq(atom.result, char_idx, None, const + inner, nodes)
-        return LinkEq(atom.result, char_idx, term_slot, const, nodes)
-
-    # Every assignment of the needle's characters to zones.  Inconsistent
-    # assignments are harmless — their linking equations cannot all hold —
-    # so only static character mismatches are filtered here.
-    def char_placements(char_idx: int) -> list[tuple]:
-        ch = needle[char_idx]
-        out: list[tuple] = []
-        for z, zone in enumerate(zones):
-            if zone[0] == "lit":
-                for k in range(1, len(zone[1]) + 1):
-                    if zone[1][k - 1] == ch:
-                        out.append((z, k))
-            else:
-                out.append((z, None))
+    # Every assignment of the needle's characters to layout positions, as
+    # (zone, position in a literal, fragment).  Inconsistent assignments
+    # are harmless — their linking equations cannot all hold — so only
+    # static character mismatches are filtered here.
+    def char_placements(i: int) -> list[tuple[int, Optional[int], Scenario]]:
+        out = []
+        for zone, k, link in _layout(shape, atom.result, i):
+            if k is None:
+                term = (shape.slots[zone // 2], needle[i])
+                out.append((zone, k, Scenario((term,), (link,))))
+            elif shape.literals[zone // 2][k - 1] == needle[i]:
+                out.append((zone, k, Scenario(links=(link,))))
         return out
 
+    delta = _kmp_delta(needle, alphabet)
     for placement in iter_product(*(char_placements(i) for i in range(p))):
         if any(placement[i][0] > placement[i + 1][0] for i in range(p - 1)):
             continue  # later needle characters cannot land in earlier zones
-        terms: list[tuple[NodeId, str]] = []
-        links: list[LinkEq] = []
-        for i, (z, inner) in enumerate(placement):
-            if zones[z][0] == "lit":
-                links.append(zone_link(z, inner, i, None))
-            else:
-                term_slot = len(terms)
-                terms.append((zones[z][1], needle[i]))
-                links.append(zone_link(z, None, i, term_slot))
-        base = Scenario(tuple(terms), tuple(links), (), (), (), (), ())
+        base = _merge_scenarios([frag for _z, _k, frag in placement])
         if not atom.first:
             yield base
             continue
@@ -603,30 +490,24 @@ def _indexof_var_scenarios(
         # once the match-automaton state entering them is fixed; piece
         # zones contribute runtime trackers, and their exit states are
         # enumerated so the chain stays statically known.
-        landing_z, landing_inner = placement[p - 1]
-        delta = _kmp_delta(needle, alphabet)
+        landing_z, landing_k, _frag = placement[-1]
 
         def chains(
             z: int, entry: int, comps: list, pieces: list
         ) -> Iterator[tuple[list, list]]:
-            if z == landing_z:
-                if zones[z][0] == "lit":
-                    _, first = _run_literal(delta, p, entry, zones[z][1])
-                    if first == landing_inner:
+            if z % 2 == 0:
+                nxt, first = _run_literal(delta, p, entry, shape.literals[z // 2])
+                if z == landing_z:
+                    if first == landing_k:
                         yield comps, pieces
-                else:
-                    comp = (zones[z][1], needle, entry)
-                    yield (
-                        comps + [comp],
-                        pieces + [MonitorPiece(len(comps), None, len(terms) - 1)],
-                    )
-                return
-            if zones[z][0] == "lit":
-                nxt, first = _run_literal(delta, p, entry, zones[z][1])
-                if first is None:
+                elif first is None:
                     yield from chains(z + 1, nxt, comps, pieces)
                 return
-            comp = (zones[z][1], needle, entry)
+            comp = (shape.slots[z // 2], needle, entry)
+            if z == landing_z:
+                landing = MonitorPiece(len(comps), None, len(base.terms) - 1)
+                yield comps + [comp], pieces + [landing]
+                return
             for exit_state in range(p + 1):
                 yield from chains(
                     z + 1,
@@ -637,13 +518,10 @@ def _indexof_var_scenarios(
 
         for comps, pieces in chains(0, 0, [], []):
             yield Scenario(
-                tuple(terms),
-                tuple(links),
-                (),
-                (),
-                (),
-                tuple(comps),
-                (Monitor(tuple(pieces)),),
+                base.terms,
+                base.links,
+                comps=tuple(comps),
+                monitors=(Monitor(tuple(pieces)),),
             )
 
 
@@ -660,13 +538,11 @@ def lower_indexof(
 
     def one(atom: IndexOfAtom) -> Iterator[Scenario]:
         if isinstance(atom.haystack, Lit):
-            positions = _occurrence_positions(atom.needle, atom.haystack.text)
+            positions = _occurrences(atom.needle, atom.haystack.text)
             if atom.first:
                 positions = positions[:1]
             for pos in positions:
-                yield Scenario(
-                    (), (LinkEq(atom.result, 0, None, pos, ()),), (), (), (), (), ()
-                )
+                yield Scenario(links=(LinkEq(atom.result, 0, None, pos, ()),))
             return
         yield from _indexof_var_scenarios(atom, shapes, alphabet)
 
@@ -917,58 +793,41 @@ def counter_walk_solve(
     1-based positions.  The first satisfying state found (breadth-first,
     deterministic move order) is reconstructed into per-node words.
 
-    The counter updates of a move depend only on its track and letter,
-    so they are planned once per ``(track, letter)`` and reused by every
-    walk state that takes such a move.
+    Piece lengths and letter counts share one counter vector, one slot
+    per :class:`PieceLen` or :class:`PieceCount` term that some check
+    reads.  A move bumps only counters of its own track and letter, so
+    its updates are planned once per ``(track, letter)`` as one
+    ``(counter, cap)`` increment list and reused by every walk state
+    that takes such a move.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
     cap = int_bound
     top = cap + 1  # saturation marker
 
-    # --- watched counters -------------------------------------------------
-    len_nodes: dict[NodeId, None] = {}
-    count_keys: dict[tuple[NodeId, str], None] = {}
-
-    def watch_tree(tree: Optional[BoolTree]) -> None:
-        if tree is None:
-            return
-        for leaf in tree_leaves(tree):
-            atom = leaf.atom
-            assert isinstance(atom, LoweredLinear)
-            for _c, term in atom.terms:
-                if isinstance(term, PieceLen):
-                    len_nodes.setdefault(term.node)
-                elif isinstance(term, PieceCount):
-                    count_keys.setdefault((term.node, term.char))
-
-    watch_tree(lowered.int_tree)
-    for tree in scenario.extra:
-        watch_tree(tree)
-    for link in scenario.links:
-        for node in link.nodes:
-            len_nodes.setdefault(node)
-    for pe in scenario.past_ends:
-        for node in pe.nodes:
-            len_nodes.setdefault(node)
-    for node, _needle, _entry in scenario.comps:
-        len_nodes.setdefault(node)
-
-    len_order = [n for n in mta.tracks if n in len_nodes]
-    len_idx = {n: i for i, n in enumerate(len_order)}
-    count_order = sorted(
-        count_keys, key=lambda k: (mta.tracks.index(k[0]), k[1])
-    )
-    count_idx = {k: i for i, k in enumerate(count_order)}
-    deltas: dict[str, list[dict[str, int]]] = {}
-    for _n, needle, _e in scenario.comps:
-        if needle not in deltas:
-            deltas[needle] = _kmp_delta(needle, lowered.alphabet)
-
     mandatory = list(scenario.extra)
     if lowered.int_tree is not None:
         mandatory.append(lowered.int_tree)
     hard_caps = _definite_caps(mandatory)
+
+    # --- the counter vector -----------------------------------------------
+    slot: dict[LoweredTerm, int] = {}
+    for tree in mandatory:
+        for leaf in tree_leaves(tree):
+            for _c, term in leaf.atom.terms:
+                if not isinstance(term, IntTerm):
+                    slot.setdefault(term, len(slot))
+
+    def len_slots(nodes: Sequence[NodeId]) -> tuple[int, ...]:
+        return tuple(slot.setdefault(PieceLen(node), len(slot)) for node in nodes)
+
+    links = [(link, len_slots(link.nodes)) for link in scenario.links]
+    past_ends = [(pe, len_slots(pe.nodes)) for pe in scenario.past_ends]
+    deltas: dict[str, list[dict[str, int]]] = {}
+    for node, needle, _entry in scenario.comps:
+        slot.setdefault(PieceLen(node), len(slot))
+        if needle not in deltas:
+            deltas[needle] = _kmp_delta(needle, lowered.alphabet)
 
     def bump(value: int) -> int:
         return value + 1 if value <= cap else top
@@ -976,16 +835,20 @@ def counter_walk_solve(
     def plan_for(track: int, ch: str) -> tuple:
         """The counter updates of a ``ch`` move on ``track``.
 
-        The length index and its cap, the ``(count index, cap)`` pairs,
+        The ``(counter, cap)`` increments, the track's length counter,
         the ``(comp, KMP row, needle length)`` triples and the ``(term,
-        can freeze)`` pairs.
+        can freeze)`` pairs.  A counter without a mandatory ceiling gets
+        ``top``, which a bumped counter never passes.
         """
         node = mta.tracks[track]
-        ci = count_idx.get((node, ch))
+        length = PieceLen(node)
         return (
-            len_idx.get(node),
-            hard_caps.get(node),
-            () if ci is None else ((ci, hard_caps.get((node, ch))),),
+            tuple(
+                (slot[term], hard_caps.get(key, top))
+                for term, key in ((length, node), (PieceCount(node, ch), (node, ch)))
+                if term in slot
+            ),
+            slot.get(length),
             tuple(
                 (c, [row[ch] for row in deltas[needle]], len(needle))
                 for c, (n2, needle, _e) in enumerate(scenario.comps)
@@ -1015,8 +878,7 @@ def counter_walk_solve(
     # --- the walk ---------------------------------------------------------
     init = (
         mta.initial(),
-        (0,) * len(len_order),
-        (0,) * len(count_order),
+        (0,) * len(slot),
         tuple((0, 0) for _ in scenario.terms),
         tuple((entry, -1) for _n, _needle, entry in scenario.comps),
     )
@@ -1025,16 +887,8 @@ def counter_walk_solve(
     touched = False
 
     # --- acceptance -------------------------------------------------------
-    def raw_counter(term: LoweredTerm, state: tuple) -> int:
-        """The stored (possibly saturated) counter for a piece term."""
-        _prod, lens, counts, _terms, _comps = state
-        if isinstance(term, PieceLen):
-            return lens[len_idx[term.node]]
-        assert isinstance(term, PieceCount)
-        return counts[count_idx[(term.node, term.char)]]
-
     def leaf_value(
-        atom: LoweredLinear, ints: dict[str, int], state: tuple
+        atom: LoweredLinear, ints: dict[str, int], counters: tuple[int, ...]
     ) -> Optional[bool]:
         """Three-valued: a saturated counter stands for any value >= top."""
         lo = hi = 0
@@ -1044,7 +898,7 @@ def counter_walk_solve(
                 lo += coeff * ints[term.var]
                 hi += coeff * ints[term.var]
                 continue
-            v = raw_counter(term, state)
+            v = counters[slot[term]]
             if v < top:
                 lo += coeff * v
                 hi += coeff * v
@@ -1060,10 +914,10 @@ def counter_walk_solve(
             return False
         return None
 
-    def lens_sum(nodes: tuple[NodeId, ...], lens: tuple[int, ...]) -> int:
+    def lens_sum(slots: tuple[int, ...], counters: tuple[int, ...]) -> int:
         total = 0
-        for node in nodes:
-            v = lens[len_idx[node]]
+        for i in slots:
+            v = counters[i]
             if v >= top:
                 raise _Saturated
             total += v
@@ -1071,7 +925,7 @@ def counter_walk_solve(
 
     def try_accept(state: tuple) -> Optional[WalkResult]:
         nonlocal touched
-        prod, lens, counts, terms, comps = state
+        prod, counters, terms, comps = state
         if not mta.is_final(prod):
             return None
         for y, z in terms:
@@ -1111,8 +965,8 @@ def counter_walk_solve(
                 ints[index] = value
                 return True
 
-            for link in scenario.links:
-                pos = link.const + lens_sum(link.nodes, lens)
+            for link, slots in links:
+                pos = link.const + lens_sum(slots, counters)
                 if link.term is not None:
                     pos += terms[link.term][0]
                 if not bind(link.index, pos - link.shift):
@@ -1122,8 +976,8 @@ def counter_walk_solve(
                     return None
 
             lower: dict[str, int] = {}
-            for pe in scenario.past_ends:
-                need = lens_sum(pe.nodes, lens) + pe.const + 1
+            for pe, slots in past_ends:
+                need = lens_sum(slots, counters) + pe.const + 1
                 if isinstance(pe.index, int):
                     if pe.index < need:
                         return None
@@ -1146,7 +1000,7 @@ def counter_walk_solve(
                     return WalkResult("resource")
                 candidate = dict(ints)
                 candidate.update(zip(free, combo))
-                truth = lambda atom: leaf_value(atom, candidate, state)  # noqa: E731
+                truth = lambda atom: leaf_value(atom, candidate, counters)  # noqa: E731
                 values = [tree_eval(t, truth) for t in mandatory]
                 if all(v is True for v in values):
                     words = _reconstruct(state)
@@ -1182,35 +1036,30 @@ def counter_walk_solve(
         result = try_accept(state)
         if result is not None:
             return result
-        prod, lens, counts, terms, comps = state
+        prod, counters, terms, comps = state
         for track, ch, nxt_prod in mta.moves(prod):
             plan = plans.get((track, ch))
             if plan is None:
                 plan = plans[track, ch] = plan_for(track, ch)
-            li, len_cap, count_steps, comp_steps, term_steps = plan
-            new_lens = lens
-            if li is not None:
-                grown = bump(lens[li])
-                if len_cap is not None and grown > len_cap:
-                    continue  # mandatory length ceiling: state can never accept
-                new_lens = lens[:li] + (grown,) + lens[li + 1 :]
-            new_counts = counts
-            dead = False
-            for ci, cap_here in count_steps:
-                grown = bump(new_counts[ci])
-                if cap_here is not None and grown > cap_here:
-                    dead = True
-                    break
-                new_counts = new_counts[:ci] + (grown,) + new_counts[ci + 1 :]
-            if dead:
-                continue
+            increments, length, comp_steps, term_steps = plan
+            new_counters = counters
+            if increments:
+                grown = list(counters)
+                dead = False
+                for i, ceiling in increments:
+                    grown[i] = bump(grown[i])
+                    if grown[i] > ceiling:
+                        dead = True
+                        break
+                if dead:
+                    continue  # mandatory ceiling: the state can never accept
+                new_counters = tuple(grown)
             new_comps = comps
             for c, kmp_row, needle_len in comp_steps:
                 q, first = new_comps[c]
                 q2 = kmp_row[q]
                 if q2 == needle_len and first == -1:
-                    assert li is not None
-                    first = new_lens[li]
+                    first = new_counters[length]
                 new_comps = new_comps[:c] + ((q2, first),) + new_comps[c + 1 :]
 
             # Position trackers: bump while unfrozen, optionally freeze on
@@ -1235,7 +1084,7 @@ def counter_walk_solve(
                         new_terms[t] = pair
                     term_options.append(tuple(new_terms))
             for new_terms in term_options:
-                nxt = (nxt_prod, new_lens, new_counts, new_terms, new_comps)
+                nxt = (nxt_prod, new_counters, new_terms, new_comps)
                 if nxt not in parents:
                     if not budget.charge():
                         return WalkResult("resource")

@@ -56,10 +56,19 @@ from .transducer import Transducer, apply_function
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search bounds: string lengths up to ``max_len``, ints up to ``max_int``."""
+    """Search bounds: string lengths up to ``max_len``, ints up to ``max_int``.
+
+    A negative bound raises ValueError.
+    """
 
     max_len: int = 8
     max_int: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("max_len", "max_int"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, not {value}")
 
 
 def _mandatory_regular(problem: Problem) -> dict[str, list[Nfa]]:

@@ -888,7 +888,8 @@ def solve(
     """Decide a straight-line problem; produce a model when satisfiable.
 
     Raises :class:`slsolve.straightline.NotStraightLine` (or ValueError
-    for ill-formed input) rather than guessing on problems outside the
+    for ill-formed input, or a negative ``int_bound`` or
+    ``resource_limit``) rather than guessing on problems outside the
     fragment.  For string-only problems ``sat`` and ``unsat`` are
     definitive.  When integer, character, index-of or disequality
     constraints are present the search is exhaustive only up to
@@ -908,6 +909,12 @@ def solve(
     before being reported.  A ``stats`` dict, when supplied, is filled
     with deterministic search counters, whatever the verdict.
     """
+    if int_bound is not None and int_bound < 0:
+        raise ValueError(f"int_bound must be at least 0, not {int_bound}")
+    if resource_limit < 0:
+        raise ValueError(
+            f"resource_limit must be at least 0, not {resource_limit}"
+        )
     folded, graph = _checked_fold(problem)
     shapes = split_concat(folded, graph)
     norm_ts = {

@@ -196,12 +196,20 @@ def split_counts(
 
 
 def dimension(problem: Problem, count_constants: bool = False) -> int:
-    """The largest split count over all variables (0 for variable-free input).
+    """The largest split count over all variables (0 without string variables).
 
     This is the fragment's complexity dial: solving is exponential only
-    in this number.  With ``count_constants`` the literal pieces of
+    in this number.  It is counted on the problem
+    :func:`slsolve.solver.solve` splits, where a variable-free equation
+    such as ``x = "ab"`` has been folded into a membership, making ``x``
+    a source.  With ``count_constants`` the literal pieces of the given
     concatenations are tallied too, matching the coarser statistic
     sometimes quoted for benchmark families.
     """
-    counts = split_counts(problem, count_literals=count_constants).counts
+    if count_constants:
+        counts = split_counts(problem, count_literals=True).counts
+    else:
+        from .solver import _checked_fold
+
+        counts = split_counts(*_checked_fold(problem)).counts
     return max(counts.values(), default=0)

@@ -148,6 +148,31 @@ def test_dimension_count_constants_flag(slp, capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+def test_dimension_counts_a_variable_free_equation_as_a_source(slp, capsys):
+    path = slp('alphabet "ab"\nstr x y\nx = "ab"\ny = x . x\n')
+    assert run(["dimension", path]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert run(["dimension", path, "--count-constants"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--int-bound", "-1"], "int_bound must be at least 0"),
+        (["solve", "--resource-limit", "-1"], "resource_limit must be at least 0"),
+        (["oracle", "--max-len", "-1"], "max_len must be at least 0"),
+        (["oracle", "--max-int", "-1"], "max_int must be at least 0"),
+    ],
+    ids=["int-bound", "resource-limit", "max-len", "max-int"],
+)
+def test_negative_bounds_exit_two(slp, capsys, args, message):
+    assert run([args[0], slp(CHAR_SAT), *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, not -1\n"
+
+
 def test_oracle_sat_with_model(slp, capsys):
     assert run(["oracle", slp(CHAR_SAT), "--model"]) == 0
     assert capsys.readouterr().out == 'sat\nmodel x = "ab"\nmodel u = 2\n'

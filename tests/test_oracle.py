@@ -95,6 +95,15 @@ def test_oracle_reports_none_when_out_of_bounds():
     assert brute_force_solve(problem, OracleConfig(max_len=5)) == {"x": "aaaaa"}
 
 
+@pytest.mark.parametrize(
+    "bounds", [{"max_len": -1}, {"max_int": -1}], ids=["max-len", "max-int"]
+)
+def test_negative_oracle_bounds_are_refused(bounds):
+    with pytest.raises(ValueError, match="must be at least 0"):
+        OracleConfig(**bounds)
+    assert OracleConfig(max_len=0, max_int=0) == OracleConfig(0, 0)
+
+
 def test_oracle_reports_none_on_truly_unsat_input():
     problem = Problem(
         alphabet=AB,

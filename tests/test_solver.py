@@ -198,6 +198,16 @@ def test_solve_refuses_problems_outside_the_fragment():
             entry(doubled)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"int_bound": -1}, {"resource_limit": -1}], ids=["bound", "limit"]
+)
+def test_negative_bounds_are_refused(kwargs):
+    problem = Problem(alphabet=AB, str_vars=("x",), regular=reg("x", "ab"))
+    with pytest.raises(ValueError, match="must be at least 0, not -1"):
+        solve(problem, **kwargs)
+    assert solve(problem, int_bound=0, resource_limit=0).is_sat
+
+
 def test_straightline_check_runs_once_unless_folding_changes_the_problem(
     monkeypatch,
 ):

@@ -164,6 +164,36 @@ def test_dimension_is_the_largest_split_count():
     assert dimension(problem, count_constants=True) == 4
 
 
+def test_dimension_counts_the_folded_problem_solve_splits():
+    # ``x = "ab"`` folds into a membership, so ``x`` is a one-piece source
+    # and ``y = x . x`` is cut into two pieces.
+    problem = Problem(
+        alphabet=AB,
+        str_vars=("x", "y"),
+        relations=(concat("x", Lit("ab")), concat("y", "x", "x")),
+    )
+    assert dimension(problem) == 2
+    assert dimension(problem, count_constants=True) == 2
+
+    constant = Problem(
+        alphabet=AB,
+        str_vars=("x",),
+        relations=(concat("x", Lit("a"), Lit("b")),),
+    )
+    assert dimension(constant) == 1
+    assert dimension(constant, count_constants=True) == 2
+
+
+def test_dimension_refuses_what_solve_refuses():
+    twice = Problem(
+        alphabet=AB,
+        str_vars=("x", "y"),
+        relations=(concat("x", "y"), concat("x", Lit("a"))),
+    )
+    with pytest.raises(MultiplyDefined):
+        dimension(twice)
+
+
 def test_dimension_of_variable_free_problem_is_zero():
     assert dimension(Problem(alphabet=AB, str_vars=())) == 0
 
