@@ -25,11 +25,17 @@ disequalities — is decided here by a bounded search:
    product automaton whose moves emit one letter on one track at a time.
 
 3. For each scenario, a breadth-first walk explores (product state,
-   counter state) pairs, counters capped at the integer bound; piece
-   lengths and letter counts share one counter vector.  Whenever
-   the walk stands on an accepting product state it tries to discharge
-   the lowered constraints from the counters; integer variables not
-   pinned by a linking equation are enumerated up to the bound.
+   counter state) pairs, counters capped at the integer bound.  A walk
+   state is one flat tuple: the product state, one counter vector for
+   piece lengths and letter counts, then the position trackers and the
+   match trackers.  Each product state's moves are joined once per walk
+   with their planned counter updates into a step table.  Whenever the
+   walk stands on an accepting product state it tries to discharge the
+   lowered constraints from the counters; integer variables not pinned
+   by a linking equation are enumerated up to the bound.  The
+   constraint leaves are compiled once per walk, so each combination
+   of free integers only adds its own part to sums taken once per
+   state.
 
 A satisfying walk reconstructs a full model, which is verified against
 the original problem before being reported.  A negative answer is
@@ -793,12 +799,20 @@ def counter_walk_solve(
     1-based positions.  The first satisfying state found (breadth-first,
     deterministic move order) is reconstructed into per-node words.
 
-    Piece lengths and letter counts share one counter vector, one slot
-    per :class:`PieceLen` or :class:`PieceCount` term that some check
-    reads.  A move bumps only counters of its own track and letter, so
-    its updates are planned once per ``(track, letter)`` as one
-    ``(counter, cap)`` increment list and reused by every walk state
-    that takes such a move.
+    A walk state is one flat tuple: the product state, then the counter
+    vector (one slot per :class:`PieceLen` or :class:`PieceCount` term
+    that some check reads), then ``(position, frozen)`` per position
+    term, then ``(KMP state, first completion)`` per match tracker.  A
+    move bumps only counters of its own track and letter, so its updates
+    are planned once per ``(track, letter)`` with every slot already a
+    state index; each product state's moves are joined with their plans
+    into a step table once per walk.  The mandatory trees' leaves are
+    compiled once per walk into counter, pinned-integer and
+    free-integer parts, so an accepting state sums its counters once
+    and each combination of free integers adds only its own part.  When
+    no leaf reads a free integer, every combination has the same
+    values: they are evaluated once, and the budget is charged for as
+    many combinations as the enumeration would have tried.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
@@ -810,35 +824,49 @@ def counter_walk_solve(
         mandatory.append(lowered.int_tree)
     hard_caps = _definite_caps(mandatory)
 
-    # --- the counter vector -----------------------------------------------
+    # --- the state layout -------------------------------------------------
+    # ``slot`` maps a counter term to its index in the state tuple.
     slot: dict[LoweredTerm, int] = {}
     for tree in mandatory:
         for leaf in tree_leaves(tree):
             for _c, term in leaf.atom.terms:
                 if not isinstance(term, IntTerm):
-                    slot.setdefault(term, len(slot))
+                    slot.setdefault(term, len(slot) + 1)
 
     def len_slots(nodes: Sequence[NodeId]) -> tuple[int, ...]:
-        return tuple(slot.setdefault(PieceLen(node), len(slot)) for node in nodes)
+        return tuple(
+            slot.setdefault(PieceLen(node), len(slot) + 1) for node in nodes
+        )
 
     links = [(link, len_slots(link.nodes)) for link in scenario.links]
     past_ends = [(pe, len_slots(pe.nodes)) for pe in scenario.past_ends]
     deltas: dict[str, list[dict[str, int]]] = {}
     for node, needle, _entry in scenario.comps:
-        slot.setdefault(PieceLen(node), len(slot))
+        slot.setdefault(PieceLen(node), len(slot) + 1)
         if needle not in deltas:
             deltas[needle] = _kmp_delta(needle, lowered.alphabet)
+    term_at = 1 + len(slot)  # term t's position, then its frozen flag
+    comp_at = term_at + 2 * len(scenario.terms)  # comp c's KMP state, first
 
-    def bump(value: int) -> int:
-        return value + 1 if value <= cap else top
+    # Monitor pieces as (KMP state index, exit state, landing position index).
+    monitor_pieces = [
+        (
+            comp_at + 2 * mp.comp,
+            mp.exit_state,
+            None if mp.landing_term is None else term_at + 2 * mp.landing_term,
+        )
+        for mon in scenario.monitors
+        for mp in mon.pieces
+    ]
 
     def plan_for(track: int, ch: str) -> tuple:
-        """The counter updates of a ``ch`` move on ``track``.
+        """The state updates of a ``ch`` move on ``track``.
 
-        The ``(counter, cap)`` increments, the track's length counter,
-        the ``(comp, KMP row, needle length)`` triples and the ``(term,
-        can freeze)`` pairs.  A counter without a mandatory ceiling gets
-        ``top``, which a bumped counter never passes.
+        The ``(counter, cap)`` increments, the ``(KMP state index, KMP
+        row, needle length, length counter)`` steps and the ``(term
+        position index, can freeze)`` pairs.  A counter without a
+        mandatory ceiling gets ``top``, which a bumped counter never
+        passes.
         """
         node = mta.tracks[track]
         length = PieceLen(node)
@@ -848,109 +876,115 @@ def counter_walk_solve(
                 for term, key in ((length, node), (PieceCount(node, ch), (node, ch)))
                 if term in slot
             ),
-            slot.get(length),
             tuple(
-                (c, [row[ch] for row in deltas[needle]], len(needle))
+                (
+                    comp_at + 2 * c,
+                    [row[ch] for row in deltas[needle]],
+                    len(needle),
+                    slot[length],
+                )
                 for c, (n2, needle, _e) in enumerate(scenario.comps)
                 if n2 == node
             ),
             tuple(
-                (t, guess == ch)
+                (term_at + 2 * t, guess == ch)
                 for t, (n2, guess) in enumerate(scenario.terms)
                 if n2 == node
             ),
         )
 
+    plans: dict[tuple[int, str], tuple] = {}
+
+    def step_table(prod: tuple[int, ...]) -> tuple[bool, list[tuple]]:
+        """Finality and ``(successor, track, letter, *plan)`` per move."""
+        table = []
+        for track, ch, nxt_prod in mta.moves(prod):
+            plan = plans.get((track, ch))
+            if plan is None:
+                plan = plans[track, ch] = plan_for(track, ch)
+            table.append((nxt_prod, track, ch) + plan)
+        return mta.is_final(prod), table
+
+    # --- compiled acceptance ----------------------------------------------
     # Every string index in ``links`` and ``zeros`` is bound before the
     # integers left free are enumerated, so those are fixed for the walk.
     bound_indices = {link.index for link in scenario.links} | set(scenario.zeros)
     free = [v for v in lowered.int_vars if v not in bound_indices]
-    free_set = set(free)
+    free_pos = {var: k for k, var in enumerate(free)}
+    # One entry per leaf atom: its counter terms as (coefficient, state
+    # index), its pinned integer terms as (coefficient, variable), its
+    # free integer terms as (coefficient, position in ``free``), and its
+    # bound.  ``truth`` finds an atom's entry by id.
+    leaf_index: dict[int, int] = {}
+    compiled: list[tuple] = []
+    for tree in mandatory:
+        for leaf in tree_leaves(tree):
+            atom = leaf.atom
+            if id(atom) in leaf_index:
+                continue
+            leaf_index[id(atom)] = len(compiled)
+            ints_read = [(c, t.var) for c, t in atom.terms if isinstance(t, IntTerm)]
+            compiled.append(
+                (
+                    [(c, slot[t]) for c, t in atom.terms if not isinstance(t, IntTerm)],
+                    [(c, var) for c, var in ints_read if var not in free_pos],
+                    [(c, free_pos[var]) for c, var in ints_read if var in free_pos],
+                    atom.bound,
+                )
+            )
+    # Leaves reading a free integer; the others take one value per state.
     # Exhausting a free variable's range is bound-dependent only if some
-    # constraint actually reads that variable.
-    reads_free = any(
-        isinstance(term, IntTerm) and term.var in free_set
-        for tree in mandatory
-        for leaf in tree_leaves(tree)
-        for _c, term in leaf.atom.terms
-    )
+    # leaf reads that variable.
+    free_leaves = [k for k, entry in enumerate(compiled) if entry[2]]
+    values: list[Optional[bool]] = [None] * len(compiled)
+
+    def truth(atom: LoweredLinear) -> Optional[bool]:
+        return values[leaf_index[id(atom)]]
 
     # --- the walk ---------------------------------------------------------
     init = (
-        mta.initial(),
-        (0,) * len(slot),
-        tuple((0, 0) for _ in scenario.terms),
-        tuple((entry, -1) for _n, _needle, entry in scenario.comps),
+        (mta.initial(),)
+        + (0,) * len(slot)
+        + (0, 0) * len(scenario.terms)
+        + tuple(x for _n, _needle, entry in scenario.comps for x in (entry, -1))
     )
     parents: dict[tuple, Optional[tuple]] = {init: None}
     queue = deque([init])
     touched = False
 
-    # --- acceptance -------------------------------------------------------
-    def leaf_value(
-        atom: LoweredLinear, ints: dict[str, int], counters: tuple[int, ...]
-    ) -> Optional[bool]:
-        """Three-valued: a saturated counter stands for any value >= top."""
-        lo = hi = 0
-        lo_open = hi_open = False
-        for coeff, term in atom.terms:
-            if isinstance(term, IntTerm):
-                lo += coeff * ints[term.var]
-                hi += coeff * ints[term.var]
-                continue
-            v = counters[slot[term]]
-            if v < top:
-                lo += coeff * v
-                hi += coeff * v
-            elif coeff > 0:
-                lo += coeff * top
-                hi_open = True
-            else:
-                hi += coeff * top
-                lo_open = True
-        if not hi_open and hi <= atom.bound:
-            return True
-        if not lo_open and lo > atom.bound:
-            return False
-        return None
-
-    def lens_sum(slots: tuple[int, ...], counters: tuple[int, ...]) -> int:
+    def lens_sum(slots: tuple[int, ...], state: tuple) -> int:
         total = 0
         for i in slots:
-            v = counters[i]
+            v = state[i]
             if v >= top:
                 raise _Saturated
             total += v
         return total
 
     def try_accept(state: tuple) -> Optional[WalkResult]:
+        """Discharge the scenario's checks on a state of a final product state."""
         nonlocal touched
-        prod, counters, terms, comps = state
-        if not mta.is_final(prod):
-            return None
-        for y, z in terms:
-            if z != 1:
-                return None
+        if 0 in state[term_at + 1 : comp_at : 2]:
+            return None  # some position term never froze
         try:
-            for y, _z in terms:
+            for y in state[term_at:comp_at:2]:
                 if y >= top:
                     raise _Saturated
 
             # First-occurrence monitors (exact, so checked before anything
             # that could abandon the state on a saturated counter).
-            for mon in scenario.monitors:
-                for mp in mon.pieces:
-                    q, first = comps[mp.comp]
-                    if mp.landing_term is None:
-                        if first != -1 or q != mp.exit_state:
-                            return None
-                    else:
-                        if first == -1:
-                            return None
-                        if first >= top:
-                            raise _Saturated
-                        if first != terms[mp.landing_term][0]:
-                            return None
+            for q_at, exit_state, landing_at in monitor_pieces:
+                first = state[q_at + 1]
+                if landing_at is None:
+                    if first != -1 or state[q_at] != exit_state:
+                        return None
+                else:
+                    if first == -1:
+                        return None
+                    if first >= top:
+                        raise _Saturated
+                    if first != state[landing_at]:
+                        return None
 
             # Linking equations pin integer values (or check constants).
             ints: dict[str, int] = {}
@@ -966,9 +1000,9 @@ def counter_walk_solve(
                 return True
 
             for link, slots in links:
-                pos = link.const + lens_sum(slots, counters)
+                pos = link.const + lens_sum(slots, state)
                 if link.term is not None:
-                    pos += terms[link.term][0]
+                    pos += state[term_at + 2 * link.term]
                 if not bind(link.index, pos - link.shift):
                     return None
             for index in scenario.zeros:
@@ -977,7 +1011,7 @@ def counter_walk_solve(
 
             lower: dict[str, int] = {}
             for pe, slots in past_ends:
-                need = lens_sum(slots, counters) + pe.const + 1
+                need = lens_sum(slots, state) + pe.const + 1
                 if isinstance(pe.index, int):
                     if pe.index < need:
                         return None
@@ -994,21 +1028,66 @@ def counter_walk_solve(
                 if lo > int_bound:
                     raise _Saturated
                 ranges.append(range(lo, int_bound + 1))
-            saw_unknown = False
+
+            # Each leaf's counter and pinned part, three-valued: a
+            # saturated counter stands for any value >= top.
+            parts = []
+            for k, (counter_terms, pinned, _free_terms, bound) in enumerate(compiled):
+                lo = hi = 0
+                lo_open = hi_open = False
+                for coeff, i in counter_terms:
+                    v = state[i]
+                    if v < top:
+                        lo += coeff * v
+                        hi += coeff * v
+                    elif coeff > 0:
+                        lo += coeff * top
+                        hi_open = True
+                    else:
+                        hi += coeff * top
+                        lo_open = True
+                for coeff, var in pinned:
+                    lo += coeff * ints[var]
+                    hi += coeff * ints[var]
+                part = (
+                    None if hi_open else bound - hi,
+                    None if lo_open else bound - lo,
+                )
+                parts.append(part)
+                values[k] = _leaf_truth(part, 0)
+
+            def sat(combo: Sequence[int]) -> WalkResult:
+                candidate = dict(ints)
+                candidate.update(zip(free, combo))
+                return WalkResult("sat", _reconstruct(state), candidate)
+
+            if not free_leaves:
+                # Every combination gives these values: charge for as many
+                # as the enumeration would try before stopping.
+                results = [tree_eval(t, truth) for t in mandatory]
+                accepted = all(v is True for v in results)
+                tries = 1
+                if not accepted:
+                    for r in ranges:
+                        tries *= len(r)
+                if not budget.charge(min(tries, max(budget.remaining, 0) + 1)):
+                    return WalkResult("resource")
+                if accepted:
+                    return sat([r.start for r in ranges])
+                if None in results:
+                    touched = True
+                return None
             for combo in iter_product(*ranges):
                 if not budget.charge():
                     return WalkResult("resource")
-                candidate = dict(ints)
-                candidate.update(zip(free, combo))
-                truth = lambda atom: leaf_value(atom, candidate, counters)  # noqa: E731
-                values = [tree_eval(t, truth) for t in mandatory]
-                if all(v is True for v in values):
-                    words = _reconstruct(state)
-                    return WalkResult("sat", words, candidate)
-                if None in values:
-                    saw_unknown = True
-            if saw_unknown or reads_free:
-                touched = True
+                for k in free_leaves:
+                    shift = 0
+                    for coeff, j in compiled[k][2]:
+                        shift += coeff * combo[j]
+                    values[k] = _leaf_truth(parts[k], shift)
+                if all(tree_eval(t, truth) is True for t in mandatory):
+                    return sat(combo)
+            touched = True
             return None
         except _Saturated:
             touched = True
@@ -1030,61 +1109,57 @@ def counter_walk_solve(
         }
 
     # --- main loop --------------------------------------------------------
-    plans: dict[tuple[int, str], tuple] = {}
+    steps: dict[tuple[int, ...], tuple[bool, list[tuple]]] = {}
     while queue:
         state = queue.popleft()
-        result = try_accept(state)
-        if result is not None:
-            return result
-        prod, counters, terms, comps = state
-        for track, ch, nxt_prod in mta.moves(prod):
-            plan = plans.get((track, ch))
-            if plan is None:
-                plan = plans[track, ch] = plan_for(track, ch)
-            increments, length, comp_steps, term_steps = plan
-            new_counters = counters
-            if increments:
-                grown = list(counters)
-                dead = False
-                for i, ceiling in increments:
-                    grown[i] = bump(grown[i])
-                    if grown[i] > ceiling:
-                        dead = True
-                        break
-                if dead:
-                    continue  # mandatory ceiling: the state can never accept
-                new_counters = tuple(grown)
-            new_comps = comps
-            for c, kmp_row, needle_len in comp_steps:
-                q, first = new_comps[c]
-                q2 = kmp_row[q]
-                if q2 == needle_len and first == -1:
-                    first = new_counters[length]
-                new_comps = new_comps[:c] + ((q2, first),) + new_comps[c + 1 :]
+        prod = state[0]
+        entry = steps.get(prod)
+        if entry is None:
+            entry = steps[prod] = step_table(prod)
+        final, table = entry
+        if final:
+            result = try_accept(state)
+            if result is not None:
+                return result
+        for nxt_prod, track, ch, increments, comp_steps, term_steps in table:
+            grown = list(state)
+            grown[0] = nxt_prod
+            dead = False
+            for i, ceiling in increments:
+                v = grown[i]
+                v = v + 1 if v <= cap else top
+                if v > ceiling:
+                    dead = True
+                    break
+                grown[i] = v
+            if dead:
+                continue  # mandatory ceiling: the state can never accept
+            for q_at, kmp_row, needle_len, length_at in comp_steps:
+                q = grown[q_at] = kmp_row[grown[q_at]]
+                if q == needle_len and grown[q_at + 1] == -1:
+                    grown[q_at + 1] = grown[length_at]
 
             # Position trackers: bump while unfrozen, optionally freeze on
             # a matching letter (after the bump, so positions are 1-based).
-            term_options = [terms]
-            if term_steps:
-                alternatives: list[list[tuple[int, int]]] = []
-                for t, can_freeze in term_steps:
-                    y, z = terms[t]
-                    if z:
-                        alternatives.append([(y, z)])
-                    else:
-                        y2 = bump(y)
-                        options = [(y2, 0)]
-                        if can_freeze:
-                            options.append((y2, 1))
-                        alternatives.append(options)
-                term_options = []
-                for combo in iter_product(*alternatives):
-                    new_terms = list(terms)
-                    for (t, _f), pair in zip(term_steps, combo):
-                        new_terms[t] = pair
-                    term_options.append(tuple(new_terms))
-            for new_terms in term_options:
-                nxt = (nxt_prod, new_counters, new_terms, new_comps)
+            forks = []
+            for y_at, can_freeze in term_steps:
+                if not grown[y_at + 1]:
+                    y = grown[y_at]
+                    grown[y_at] = y + 1 if y <= cap else top
+                    if can_freeze:
+                        forks.append(y_at + 1)
+            # Each freezable term forks every option so far, unfrozen
+            # first, so the options come out with the first term slowest.
+            options = [grown]
+            for z_at in forks:
+                forked = []
+                for option in options:
+                    frozen = option.copy()
+                    frozen[z_at] = 1
+                    forked += (option, frozen)
+                options = forked
+            for option in options:
+                nxt = tuple(option)
                 if nxt not in parents:
                     if not budget.charge():
                         return WalkResult("resource")
@@ -1092,6 +1167,21 @@ def counter_walk_solve(
                     queue.append(nxt)
 
     return WalkResult("within" if touched else "unsat")
+
+
+def _leaf_truth(part: tuple[Optional[int], Optional[int]], shift: int) -> Optional[bool]:
+    """A compiled leaf's value once its free integers add up to ``shift``.
+
+    ``part`` holds the bound less the leaf's highest and lowest value
+    over the counters and pinned integers, None where a saturated
+    counter leaves that side open.
+    """
+    hi_room, lo_room = part
+    if hi_room is not None and shift <= hi_room:
+        return True
+    if lo_room is not None and shift > lo_room:
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,6 @@ class Transducer:
         return transducer_normalize(self)
 
     @cached_property
-    def arcs(self) -> dict[int, list[tuple[str, str, int]]]:
-        """Outgoing ``(input, output, target)`` arcs per state, in arc order."""
-        out: dict[int, list[tuple[str, str, int]]] = {
-            q: [] for q in range(self.n_states)
-        }
-        for q, ins, outs, r in self.transitions:
-            out[q].append((ins, outs, r))
-        return out
-
-    @cached_property
     def consuming(self) -> list[dict[str, tuple[int, ...]]]:
         """Per state of a normalized machine: consumed letter -> targets."""
         return self._targets_by_letter(1)

@@ -1,0 +1,19 @@
+"""Fixtures shared by several test modules."""
+
+from __future__ import annotations
+
+import pytest
+
+from slsolve.constraints import Problem
+from slsolve.oracle import gen_random_problem
+
+
+@pytest.fixture(scope="session")
+def extension_problems() -> list[Problem]:
+    """The seeded extension corpus, seeds 0..299, generated once per session.
+
+    Generating it takes several seconds (the generator resamples until
+    an instance is small enough for the brute-force oracle), and the
+    walk, solve-loop, lowering and acceptance tests all read it.
+    """
+    return [gen_random_problem(seed, with_extensions=True) for seed in range(300)]

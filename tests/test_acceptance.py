@@ -151,11 +151,10 @@ def test_acceptance_string_differential_five_hundred_seeds():
     assert elapsed < 600.0, f"took {elapsed:.0f}s"
 
 
-def test_acceptance_extension_differential_three_hundred_seeds():
+def test_acceptance_extension_differential_three_hundred_seeds(extension_problems):
     config = OracleConfig(max_len=8, max_int=8)
     start = time.monotonic()
-    for seed in range(300):
-        problem = gen_random_problem(seed, with_extensions=True)
+    for seed, problem in enumerate(extension_problems):
         verdict = solve(problem, int_bound=8)
         witness = brute_force_solve(problem, config)
         if verdict.is_sat:

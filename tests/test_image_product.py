@@ -58,7 +58,9 @@ def reference_image(
     t = t if t.is_normalized else transducer_normalize(t)
     a = nfa_eps_eliminate(a)
     w = nfa_eps_eliminate(within) if within is not None else None
-    t_arcs = t.arcs
+    t_arcs: list[list[tuple[str, str, int]]] = [[] for _ in range(t.n_states)]
+    for q, ins, outs, r in t.transitions:
+        t_arcs[q].append((ins, outs, r))
     a_by_sym = a.arcs_by_symbol
     closures: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 

@@ -50,7 +50,6 @@ from slsolve.extensions import (
     PieceLen,
     Scenario,
 )
-from slsolve.oracle import gen_random_problem
 from slsolve.solver import Shape, _checked_fold, split_concat
 
 # ---------------------------------------------------------------------------
@@ -579,11 +578,11 @@ def lowered(problem: Problem) -> tuple[list[Scenario], Optional[BoolTree]]:
     return scenarios, tree
 
 
-def test_seeded_problems_lower_as_the_reference_does():
+def test_seeded_problems_lower_as_the_reference_does(extension_problems):
     names = [field.name for field in fields(Scenario)]
     used = set()
-    for seed in range(300):
-        scenarios, tree = lowered(gen_random_problem(seed, with_extensions=True))
+    for problem in extension_problems:
+        scenarios, tree = lowered(problem)
         used.update(name for s in scenarios for name in names if getattr(s, name))
         if tree is not None:
             used.add("int_tree")

@@ -241,11 +241,6 @@ def test_string_only_problems_match_the_reference():
     assert statuses == {"sat", "unsat"}
 
 
-@pytest.fixture(scope="module")
-def extension_problems() -> list[Problem]:
-    return [gen_random_problem(seed, with_extensions=True) for seed in range(300)]
-
-
 @pytest.mark.parametrize("limit", [10_000, 300])
 def test_extension_problems_match_the_reference(extension_problems, limit):
     statuses = {
