@@ -16,7 +16,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .constraints import ConcatEq, Lit, Problem, RelAtom, Var, problem_wellformed
+from .constraints import (
+    ConcatEq,
+    ConcatItem,
+    Lit,
+    Problem,
+    RelAtom,
+    Var,
+    problem_wellformed,
+)
 
 
 class NotStraightLine(ValueError):
@@ -69,53 +77,90 @@ def check_straightline(problem: Problem) -> DependencyGraph:
     if errors:
         raise ValueError("; ".join(errors))
 
+    str_vars = problem.str_vars
+    decl_index = {v: i for i, v in enumerate(str_vars)}
     defining: dict[str, RelAtom] = {}
-    for rel in problem.relations:
-        if rel.lhs in defining:
-            raise MultiplyDefined(rel.lhs)
-        defining[rel.lhs] = rel
-
     uses: dict[str, tuple[str, ...]] = {}
-    for var, rel in defining.items():
+    # Whether every definition mentions only variables declared before
+    # the one it defines.  Then declaration order is itself the
+    # canonical evaluation order, and no search is needed.
+    forward = True
+    for rel in problem.relations:
+        var = rel.lhs
+        if var in defining:
+            raise MultiplyDefined(var)
+        defining[var] = rel
         if isinstance(rel, ConcatEq):
-            used = tuple(
-                dict.fromkeys(
-                    item.name for item in rel.items if isinstance(item, Var)
-                )
-            )
+            used = _distinct_vars(rel.items)
         else:
             used = (rel.arg,)
         uses[var] = used
+        if forward:
+            index = decl_index[var]
+            for name in used:
+                if decl_index[name] >= index:
+                    forward = False
+                    break
 
-    decl_index = {v: i for i, v in enumerate(problem.str_vars)}
-    pending = {v: len(uses.get(v, ())) for v in problem.str_vars}
-    dependents: dict[str, list[str]] = {v: [] for v in problem.str_vars}
-    for var in problem.str_vars:
-        for used in uses.get(var, ()):
-            dependents[used].append(var)
+    order = tuple(str_vars) if forward else _canonical_order(problem, decl_index, uses)
+    sources = tuple(v for v in str_vars if v not in defining)
+    return DependencyGraph(order, sources, defining, uses)
 
-    ready = [decl_index[v] for v in problem.str_vars if pending[v] == 0]
-    heapq.heapify(ready)
+
+def _distinct_vars(items: tuple[ConcatItem, ...]) -> tuple[str, ...]:
+    """The distinct variables among ``items``, in first-occurrence order."""
+    if len(items) > 8:
+        return tuple(dict.fromkeys(i.name for i in items if isinstance(i, Var)))
+    # Short right-hand sides are the rule; a linear scan of the tuple
+    # built so far is cheaper for them than a dictionary.
+    used: tuple[str, ...] = ()
+    for item in items:
+        if isinstance(item, Var) and item.name not in used:
+            used += (item.name,)
+    return used
+
+
+def _canonical_order(
+    problem: Problem,
+    decl_index: dict[str, int],
+    uses: dict[str, tuple[str, ...]],
+) -> tuple[str, ...]:
+    """Topological order of the definitions, ties broken by declaration.
+
+    Kahn's algorithm over declaration indices with a min-heap of ready
+    variables.
+
+    :raises CyclicDefinition: if some variables never become ready.
+    """
+    str_vars = problem.str_vars
+    pending = [0] * len(str_vars)
+    dependents: list[list[int]] = [[] for _ in str_vars]
+    for var, used in uses.items():
+        index = decl_index[var]
+        pending[index] = len(used)
+        for name in used:
+            dependents[decl_index[name]].append(index)
+
+    ready = [i for i, n in enumerate(pending) if n == 0]
     order: list[str] = []
     while ready:
-        var = problem.str_vars[heapq.heappop(ready)]
-        order.append(var)
-        for dependent in dependents[var]:
+        index = heapq.heappop(ready)
+        order.append(str_vars[index])
+        for dependent in dependents[index]:
             pending[dependent] -= 1
             if pending[dependent] == 0:
-                heapq.heappush(ready, decl_index[dependent])
+                heapq.heappush(ready, dependent)
 
-    if len(order) < len(problem.str_vars):
-        raise CyclicDefinition(_shortest_cycle(problem, uses, pending))
-
-    sources = tuple(v for v in problem.str_vars if v not in defining)
-    return DependencyGraph(tuple(order), sources, defining, uses)
+    if len(order) < len(str_vars):
+        residual = {str_vars[i] for i, n in enumerate(pending) if n > 0}
+        raise CyclicDefinition(_shortest_cycle(problem, uses, residual))
+    return tuple(order)
 
 
 def _shortest_cycle(
     problem: Problem,
     uses: dict[str, tuple[str, ...]],
-    pending: dict[str, int],
+    residual: set[str],
 ) -> tuple[str, ...]:
     """A shortest definition cycle among the unresolvable variables.
 
@@ -125,7 +170,6 @@ def _shortest_cycle(
     witness.
     """
     decl_index = {v: i for i, v in enumerate(problem.str_vars)}
-    residual = {v for v, n in pending.items() if n > 0}
 
     def deps(var: str) -> list[str]:
         return sorted(
