@@ -456,13 +456,11 @@ def problem_wellformed(problem: Problem) -> list[str]:
         if name not in ints:
             errors.append(f"{where}: undeclared integer variable {name!r}")
 
-    letters = frozenset(problem.alphabet.symbols)
-
     def need_word(text: str, where: str) -> None:
-        if letters.issuperset(text):
-            return
-        ch = next(ch for ch in text if ch not in letters)
-        errors.append(f"{where}: character {ch!r} outside the alphabet")
+        for ch in text:
+            if ch not in problem.alphabet:
+                errors.append(f"{where}: character {ch!r} outside the alphabet")
+                return
 
     for rel in problem.relations:
         if isinstance(rel, ConcatEq):

@@ -16,15 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .constraints import (
-    ConcatEq,
-    ConcatItem,
-    Lit,
-    Problem,
-    RelAtom,
-    Var,
-    problem_wellformed,
-)
+from .constraints import ConcatEq, Lit, Problem, RelAtom, Var, problem_wellformed
 
 
 class NotStraightLine(ValueError):
@@ -77,62 +69,25 @@ def check_straightline(problem: Problem) -> DependencyGraph:
     if errors:
         raise ValueError("; ".join(errors))
 
-    str_vars = problem.str_vars
-    decl_index = {v: i for i, v in enumerate(str_vars)}
     defining: dict[str, RelAtom] = {}
     uses: dict[str, tuple[str, ...]] = {}
-    # Whether every definition mentions only variables declared before
-    # the one it defines.  Then declaration order is itself the
-    # canonical evaluation order, and no search is needed.
-    forward = True
     for rel in problem.relations:
         var = rel.lhs
         if var in defining:
             raise MultiplyDefined(var)
         defining[var] = rel
         if isinstance(rel, ConcatEq):
-            used = _distinct_vars(rel.items)
+            # A dict keeps each name once, at its first occurrence.
+            uses[var] = tuple(
+                {item.name: None for item in rel.items if isinstance(item, Var)}
+            )
         else:
-            used = (rel.arg,)
-        uses[var] = used
-        if forward:
-            index = decl_index[var]
-            for name in used:
-                if decl_index[name] >= index:
-                    forward = False
-                    break
+            uses[var] = (rel.arg,)
 
-    order = tuple(str_vars) if forward else _canonical_order(problem, decl_index, uses)
-    sources = tuple(v for v in str_vars if v not in defining)
-    return DependencyGraph(order, sources, defining, uses)
-
-
-def _distinct_vars(items: tuple[ConcatItem, ...]) -> tuple[str, ...]:
-    """The distinct variables among ``items``, in first-occurrence order."""
-    if len(items) > 8:
-        return tuple(dict.fromkeys(i.name for i in items if isinstance(i, Var)))
-    # Short right-hand sides are the rule; a linear scan of the tuple
-    # built so far is cheaper for them than a dictionary.
-    used: tuple[str, ...] = ()
-    for item in items:
-        if isinstance(item, Var) and item.name not in used:
-            used += (item.name,)
-    return used
-
-
-def _canonical_order(
-    problem: Problem,
-    decl_index: dict[str, int],
-    uses: dict[str, tuple[str, ...]],
-) -> tuple[str, ...]:
-    """Topological order of the definitions, ties broken by declaration.
-
-    Kahn's algorithm over declaration indices with a min-heap of ready
-    variables.
-
-    :raises CyclicDefinition: if some variables never become ready.
-    """
+    # Kahn's algorithm over declaration indices, with a min-heap of the
+    # ready variables so ties break by declaration position.
     str_vars = problem.str_vars
+    decl_index = {v: i for i, v in enumerate(str_vars)}
     pending = [0] * len(str_vars)
     dependents: list[list[int]] = [[] for _ in str_vars]
     for var, used in uses.items():
@@ -154,7 +109,9 @@ def _canonical_order(
     if len(order) < len(str_vars):
         residual = {str_vars[i] for i, n in enumerate(pending) if n > 0}
         raise CyclicDefinition(_shortest_cycle(problem, uses, residual))
-    return tuple(order)
+
+    sources = tuple(v for v in problem.str_vars if v not in defining)
+    return DependencyGraph(tuple(order), sources, defining, uses)
 
 
 def _shortest_cycle(

@@ -124,28 +124,6 @@ def test_uses_lists_distinct_variables_in_first_occurrence_order():
     assert graph.uses["x"] == ("z", "y")
 
 
-def test_wide_concatenation_lists_distinct_variables_once():
-    items = ("y", "z") * 6 + (Lit("a"), "x")
-    problem = Problem(
-        alphabet=AB, str_vars=("x", "y", "z", "w"), relations=(concat("w", *items),)
-    )
-    assert check_straightline(problem).uses["w"] == ("y", "z", "x")
-
-
-def test_definitions_may_use_variables_declared_later():
-    problem = Problem(
-        alphabet=AB,
-        str_vars=("z", "y", "w", "x"),
-        relations=(
-            concat("z", "y", "w"),
-            TransducerEq("y", "copy", COPY, "x"),
-        ),
-    )
-    graph = check_straightline(problem)
-    assert graph.order == ("w", "x", "y", "z")
-    assert graph.sources == ("w", "x")
-
-
 # ---------------------------------------------------------------------------
 # Split counts and the dimension statistic
 
