@@ -448,35 +448,39 @@ def problem_wellformed(problem: Problem) -> list[str]:
     if strs & ints:
         errors.append(f"variables declared as both sorts: {sorted(strs & ints)}")
 
-    def need_str(name: str, where: str) -> None:
+    symbols = set(problem.alphabet.symbols)
+
+    # A location is ``where % args``, built only for an error report.
+    def need_str(name: str, where: str, *args: str) -> None:
         if name not in strs:
-            errors.append(f"{where}: undeclared string variable {name!r}")
+            errors.append(f"{where % args}: undeclared string variable {name!r}")
 
-    def need_int(name: str, where: str) -> None:
+    def need_int(name: str, where: str, *args: str) -> None:
         if name not in ints:
-            errors.append(f"{where}: undeclared integer variable {name!r}")
+            errors.append(f"{where % args}: undeclared integer variable {name!r}")
 
-    def need_word(text: str, where: str) -> None:
-        for ch in text:
-            if ch not in problem.alphabet:
-                errors.append(f"{where}: character {ch!r} outside the alphabet")
-                return
+    def need_word(text: str, where: str, *args: str) -> None:
+        if not symbols.issuperset(text):
+            ch = next(ch for ch in text if ch not in symbols)
+            errors.append(f"{where % args}: character {ch!r} outside the alphabet")
 
     for rel in problem.relations:
         if isinstance(rel, ConcatEq):
-            where = f"concatenation defining {rel.lhs}"
-            need_str(rel.lhs, where)
+            where = "concatenation defining %s"
+            need_str(rel.lhs, where, rel.lhs)
             for item in rel.items:
                 if isinstance(item, Var):
-                    need_str(item.name, where)
+                    need_str(item.name, where, rel.lhs)
                 else:
-                    need_word(item.text, where)
+                    need_word(item.text, where, rel.lhs)
         else:
-            where = f"transducer constraint defining {rel.lhs}"
-            need_str(rel.lhs, where)
-            need_str(rel.arg, where)
+            where = "transducer constraint defining %s"
+            need_str(rel.lhs, where, rel.lhs)
+            need_str(rel.arg, where, rel.lhs)
             if rel.transducer.alphabet != problem.alphabet:
-                errors.append(f"{where}: transducer alphabet differs from problem alphabet")
+                errors.append(
+                    f"{where % rel.lhs}: transducer alphabet differs from problem alphabet"
+                )
 
     for atom in _iter_reg_atoms(problem.regular):
         need_str(atom.var, "regular constraint")
@@ -517,15 +521,15 @@ def problem_wellformed(problem: Problem) -> list[str]:
                         errors.append(f"bad character constant {side.char!r}")
 
     for atom in problem.indexofs:
-        where = f"indexof binding {atom.result}"
-        need_int(atom.result, where)
+        where = "indexof binding %s"
+        need_int(atom.result, where, atom.result)
         if not atom.needle:
-            errors.append(f"{where}: empty needle")
-        need_word(atom.needle, where)
+            errors.append(f"{where % atom.result}: empty needle")
+        need_word(atom.needle, where, atom.result)
         if isinstance(atom.haystack, Var):
-            need_str(atom.haystack.name, where)
+            need_str(atom.haystack.name, where, atom.result)
         else:
-            need_word(atom.haystack.text, where)
+            need_word(atom.haystack.text, where, atom.result)
 
     for diseq in problem.disequalities:
         need_str(diseq.left, "disequality")

@@ -15,9 +15,12 @@ disequalities — is decided here by a bounded search:
    "lengths differ" and "some shared position differs".  Choices that
    cannot be expressed as counters — which piece a position lands on,
    which character sits there, how a disequality is discharged — are
-   enumerated up front as *scenarios*.  Where a position can land is
-   read off one walk over a variable's layout (:func:`_layout`), which
-   character sides and index-of placements share.
+   enumerated up front as *scenarios*.  Each unit — a character-leaf
+   occurrence under one truth vector, a disequality, an index-of
+   binding — is lowered once into its alternatives, and a scenario is
+   one pick per unit.  Where a position can land is read off one walk
+   over a variable's layout (:func:`_layout`), which character sides
+   and index-of placements share.
 
 2. :func:`slsolve.solver.solve` runs its usual search and hands each
    feasible forest of piece automata and segment transducers to
@@ -61,7 +64,6 @@ from .constraints import (
     CharConst,
     CharPos,
     CountTerm,
-    Disequality,
     IndexOfAtom,
     IntTerm,
     Leaf,
@@ -72,7 +74,6 @@ from .constraints import (
     Or,
     Problem,
     TransducerEq,
-    Var,
     _occurrences,
     satisfying_vectors,
     tree_eval,
@@ -358,6 +359,13 @@ def _char_leaf_scenarios(
                     yield Scenario(zeros=(side.index,))
                 nodes, lit_len = _len_parts(shapes[side.var])
                 yield Scenario(past_ends=(PastEnd(side.index, lit_len, tuple(nodes)),))
+    yield from _in_range_scenarios(atom, value, shapes, alphabet)
+
+
+def _in_range_scenarios(
+    atom: CharAtom, value: bool, shapes: dict[str, Shape], alphabet: Alphabet
+) -> Iterator[Scenario]:
+    """The ways both sides land in range, holding equal characters if ``value``."""
     rights = list(_side_choices(atom.right, shapes, alphabet))
     for left in _side_choices(atom.left, shapes, alphabet):
         for right in rights:
@@ -365,57 +373,6 @@ def _char_leaf_scenarios(
                 for ch_r, frag_r in right:
                     if (ch_l == ch_r) == value:
                         yield _merge_scenarios([frag_l, frag_r])
-
-
-def lower_char_constraints(
-    tree: Optional[BoolTree], shapes: dict[str, Shape], alphabet: Alphabet
-) -> Iterator[Scenario]:
-    """Enumerate scenarios discharging the character-equality tree.
-
-    Truth values are assigned per leaf occurrence in
-    :func:`satisfying_vectors` order, and each assignment expands into
-    the cross product of its leaves' landing/guess choices; a missing
-    tree yields the one empty scenario.
-    """
-    leaves = tree_leaves(tree) if tree is not None else []
-    for values in satisfying_vectors(tree):
-        per_leaf = []
-        for leaf, value in zip(leaves, values):
-            atom = leaf.atom
-            assert isinstance(atom, CharAtom)
-            per_leaf.append(
-                list(_char_leaf_scenarios(atom, value, shapes, alphabet))
-            )
-        for combo in iter_product(*per_leaf):
-            yield _merge_scenarios(combo)
-
-
-def lower_disequalities(
-    diseqs: Sequence[Disequality],
-    shapes: dict[str, Shape],
-    alphabet: Alphabet,
-) -> Iterator[Scenario]:
-    """Enumerate scenarios discharging every string disequality.
-
-    Each disequality independently picks one witness: either the two
-    lengths differ (a lowered linear disjunction) or a shared fresh
-    position holds distinct characters, both in range.  Fresh position
-    names are internal (not legal identifiers) so they can never collide
-    with declared integer variables.
-    """
-
-    def alternatives(idx: int, diseq: Disequality) -> Iterator[Scenario]:
-        yield Scenario(extra=(_length_differs(diseq.left, diseq.right, shapes),))
-        position = f"%d{idx}"
-        atom = CharAtom(CharPos(diseq.left, position), CharPos(diseq.right, position))
-        for scenario in _char_leaf_scenarios(atom, False, shapes, alphabet):
-            if scenario.zeros or scenario.past_ends:
-                continue  # the char-difference witness needs both in range
-            yield scenario
-
-    per_diseq = [list(alternatives(i, d)) for i, d in enumerate(diseqs)]
-    for combo in iter_product(*per_diseq):
-        yield _merge_scenarios(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +417,22 @@ def _run_literal(
     return q, first
 
 
-def _indexof_var_scenarios(
+def _indexof_scenarios(
     atom: IndexOfAtom, shapes: dict[str, Shape], alphabet: Alphabet
 ) -> Iterator[Scenario]:
-    assert isinstance(atom.haystack, Var)
+    """All ways one index-of binding can hold.
+
+    A constant haystack resolves statically.  Otherwise an anywhere
+    binding becomes one character term per needle letter at consecutive
+    positions; a first-occurrence binding additionally requires the
+    prefix before the match to be occurrence-free, tracked per piece
+    zone.
+    """
+    if isinstance(atom.haystack, Lit):
+        positions = _occurrences(atom.needle, atom.haystack.text)
+        for pos in positions[:1] if atom.first else positions:
+            yield Scenario(links=(LinkEq(atom.result, 0, None, pos, ()),))
+        return
     shape = shapes[atom.haystack.name]
     needle = atom.needle
     p = len(needle)
@@ -531,42 +500,45 @@ def _indexof_var_scenarios(
             )
 
 
-def lower_indexof(
-    atoms: Sequence[IndexOfAtom], shapes: dict[str, Shape], alphabet: Alphabet
-) -> Iterator[Scenario]:
-    """Enumerate scenarios discharging every index-of binding.
-
-    An anywhere binding becomes one character term per needle letter at
-    consecutive positions; a first-occurrence binding additionally
-    requires the prefix before the match to be occurrence-free, tracked
-    per piece zone.  Constant haystacks resolve statically.
-    """
-
-    def one(atom: IndexOfAtom) -> Iterator[Scenario]:
-        if isinstance(atom.haystack, Lit):
-            positions = _occurrences(atom.needle, atom.haystack.text)
-            if atom.first:
-                positions = positions[:1]
-            for pos in positions:
-                yield Scenario(links=(LinkEq(atom.result, 0, None, pos, ()),))
-            return
-        yield from _indexof_var_scenarios(atom, shapes, alphabet)
-
-    per_atom = [list(one(a)) for a in atoms]
-    for combo in iter_product(*per_atom):
-        yield _merge_scenarios(combo)
+# ---------------------------------------------------------------------------
+# The scenario stream
 
 
 def enumerate_scenarios(
     problem: Problem, shapes: dict[str, Shape]
 ) -> Iterator[Scenario]:
-    """The full scenario stream: chars × disequalities × index-of."""
-    for chars in lower_char_constraints(problem.chars, shapes, problem.alphabet):
-        for diseq in lower_disequalities(
-            problem.disequalities, shapes, problem.alphabet
-        ):
-            for idx in lower_indexof(problem.indexofs, shapes, problem.alphabet):
-                yield _merge_scenarios([chars, diseq, idx])
+    """The full scenario stream: chars × disequalities × index-of.
+
+    Each unit is lowered once into its list of alternatives: a
+    character-leaf occurrence under one truth vector (vectors in
+    :func:`satisfying_vectors` order), a disequality, an index-of
+    binding.  A scenario picks one alternative per unit, the last unit
+    varying fastest.  A disequality's witness is either that the lengths
+    differ (a lowered linear disjunction) or that a shared fresh position
+    holds distinct characters in range; fresh position names are not
+    legal identifiers, so they never collide with declared integers.
+    """
+    alphabet = problem.alphabet
+    rest: list[list[Scenario]] = []
+    for idx, diseq in enumerate(problem.disequalities):
+        position = f"%d{idx}"
+        atom = CharAtom(CharPos(diseq.left, position), CharPos(diseq.right, position))
+        rest.append(
+            [
+                Scenario(extra=(_length_differs(diseq.left, diseq.right, shapes),)),
+                *_in_range_scenarios(atom, False, shapes, alphabet),
+            ]
+        )
+    for atom in problem.indexofs:
+        rest.append(list(_indexof_scenarios(atom, shapes, alphabet)))
+    leaves = tree_leaves(problem.chars) if problem.chars is not None else []
+    for values in satisfying_vectors(problem.chars):
+        per_leaf = [
+            list(_char_leaf_scenarios(leaf.atom, value, shapes, alphabet))
+            for leaf, value in zip(leaves, values)
+        ]
+        for combo in iter_product(*per_leaf, *rest):
+            yield _merge_scenarios(combo)
 
 
 # ---------------------------------------------------------------------------

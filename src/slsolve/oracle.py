@@ -20,6 +20,7 @@ from typing import Optional
 from .automata import (
     Alphabet,
     Nfa,
+    nfa_determinize,
     nfa_enumerate,
     nfa_intersect,
     nfa_membership,
@@ -50,8 +51,14 @@ from .constraints import (
     evaluate,
 )
 from .regex import regex_parse
+from .solver import max_model_bound
 from .straightline import check_straightline
-from .transducer import Transducer, apply_function
+from .transducer import (
+    Transducer,
+    apply_function,
+    erase_transducer,
+    identity_transducer,
+)
 
 
 @dataclass(frozen=True)
@@ -95,17 +102,36 @@ def _mandatory_regular(problem: Problem) -> dict[str, list[Nfa]]:
     return out
 
 
-def source_candidates(
-    problem: Problem,
-    var: str,
-    max_len: int,
-    limit: Optional[int] = None,
-) -> list[str]:
-    """Words a source variable could take, shortest-then-lex, within bounds."""
+def _source_language(problem: Problem, var: str) -> Nfa:
+    """The words a source variable's mandatory regular constraints allow."""
     nfa = nfa_universal(problem.alphabet)
     for constraint in _mandatory_regular(problem).get(var, ()):
         nfa = nfa_intersect(nfa, constraint)
-    return nfa_enumerate(nfa, max_len, limit=limit)
+    return nfa
+
+
+def source_candidates(problem: Problem, var: str, max_len: int) -> list[str]:
+    """Words a source variable could take, shortest-then-lex, within bounds."""
+    return nfa_enumerate(_source_language(problem, var), max_len)
+
+
+def _count_words(nfa: Nfa, max_len: int) -> int:
+    """How many words of length at most ``max_len`` the automaton accepts.
+
+    A word is one path of the subset automaton, so the paths are counted
+    length by length instead of the words being listed.
+    """
+    dfa = nfa_determinize(nfa)
+    counts = [0] * dfa.n_states
+    counts[dfa.initial] = 1
+    total = 0
+    for _ in range(max_len + 1):
+        total += sum(counts[q] for q in dfa.finals)
+        step = [0] * dfa.n_states
+        for q, _sym, r in dfa.transitions:
+            step[r] += counts[q]
+        counts = step
+    return total
 
 
 def brute_force_solve(
@@ -206,12 +232,8 @@ def _random_pattern(rng: random.Random, alphabet: Alphabet, depth: int = 2) -> s
 def _random_transducer(rng: random.Random, alphabet: Alphabet) -> Transducer:
     roll = rng.random()
     if roll < 0.25:
-        from .transducer import identity_transducer
-
         return identity_transducer(alphabet)
     if roll < 0.5:
-        from .transducer import erase_transducer
-
         return erase_transducer(alphabet, rng.choice(alphabet.symbols))
     n = rng.randint(1, 2)
     rules: list[tuple[int, str, str, int]] = []
@@ -368,8 +390,6 @@ def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
 
 
 def _feasible(problem: Problem, with_extensions: bool) -> bool:
-    from .solver import max_model_bound
-
     length_cap = 8 if with_extensions else 12
     if max_model_bound(problem) > length_cap:
         return False
@@ -377,10 +397,8 @@ def _feasible(problem: Problem, with_extensions: bool) -> bool:
     work_cap = 20_000 if with_extensions else 40_000
     total = 1
     for var in graph.sources:
-        options = source_candidates(
-            problem, var, length_cap, limit=work_cap + 1
-        )
-        total *= max(len(options), 1)
+        words = _count_words(_source_language(problem, var), length_cap)
+        total *= max(words, 1)
         if total > work_cap:
             return False
     return True

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .automata import EPSILON, Alphabet, Nfa
+from .automata import EPSILON, Alphabet
 from .constraints import (
     And,
     BoolTree,
@@ -626,7 +626,7 @@ def parse_problem(text: str) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers (used by the CLI and the demos)
+# Serialization: a transducer as the block ``parse_problem`` reads back
 
 
 def _label_token(label: str) -> str:
@@ -644,16 +644,5 @@ def format_transducer(t: Transducer, name: str = "t") -> str:
     lines.append("  final " + " ".join(str(f) for f in sorted(t.finals)))
     for q, ins, outs, r in t.transitions:
         lines.append(f"  t {q} {_label_token(ins)}/{_label_token(outs)} {r}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def format_nfa(nfa: Nfa, name: str = "a") -> str:
-    lines = [f"nfa {name} {{"]
-    lines.append(f"  states {nfa.n_states}")
-    lines.append(f"  initial {nfa.initial}")
-    lines.append("  final " + " ".join(str(f) for f in sorted(nfa.finals)))
-    for q, sym, r in nfa.transitions:
-        lines.append(f"  t {q} {_label_token(sym)} {r}")
     lines.append("}")
     return "\n".join(lines)

@@ -395,23 +395,15 @@ def _var_ranges(
     results fall back to the membership automaton to keep later products
     small.
     """
-    needed: set[str] = set()
-    stack = [
-        var
-        for var in graph.order
-        if isinstance(graph.defining.get(var), TransducerEq)
-        and len(shapes[var].slots) == 1
-    ]
-    while stack:
-        var = stack.pop()
-        if var in needed:
-            continue
-        needed.add(var)
-        rel = graph.defining.get(var)
-        if isinstance(rel, TransducerEq):
-            stack.append(rel.arg)
-        elif isinstance(rel, ConcatEq):
-            stack.extend(item.name for item in rel.items if isinstance(item, Var))
+    needed = reachable(
+        (
+            var
+            for var in graph.order
+            if isinstance(graph.defining.get(var), TransducerEq)
+            and len(shapes[var].slots) == 1
+        ),
+        lambda var: graph.uses.get(var, ()),
+    )
 
     ranges: dict[str, Nfa] = {}
     for var in graph.order:
@@ -711,11 +703,7 @@ def _branch_forests(
         for idx, rel in enumerate(problem.relations)
         if isinstance(rel, TransducerEq)
     }
-    norm_by_var = {
-        rel.lhs: norm_ts[idx]
-        for idx, rel in enumerate(problem.relations)
-        if isinstance(rel, TransducerEq)
-    }
+    norm_by_var = {var: norm_ts[idx] for var, idx in image_rel_idx.items()}
 
     # Pin unsplit transducer images to their forward range.
     ranges = _var_ranges(problem, graph, shapes, var_nfas, norm_by_var)

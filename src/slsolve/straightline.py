@@ -1,12 +1,12 @@
-"""Straight-line form: definition discipline, ordering, and split counts.
+"""Straight-line form: definition discipline, ordering, and the dimension.
 
 A conjunction of relational constraints is *straight-line* when every
 variable has at most one defining equation and the definitions can be
 ordered so each right-hand side mentions only source variables or
 variables defined earlier.  Equivalently: definitions are unique and the
 use-definition graph is acyclic.  This module produces that ordering (or
-a minimal witness of failure) and computes the per-variable split
-counts that drive the decision procedure and the dimension parameter.
+a minimal witness of failure) and reads the dimension parameter off the
+piece decomposition the decision procedure splits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .constraints import ConcatEq, Lit, Problem, RelAtom, Var, problem_wellformed
 
@@ -156,61 +156,32 @@ def _shortest_cycle(
     raise AssertionError("no cycle among residual variables")
 
 
-@dataclass(frozen=True)
-class SplitCounts:
-    """Per-variable upper bounds on how many pieces a value may be cut into.
-
-    Sources count 1.  A transducer image inherits its argument's count.
-    A concatenation sums the counts of its variable occurrences (each
-    occurrence separately); literal pieces add 1 each only when
-    ``count_literals`` is set, which is the convention used for the
-    dimension statistic's constant-counting mode.
-    """
-
-    counts: Mapping[str, int]
-    count_literals: bool
-
-
-def split_counts(
-    problem: Problem,
-    graph: Optional[DependencyGraph] = None,
-    count_literals: bool = False,
-) -> SplitCounts:
-    if graph is None:
-        graph = check_straightline(problem)
-    counts: dict[str, int] = {}
-    for var in graph.order:
-        rel = graph.defining.get(var)
-        if rel is None:
-            counts[var] = 1
-        elif isinstance(rel, ConcatEq):
-            total = 0
-            for item in rel.items:
-                if isinstance(item, Var):
-                    total += counts[item.name]
-                elif count_literals and isinstance(item, Lit):
-                    total += 1
-            counts[var] = total
-        else:
-            counts[var] = counts[rel.arg]
-    return SplitCounts(counts, count_literals)
-
-
 def dimension(problem: Problem, count_constants: bool = False) -> int:
-    """The largest split count over all variables (0 without string variables).
+    """The most pieces any variable is cut into (0 without string variables).
 
     This is the fragment's complexity dial: solving is exponential only
-    in this number.  It is counted on the problem
+    in this number.  It is read off the piece decomposition
     :func:`slsolve.solver.solve` splits, where a variable-free equation
     such as ``x = "ab"`` has been folded into a membership, making ``x``
-    a source.  With ``count_constants`` the literal pieces of the given
-    concatenations are tallied too, matching the coarser statistic
-    sometimes quoted for benchmark families.
+    a source.  With ``count_constants`` the literal items of the given
+    concatenations are tallied too, each occurrence separately, matching
+    the coarser statistic sometimes quoted for benchmark families.
     """
-    if count_constants:
-        counts = split_counts(problem, count_literals=True).counts
-    else:
-        from .solver import _checked_fold
+    from .solver import _checked_fold, split_concat  # solver imports this module
 
-        counts = split_counts(*_checked_fold(problem)).counts
-    return max(counts.values(), default=0)
+    if not count_constants:
+        shapes = split_concat(*_checked_fold(problem))
+        return max((len(shape.slots) for shape in shapes.values()), default=0)
+    graph = check_straightline(problem)
+    shapes = split_concat(problem, graph)
+    literals: dict[str, int] = {}
+    for var in graph.order:
+        rel = graph.defining.get(var)
+        if isinstance(rel, ConcatEq):
+            literals[var] = sum(
+                1 if isinstance(item, Lit) else literals[item.name]
+                for item in rel.items
+            )
+        else:
+            literals[var] = 0 if rel is None else literals[rel.arg]
+    return max((len(shapes[v].slots) + literals[v] for v in graph.order), default=0)

@@ -9,6 +9,16 @@ from slsolve.oracle import gen_random_problem
 
 
 @pytest.fixture(scope="session")
+def string_problems() -> list[Problem]:
+    """The seeded string-only corpus, seeds 0..499, generated once per session.
+
+    The acceptance, solve-loop, placement, solver and oracle tests read
+    a prefix of it each.
+    """
+    return [gen_random_problem(seed) for seed in range(500)]
+
+
+@pytest.fixture(scope="session")
 def extension_problems() -> list[Problem]:
     """The seeded extension corpus, seeds 0..299, generated once per session.
 

@@ -34,7 +34,7 @@ from slsolve.constraints import (
     evaluate,
     tree_leaves,
 )
-from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
+from slsolve.oracle import OracleConfig, brute_force_solve
 from slsolve.regex import regex_parse
 from slsolve.solver import solve
 from slsolve.straightline import (
@@ -134,11 +134,10 @@ def test_acceptance_benchmarks_have_dimension_two():
         assert dimension(load_benchmark(name).problem) == 2, name
 
 
-def test_acceptance_string_differential_five_hundred_seeds():
+def test_acceptance_string_differential_five_hundred_seeds(string_problems):
     config = OracleConfig(max_len=12)
     start = time.monotonic()
-    for seed in range(500):
-        problem = gen_random_problem(seed)
+    for seed, problem in enumerate(string_problems):
         verdict = solve(problem)
         witness = brute_force_solve(problem, config)
         if verdict.is_sat:

@@ -449,13 +449,12 @@ def test_branching_forest_tuples_match_brute_force():
 # Seeded differential against the oracle
 
 
-def test_extended_solver_agrees_with_oracle_within_bounds():
+def test_extended_solver_agrees_with_oracle_within_bounds(extension_problems):
     """Where both sides are decisive they must agree, and a bounded
     refutation must at least cover everything the bounded oracle sees."""
     config = OracleConfig(max_len=6, max_int=6)
     statuses = {"sat": 0, "unsat": 0, "unsat-within-bounds": 0}
-    for seed in range(40):
-        problem = gen_random_problem(seed, with_extensions=True)
+    for seed, problem in enumerate(extension_problems[:40]):
         verdict = solve(problem, int_bound=6)
         assert verdict.status != "resource-limit"
         statuses[verdict.status] += 1

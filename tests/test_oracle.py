@@ -7,9 +7,22 @@ generator's contract: same seed, same instance; every instance passes
 the straight-line gate and stays cheap to brute-force.
 """
 
+import hashlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
-from slsolve.automata import Alphabet
+from slsolve.automata import (
+    EPSILON,
+    Alphabet,
+    Nfa,
+    nfa_enumerate,
+    nfa_none,
+    nfa_universal,
+)
 from slsolve.constraints import (
     And,
     ConcatEq,
@@ -28,6 +41,7 @@ from slsolve.constraints import (
 )
 from slsolve.oracle import (
     OracleConfig,
+    _count_words,
     brute_force_solve,
     gen_random_problem,
     source_candidates,
@@ -46,13 +60,32 @@ def reg(var: str, pattern: str) -> Leaf:
 def test_source_candidates_are_shortest_then_lex():
     problem = Problem(alphabet=AB, str_vars=("x",), regular=reg("x", "(bb|b|a)"))
     assert source_candidates(problem, "x", 4) == ["a", "b", "bb"]
-    assert source_candidates(problem, "x", 4, limit=2) == ["a", "b"]
 
 
 def test_source_candidates_respect_length_bound():
     problem = Problem(alphabet=AB, str_vars=("x",), regular=reg("x", "aaaaa"))
     assert source_candidates(problem, "x", 4) == []
     assert source_candidates(problem, "x", 5) == ["aaaaa"]
+
+
+def test_word_counts_match_enumeration():
+    rng = random.Random(1511)
+    abc = Alphabet.of("abc")
+    nfas = [nfa_none(AB), nfa_universal(AB), nfa_universal(abc)]
+    for _ in range(60):
+        alphabet = rng.choice([AB, abc])
+        labels = [*alphabet.symbols, EPSILON]
+        n = rng.randint(1, 5)
+        arcs = {
+            (rng.randrange(n), rng.choice(labels), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))
+        }
+        finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+        nfas.append(Nfa(alphabet, n, tuple(arcs), 0, finals))
+    assert any(EPSILON in {sym for _q, sym, _r in nfa.transitions} for nfa in nfas)
+    for nfa in nfas:
+        for max_len in (0, 1, 4, 7):
+            assert _count_words(nfa, max_len) == len(nfa_enumerate(nfa, max_len))
 
 
 def test_oracle_returns_the_minimal_model():
@@ -155,10 +188,9 @@ def test_oracle_is_deterministic():
     assert brute_force_solve(problem, config) == brute_force_solve(problem, config)
 
 
-def test_first_model_is_stable_as_length_bound_grows():
+def test_first_model_is_stable_as_length_bound_grows(string_problems):
     hits = 0
-    for seed in range(20):
-        problem = gen_random_problem(seed)
+    for problem in string_problems[:20]:
         small = brute_force_solve(problem, OracleConfig(max_len=4, max_int=2))
         if small is None:
             continue
@@ -183,26 +215,47 @@ def test_generator_varies_with_the_seed():
     assert gen_random_problem(1) != gen_random_problem(2)
 
 
-def test_generated_instances_are_wellformed_and_straightline():
-    for seed in range(100):
-        problem = gen_random_problem(seed)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_seeded_corpora_are_pinned(monkeypatch, string_problems, extension_problems):
+    """The fingerprint digests of both corpora stay put.
+
+    A change to the generator or to its resampling filter moves them.
+    The fingerprint is the benchmark's own (``perfbench/workloads.py``),
+    loaded by path.
+    """
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module runs.
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+
+    def digest(problems: list[Problem]) -> str:
+        joined = "".join(workloads.fingerprint(p) for p in problems)
+        return hashlib.sha256(joined.encode()).hexdigest()[:12]
+
+    assert digest(string_problems) == "1c951986cefd"
+    assert digest(extension_problems) == "6872488de6c7"
+
+
+def test_generated_instances_are_wellformed_and_straightline(string_problems):
+    for problem in string_problems[:100]:
         assert problem_wellformed(problem) == []
         check_straightline(problem)  # must not raise
 
 
-def test_generated_extension_instances_use_the_extensions():
-    for seed in range(20):
-        problem = gen_random_problem(seed, with_extensions=True)
+def test_generated_extension_instances_use_the_extensions(extension_problems):
+    for problem in extension_problems[:20]:
         assert problem.has_extensions
         assert problem.int_vars
         check_straightline(problem)
 
 
-def test_oracle_models_satisfy_evaluate_on_seeded_instances():
+def test_oracle_models_satisfy_evaluate_on_seeded_instances(extension_problems):
     config = OracleConfig(max_len=6, max_int=4)
     solved = 0
-    for seed in range(25):
-        problem = gen_random_problem(seed, with_extensions=True)
+    for problem in extension_problems[:25]:
         model = brute_force_solve(problem, config)
         if model is not None:
             solved += 1

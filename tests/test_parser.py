@@ -32,7 +32,6 @@ from slsolve.constraints import (
 )
 from slsolve.parser import (
     ParseError,
-    format_nfa,
     format_transducer,
     parse_problem,
     quote_word,
@@ -281,16 +280,6 @@ def test_format_transducer_round_trips_through_parser():
         'alphabet "ab&"\nstr x y\n' + text + "\ny = fancy(x)\n"
     ).relations[0].transducer
     assert reparsed == original
-
-
-def test_format_nfa_lists_states_and_rules():
-    problem = parse_problem('alphabet "ab"\nstr x\nregc (in x /ab/)\n')
-    nfa = problem.regular.atom.nfa
-    text = format_nfa(nfa, "pattern")
-    assert text.startswith("nfa pattern {")
-    assert text.rstrip().endswith("}")
-    assert "initial" in text and "final" in text
-    assert text.count("\n  t ") == len(nfa.transitions)
 
 
 def test_epsilon_label_round_trip():

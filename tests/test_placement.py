@@ -23,7 +23,6 @@ from slsolve.automata import (
     nfa_universal,
 )
 from slsolve.constraints import Problem, TransducerEq, evaluate
-from slsolve.oracle import gen_random_problem
 from slsolve.parser import parse_problem
 from slsolve.solver import (
     _FILTER_THRESHOLD,
@@ -383,8 +382,8 @@ def test_gapped_forests_match_blind_enumeration(text):
     assert assert_same_forests(problem) > 0
 
 
-def test_random_string_forests_match_blind_enumeration():
-    total = sum(assert_same_forests(gen_random_problem(seed)) for seed in range(200))
+def test_random_string_forests_match_blind_enumeration(string_problems):
+    total = sum(assert_same_forests(problem) for problem in string_problems[:200])
     assert total > 0
 
 

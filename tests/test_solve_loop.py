@@ -25,7 +25,6 @@ from slsolve.extensions import (
     enumerate_scenarios,
     lower_integer_terms,
 )
-from slsolve.oracle import gen_random_problem
 from slsolve.solver import (
     AcForest,
     Budget,
@@ -236,8 +235,8 @@ def test_sanitizer_benchmarks_match_the_reference(name):
     assert_same(load_benchmark(name).problem)
 
 
-def test_string_only_problems_match_the_reference():
-    statuses = {assert_same(gen_random_problem(seed)).status for seed in range(300)}
+def test_string_only_problems_match_the_reference(string_problems):
+    statuses = {assert_same(problem).status for problem in string_problems[:300]}
     assert statuses == {"sat", "unsat"}
 
 

@@ -25,7 +25,7 @@ from slsolve.constraints import (
     Var,
     evaluate,
 )
-from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
+from slsolve.oracle import OracleConfig, brute_force_solve
 from slsolve.regex import regex_parse
 from slsolve.solver import Verdict, fold_constant_relations, max_model_bound, solve
 from slsolve.straightline import CyclicDefinition, MultiplyDefined
@@ -309,10 +309,9 @@ def test_stats_counters_are_reported():
 # Model-size bound and seeded differential
 
 
-def test_reported_models_fit_the_static_bound():
+def test_reported_models_fit_the_static_bound(string_problems):
     checked = 0
-    for seed in range(40):
-        problem = gen_random_problem(seed)
+    for problem in string_problems[:40]:
         verdict = solve(problem)
         if verdict.is_sat:
             checked += 1
@@ -321,12 +320,11 @@ def test_reported_models_fit_the_static_bound():
     assert checked > 10
 
 
-def test_solver_agrees_with_oracle_on_seeded_string_problems():
+def test_solver_agrees_with_oracle_on_seeded_string_problems(string_problems):
     """String-only instances: both sides are complete, so verdicts must match."""
     config = OracleConfig(max_len=12)
     sat = unsat = 0
-    for seed in range(80):
-        problem = gen_random_problem(seed)
+    for seed, problem in enumerate(string_problems[:80]):
         verdict = solve(problem)
         witness = brute_force_solve(problem, config)
         if verdict.is_sat:

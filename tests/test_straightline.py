@@ -1,12 +1,13 @@
 """The straight-line gate: unique definitions, acyclic dependencies.
 
 Covers the canonical evaluation order, minimal failure witnesses
-(shortest cycles, first multiply-defined variable), the split-count
-bookkeeping behind the dimension statistic, and linear-time scaling on
+(shortest cycles, first multiply-defined variable), the piece counts
+behind the dimension statistic, and linear-time scaling on
 a very long equation chain.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,8 @@ from slsolve.straightline import (
     NotStraightLine,
     check_straightline,
     dimension,
-    split_counts,
 )
+from slsolve.solver import split_concat
 from slsolve.transducer import identity_transducer
 
 AB = Alphabet.of("ab")
@@ -125,7 +126,7 @@ def test_uses_lists_distinct_variables_in_first_occurrence_order():
 
 
 # ---------------------------------------------------------------------------
-# Split counts and the dimension statistic
+# Piece counts and the dimension statistic
 
 
 def test_split_counts_sum_variable_occurrences():
@@ -137,10 +138,22 @@ def test_split_counts_sum_variable_occurrences():
             TransducerEq("z", "copy", COPY, "x"),
         ),
     )
-    counts = split_counts(problem).counts
-    assert counts == {"y": 1, "x": 2, "z": 2}
-    with_literals = split_counts(problem, count_literals=True).counts
-    assert with_literals == {"y": 1, "x": 3, "z": 3}
+    shapes = split_concat(problem)
+    assert {var: len(shape.slots) for var, shape in shapes.items()} == {
+        "y": 1,
+        "x": 2,
+        "z": 2,
+    }
+    assert dimension(problem) == 2
+    # Each literal item counts one more piece: x and z then count 3, and
+    # w = z "a" "b" counts 5, its two adjacent literals separately.
+    assert dimension(problem, count_constants=True) == 3
+    longer = replace(
+        problem,
+        str_vars=(*problem.str_vars, "w"),
+        relations=(*problem.relations, concat("w", "z", Lit("a"), Lit("b"))),
+    )
+    assert dimension(longer, count_constants=True) == 5
 
 
 def test_dimension_is_the_largest_split_count():
