@@ -279,24 +279,40 @@ def nfa_eps_eliminate(nfa: Nfa) -> Nfa:
     )
 
 
-def nfa_trim(nfa: Nfa) -> Nfa:
-    """Restrict to states both reachable and co-reachable, renumbered densely."""
+def trimmed_nfa(
+    alphabet: Alphabet,
+    n_states: int,
+    transitions: Sequence[tuple[int, str, int]],
+    initial: int,
+    finals: frozenset[int],
+) -> Nfa:
+    """``nfa_trim(Nfa(alphabet, n_states, transitions, initial, finals))``.
+
+    Built in one construction: the live states are found on the raw
+    arcs, repeats included, and only the arcs between them go through
+    the :class:`Nfa` constructor.  Products call this on the arcs of an
+    :func:`explore` instead of building and then trimming a machine.
+    """
     remap = trim_renumbering(
-        nfa.n_states,
-        [(q, r) for q, _, r in nfa.transitions],
-        nfa.initial,
-        nfa.finals,
+        n_states, [(q, r) for q, _, r in transitions], initial, finals
     )
     return Nfa(
-        nfa.alphabet,
+        alphabet,
         len(remap),
         [
             (remap[q], sym, remap[r])
-            for q, sym, r in nfa.transitions
+            for q, sym, r in transitions
             if q in remap and r in remap
         ],
-        remap[nfa.initial],
-        frozenset(remap[f] for f in nfa.finals if f in remap),
+        remap[initial],
+        frozenset(remap[f] for f in finals if f in remap),
+    )
+
+
+def nfa_trim(nfa: Nfa) -> Nfa:
+    """Restrict to states both reachable and co-reachable, renumbered densely."""
+    return trimmed_nfa(
+        nfa.alphabet, nfa.n_states, nfa.transitions, nfa.initial, nfa.finals
     )
 
 
@@ -350,9 +366,8 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
 def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for the intersection, built lazily and trimmed.
 
-    Only pairs reachable from the initial pair are materialised; the
-    result is then trimmed of non-co-reachable pairs.  Pair ids are
-    assigned in BFS discovery order.
+    Only pairs reachable from the initial pair are explored, and only the
+    co-reachable ones are kept.  Pair ids follow BFS discovery order.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
@@ -374,7 +389,7 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     finals = frozenset(
         i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
     )
-    return nfa_trim(Nfa(a.alphabet, len(order), arcs, 0, finals))
+    return trimmed_nfa(a.alphabet, len(order), arcs, 0, finals)
 
 
 def nfa_concat(parts: Sequence[Nfa]) -> Nfa:

@@ -13,7 +13,7 @@ seed, deterministically, sized so the oracle stays cheap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Optional
 
@@ -153,6 +153,18 @@ def brute_force_solve(
     }
     order = graph.order
     int_vars = problem.int_vars
+    # ``evaluate`` split in two: the relations and the regular tree read
+    # only strings, so they are checked once per string assignment; the
+    # rest is checked per integer combination.
+    string_part = replace(
+        problem,
+        int_vars=(),
+        integers=None,
+        chars=None,
+        indexofs=(),
+        disequalities=(),
+    )
+    rest = replace(problem, relations=(), regular=None)
     assignment: Assignment = {}
 
     def passes(var: str, value: str) -> bool:
@@ -162,12 +174,14 @@ def brute_force_solve(
 
     def walk(idx: int) -> Optional[Assignment]:
         if idx == len(order):
+            if not evaluate(string_part, assignment):
+                return None
             for combo in iter_product(
                 range(config.max_int + 1), repeat=len(int_vars)
             ):
                 for name, value in zip(int_vars, combo):
                     assignment[name] = value
-                if evaluate(problem, assignment):
+                if evaluate(rest, assignment):
                     return dict(assignment)
             for name in int_vars:
                 assignment.pop(name, None)

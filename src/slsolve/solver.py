@@ -42,6 +42,7 @@ from .automata import (
     EPSILON,
     Nfa,
     explore,
+    live_states,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -75,8 +76,6 @@ from .transducer import (
     apply_function,
     post_image,
     pre_image_within,
-    transducer_normalize,
-    transducer_trim,
 )
 
 #: A piece of some variable's value: (variable name, piece index).
@@ -328,43 +327,64 @@ def _segment_machine(
     transduction output still appears, only the input side is dropped.
     ``t`` must be normalized; the result is normalized (and trimmed), so
     an empty relation shows up as an empty final-state set.
+
+    The segment is searched directly over ``(row, state)`` pairs, from
+    ``(0, from_state)``.  Rows ``0..pre-1`` track progress through
+    ``lit_in``, row ``pre`` is the piece zone, and the rows after it
+    track progress through ``post_lit``.  Output moves stay in their row,
+    input moves are real only in the piece zone, and a literal letter
+    read invisibly advances the row; those invisible moves are folded
+    into per-state closures, so the result needs no epsilon pass.  Live
+    states are numbered in ``row * n + state`` order, as a trimmed
+    ``rows * n`` machine would number them.
     """
     assert t.is_normalized
+    n = t.n_states
     pre = len(lit_in)
-    post = len(post_lit)
-    rows = pre + 1 + post
+    lits = lit_in + post_lit
+    emitting, consuming = t.emitting, t.consuming
+    accepting: set[int] = set()
 
-    # Row layout: rows 0..pre-1 are literal-prefix progress, row ``pre``
-    # is the piece zone, rows pre+1..pre+post are literal-suffix
-    # progress.  Output moves are available in every row.
-    def sid(row: int, q: int) -> int:
-        return row * t.n_states + q
+    def successors(sid: int) -> list[tuple[tuple[str, str], int]]:
+        """Arcs of ``sid``'s closure under invisible literal moves."""
+        seen = {sid}
+        stack = [sid]
+        out: list[tuple[tuple[str, str], int]] = []
+        while stack:
+            u = stack.pop()
+            row, q = divmod(u, n)
+            base = u - q
+            for c, rs in emitting[q].items():
+                out.extend(((EPSILON, c), base + r) for r in rs)
+            if row == pre:
+                for c, rs in consuming[q].items():
+                    out.extend(((c, EPSILON), base + r) for r in rs)
+            if row < len(lits):
+                for r in consuming[q].get(lits[row], ()):
+                    v = base + n + r
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            elif q in to_states:
+                accepting.add(sid)
+        return out
 
-    rules: list[tuple[int, str, str, int]] = []
-    for q, ins, outs, r in t.transitions:
-        if ins == EPSILON:
-            for row in range(rows):
-                rules.append((sid(row, q), EPSILON, outs, sid(row, r)))
-        else:
-            for i in range(pre):
-                if lit_in[i] == ins:
-                    rules.append((sid(i, q), EPSILON, EPSILON, sid(i + 1, r)))
-            rules.append((sid(pre, q), ins, outs, sid(pre, r)))
-            for j in range(post):
-                if post_lit[j] == ins:
-                    rules.append(
-                        (sid(pre + j, q), EPSILON, EPSILON, sid(pre + j + 1, r))
-                    )
-    raw = Transducer(
+    order, arcs = explore(from_state, successors)
+    finals = frozenset(i for i, sid in enumerate(order) if sid in accepting)
+    keep = live_states(len(order), [(i, j) for i, _, j in arcs], 0, finals)
+    keep.add(0)
+    remap = {i: k for k, i in enumerate(sorted(keep, key=order.__getitem__))}
+    return Transducer(
         t.alphabet,
-        rows * t.n_states,
-        rules,
-        sid(0, from_state),
-        frozenset(sid(rows - 1, q) for q in to_states),
+        len(remap),
+        [
+            (remap[i], ins, outs, remap[j])
+            for i, (ins, outs), j in arcs
+            if i in remap and j in remap
+        ],
+        remap[0],
+        frozenset(remap[i] for i in finals if i in remap),
     )
-    # Trim before normalizing: literal rows are mostly unreachable, and
-    # the closure pass inside normalize is what their count would hurt.
-    return transducer_normalize(transducer_trim(raw))
 
 
 #: Ranges larger than this fall back to the plain membership automaton.

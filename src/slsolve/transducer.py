@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .automata import (
     EPSILON,
@@ -24,9 +24,10 @@ from .automata import (
     explore,
     nfa_eps_eliminate,
     nfa_from_word,
-    nfa_trim,
+    nfa_none,
     reachable,
     trim_renumbering,
+    trimmed_nfa,
 )
 
 
@@ -260,6 +261,12 @@ def _image(
     equals that of the state it returns to, and no state per (letter,
     target, bound) is built.
 
+    A target whose key is empty has no free arc and does not accept, so
+    it is dead; it is never entered, and since it has no successors,
+    skipping it leaves the discovery order of the live states as it was.
+    Each state yields one arc per (letter, target) pair, and the result
+    is built and trimmed in one construction from the explored arcs.
+
     ``within``, when given, is intersected in on the fly: its states
     ride along on the free side, and moves it cannot follow are never
     expanded.  A small bounding automaton therefore prunes the whole
@@ -275,64 +282,91 @@ def _image(
     w = nfa_eps_eliminate(within) if within is not None else None
 
     a_by_sym = a.arcs_by_symbol
-    # Targets per transducer state and letter: arcs that emit a letter of
-    # the result (their bound side is empty, so ``a`` stays put) and
-    # silent arcs (which read their bound letter from ``a``).
+    w_by_sym = w.arcs_by_symbol if w is not None else None
+    # Per transducer state, as (letter, targets) tuples: arcs that emit a
+    # letter of the result (their bound side is empty, so ``a`` stays
+    # put) and silent arcs (which read their bound letter from ``a``).
     if forward:
         emitting, silent = t.emitting, t.consuming
     else:
         emitting, silent = t.consuming, t.emitting
-    closures: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    emit_arcs = [tuple(row.items()) for row in emitting]
+    silent_arcs = [tuple(row.items()) for row in silent]
+    t_finals, a_finals = t.finals, a.finals
+    # Closures are interned: a product state is (closure id, within
+    # state), and ``keys[cid]`` is the closure itself.
+    keys: list[tuple[tuple[int, int], ...]] = []
+    key_ids: dict[tuple[tuple[int, int], ...], int] = {}
+    # Memoised per (transducer, bound) pair; -1 for an empty closure.
+    closures: dict[tuple[int, int], int] = {}
 
-    def closure_of(ts: int, as_: int) -> tuple[tuple[int, int], ...]:
-        """The pairs reachable by free-empty arcs that can emit or accept."""
-        got = closures.get((ts, as_))
-        if got is not None:
-            return got
-        seen = reachable(
-            ((ts, as_),),
-            lambda pair: [
-                (tr, s2)
-                for bound, trs in silent[pair[0]].items()
-                for s2 in a_by_sym[pair[1]].get(bound, ())
-                for tr in trs
-            ],
-        )
-        got = tuple(
+    def closure_of(start: tuple[int, int]) -> int:
+        """Id of the pairs reachable from ``start`` by free-empty arcs that
+        can emit or accept; -1 when there are none."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            q, s = stack.pop()
+            a_row = a_by_sym[s]
+            for bound, trs in silent_arcs[q]:
+                for s2 in a_row.get(bound, ()):
+                    for tr in trs:
+                        pair = (tr, s2)
+                        if pair not in seen:
+                            seen.add(pair)
+                            stack.append(pair)
+        key = tuple(
             sorted(
                 (q, s)
                 for q, s in seen
-                if emitting[q] or (q in t.finals and s in a.finals)
+                if emit_arcs[q] or (q in t_finals and s in a_finals)
             )
         )
-        closures[(ts, as_)] = got
-        return got
+        if not key:
+            cid = -1
+        else:
+            cid = key_ids.get(key)
+            if cid is None:
+                cid = key_ids[key] = len(keys)
+                keys.append(key)
+        closures[start] = cid
+        return cid
 
-    def successors(
-        state: tuple[tuple[tuple[int, int], ...], int]
-    ) -> Iterator[tuple[str, tuple]]:
-        cl, ws = state
-        for q, s in cl:
-            for free, trs in emitting[q].items():
-                w_targets = (-1,) if w is None else w.arcs_by_symbol[ws].get(free, ())
-                if w_targets:
-                    for tr in trs:
-                        target = closure_of(tr, s)
-                        for wt in w_targets:
-                            yield free, (target, wt)
+    def successors(state: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
+        cid, ws = state
+        out: list[tuple[str, tuple[int, int]]] = []
+        seen: set[tuple[str, int]] = set()
+        for q, s in keys[cid]:
+            for free, trs in emit_arcs[q]:
+                w_targets = (-1,) if w_by_sym is None else w_by_sym[ws].get(free)
+                if not w_targets:
+                    continue
+                for tr in trs:
+                    target = closures.get((tr, s))
+                    if target is None:
+                        target = closure_of((tr, s))
+                    if target < 0 or (free, target) in seen:
+                        continue
+                    seen.add((free, target))
+                    for wt in w_targets:
+                        out.append((free, (target, wt)))
+        return out
 
-    start = (
-        closure_of(t.initial, a.initial),
-        w.initial if w is not None else -1,
+    start = closure_of((t.initial, a.initial))
+    if start < 0:
+        return nfa_none(t.alphabet)
+    order, arcs = explore(
+        (start, w.initial if w is not None else -1), successors
     )
-    order, arcs = explore(start, successors)
+    accepting = [
+        any(q in t_finals and s in a_finals for q, s in key) for key in keys
+    ]
     finals = frozenset(
         i
-        for i, (cl, ws) in enumerate(order)
-        if any(q in t.finals and s in a.finals for q, s in cl)
-        and (w is None or ws in w.finals)
+        for i, (cid, ws) in enumerate(order)
+        if accepting[cid] and (w is None or ws in w.finals)
     )
-    return nfa_trim(Nfa(t.alphabet, len(order), arcs, 0, finals))
+    return trimmed_nfa(t.alphabet, len(order), arcs, 0, finals)
 
 
 def post_image(t: Transducer, a: Nfa) -> Nfa:

@@ -1,0 +1,183 @@
+"""Byte-identity of the product kernels: segments, images and trimming.
+
+``solver._segment_machine`` and ``transducer._image`` are tuned for
+speed, but their results must not move: the numbering of every state
+feeds later products, and so the models the solver reports.  Rather
+than keep a second copy of the old code, the outputs of the old kernels
+on seeded inputs were digested once and are pinned here.  Each digest is
+the first 16 hex digits of the sha256 of the machines' canonical
+``repr`` lines, in call order.  A change meant to alter these outputs
+re-records the digests with the same helpers, and says so.
+"""
+
+import hashlib
+import random
+
+from slsolve import solver
+from slsolve.automata import (
+    EPSILON,
+    Alphabet,
+    Nfa,
+    nfa_trim,
+    trimmed_nfa,
+)
+from slsolve.regex import regex_parse
+from slsolve.solver import _segment_machine, solve
+from slsolve.transducer import (
+    Transducer,
+    post_image,
+    pre_image,
+    pre_image_within,
+    transducer_normalize,
+)
+from slsolve.websec import benchmark_names, load_benchmark
+
+ABC = Alphabet.of("abc")
+
+
+def canonical(machine) -> str:
+    """One line fixing a machine's states, arcs, initial and final states."""
+    return repr(
+        (machine.n_states, machine.transitions, machine.initial, sorted(machine.finals))
+    )
+
+
+def digest(machines) -> str:
+    text = "\n".join(canonical(m) for m in machines)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def random_word(rng: random.Random, letters: str, max_len: int) -> str:
+    return "".join(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+
+
+def random_normalized(rng: random.Random, alphabet: Alphabet) -> Transducer:
+    """A random machine in normalized form.
+
+    Half are drawn directly as one-sided single-letter arcs; the other
+    half are word-labelled machines put through ``transducer_normalize``,
+    which adds the trie and echo states the sanitizers have.
+    """
+    letters = alphabet.symbols
+    n = rng.randint(1, 5)
+    rules = []
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(2 * n, 4 * n + 2)):
+            q, r, c = rng.randrange(n), rng.randrange(n), rng.choice(letters)
+            rules.append((q, c, EPSILON, r) if rng.random() < 0.6 else (q, EPSILON, c, r))
+        finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+        return Transducer(alphabet, n, rules, 0, finals)
+    for _ in range(rng.randint(n, 2 * n + 3)):
+        q, r, c = rng.randrange(n), rng.randrange(n), rng.choice(letters)
+        if rng.random() < 0.4:
+            rules.append((q, c, random_word(rng, letters, 2) + c, r))
+        else:
+            rules.append((q, random_word(rng, letters, 2), random_word(rng, letters, 2), r))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.6)
+    return transducer_normalize(Transducer(alphabet, n, rules, 0, finals))
+
+
+def random_segments(seed: int, count: int) -> list[Transducer]:
+    """Segments of random machines under random literals and boundaries.
+
+    Covers the two shapes the solver builds (an inner segment ending at
+    one state with no literal after it; a last segment ending in the
+    finals past a literal) and arbitrary end sets with literals.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        t = random_normalized(rng, ABC)
+        n = t.n_states
+        lit_in = random_word(rng, "abc", 2)
+        from_state = rng.randrange(n)
+        kind = rng.random()
+        if kind < 0.35:
+            to_states, post_lit = frozenset({rng.randrange(n)}), ""
+        elif kind < 0.7:
+            to_states, post_lit = t.finals, random_word(rng, "abc", 2)
+        else:
+            to_states = frozenset(q for q in range(n) if rng.random() < 0.6)
+            post_lit = random_word(rng, "abc", 2)
+        out.append(_segment_machine(t, lit_in, from_state, to_states, post_lit))
+    return out
+
+
+def random_images(seed: int, count: int) -> list[Nfa]:
+    """Post-, pre- and bounded pre-images of random machines and targets."""
+    rng = random.Random(seed)
+    targets = [
+        regex_parse(p, ABC)
+        for p in ("ab", "", "a*b", "(ab|c)*", "(a|b|c)*b(a|c)*", "[^c]*c[^c]*")
+    ]
+    withins = [regex_parse(p, ABC) for p in ("(a|b|c)*", "[^b]*b[^b]*", "(ab|c)*", "(a|b)*")]
+    out = []
+    for _ in range(count):
+        t = random_normalized(rng, ABC)
+        a = rng.choice(targets)
+        out.append(post_image(t, a))
+        out.append(pre_image(t, a))
+        out.append(pre_image_within(t, a, rng.choice(withins)))
+    return out
+
+
+def sanitizer_calls(monkeypatch, name: str) -> tuple[list, list]:
+    """The segments and bounded pre-images built while solving one benchmark."""
+    segments: list[Transducer] = []
+    images: list[Nfa] = []
+    make_segment, make_image = solver._segment_machine, solver.pre_image_within
+
+    def segment(*args):
+        segments.append(make_segment(*args))
+        return segments[-1]
+
+    def image(*args):
+        images.append(make_image(*args))
+        return images[-1]
+
+    monkeypatch.setattr(solver, "_segment_machine", segment)
+    monkeypatch.setattr(solver, "pre_image_within", image)
+    solve(load_benchmark(name).problem)
+    monkeypatch.undo()
+    return segments, images
+
+
+#: Digests of the outputs of the construction the kernels replaced.
+RANDOM_SEGMENTS = "02cfc61c6a8dd96e"
+RANDOM_IMAGES = "4b9d19ad15a1cab4"
+SANITIZER = {
+    "ex_cacm": (4, "b5bdd0ac75c96b13", 4, "7097004236c254a5"),
+    "ex_corrected": (0, "e3b0c44298fc1c14", 0, "e3b0c44298fc1c14"),
+    "ex_iframe": (4, "91a6a1fa19a2e6a1", 4, "dde74e610670c069"),
+    "ex_mxss1": (5, "95c08d9321692178", 5, "577d2ebd0ac666ff"),
+}
+
+
+def test_random_segments_are_pinned():
+    assert digest(random_segments(11, 800)) == RANDOM_SEGMENTS
+
+
+def test_random_images_are_pinned():
+    assert digest(random_images(12, 300)) == RANDOM_IMAGES
+
+
+def test_sanitizer_segments_and_pre_images_are_pinned(monkeypatch):
+    for name in benchmark_names():
+        segments, images = sanitizer_calls(monkeypatch, name)
+        got = (len(segments), digest(segments), len(images), digest(images))
+        assert got == SANITIZER[name], name
+
+
+def test_trimmed_nfa_is_nfa_trim_of_the_raw_machine():
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        arcs = [
+            (rng.randrange(n), rng.choice(("", "a", "b", "c")), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        arcs += rng.sample(arcs, min(len(arcs), rng.randint(0, 3)))  # repeats
+        initial = rng.randrange(n)
+        finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+        expected = nfa_trim(Nfa(ABC, n, arcs, initial, finals))
+        assert trimmed_nfa(ABC, n, arcs, initial, finals) == expected

@@ -20,6 +20,7 @@ from slsolve.constraints import (
     evaluate,
     tree_leaves,
 )
+from slsolve.parser import parse_problem
 from slsolve.solver import solve
 from slsolve.straightline import check_straightline, dimension
 from slsolve.transducer import apply_function, transducer_membership
@@ -158,13 +159,12 @@ def test_unknown_transducer_name_is_rejected():
 # The benchmark suite
 
 
-def pipeline_replay(case, model):
+def pipeline_replay(problem, model):
     """Recompute every derived variable from the model's source values.
 
     The sanitizer machines are functions, so the replay is forced; it
     must land exactly on the values the solver reported.
     """
-    problem = case.problem
     graph = check_straightline(problem)
     value = {var: model[var] for var in graph.sources}
     for var in graph.order:
@@ -220,7 +220,7 @@ def test_benchmark_verdicts_and_witness_replay():
             continue
         model = verdict.model
         assert evaluate(case.problem, model)
-        replayed = pipeline_replay(case, model)
+        replayed = pipeline_replay(case.problem, model)
         assert replayed == model, f"{name}: replay diverged"
         assert nfa_membership(sink_pattern(case), replayed[case.sink_var]), name
 
@@ -250,3 +250,70 @@ def test_corrected_pipeline_never_matches_the_attack_shape_on_fuzz():
                     for item in rel.items
                 )
         assert not nfa_membership(attack, model[case.sink_var]), cat
+
+
+# ---------------------------------------------------------------------------
+# Deep pipelines
+
+
+def pipeline_family(name: str, depth: int):
+    """A chain of sanitizer stages over the ``ex_mxss1`` alphabet.
+
+    ``pipe``: ``y_i = escapeString(x_i)``, ``x_{i+1} = innerHTMLDecode(y_i)``.
+    ``wrap``: ``y_i = innerHTMLDecode(x_i)``,
+    ``x_{i+1} = "<a title='" . y_i . "'>"``.
+    The last value ``x_depth`` must contain a quote.
+    """
+    alphabet = next(
+        line
+        for line in load_benchmark("ex_mxss1").source.splitlines()
+        if line.startswith("alphabet")
+    )
+    names = [v for i in range(depth) for v in (f"x{i}", f"y{i}")]
+    lines = [alphabet, "str " + " ".join(names + [f"x{depth}"])]
+    for i in range(depth):
+        if name == "pipe":
+            lines.append(f"y{i} = escapeString(x{i})")
+            lines.append(f"x{i + 1} = innerHTMLDecode(y{i})")
+        else:
+            lines.append(f"y{i} = innerHTMLDecode(x{i})")
+            lines.append(f'x{i + 1} = "<a title=\'" . y{i} . "\'>"')
+    lines.append(f"regc (in x{depth} /.*'.*/)")
+    return parse_problem("\n".join(lines) + "\n")
+
+
+ONE_FOREST = {
+    "cut-placements": 0,
+    "feasible-forests": 1,
+    "forests": 1,
+    "membership-branches": 1,
+}
+
+#: Verdict, model and ``stats`` of each pipeline at depth 2.
+PIPELINES = {
+    "pipe": (
+        "sat",
+        {"x0": "'", "x1": "\\'", "x2": "\\\\\\'", "y0": "\\'", "y1": "\\\\\\'"},
+        ONE_FOREST,
+    ),
+    "wrap": (
+        "sat",
+        {
+            "x0": "",
+            "x1": "<a title=''>",
+            "x2": "<a title='<a title=''>'>",
+            "y0": "",
+            "y1": "<a title=''>",
+        },
+        ONE_FOREST,
+    ),
+}
+
+
+def test_depth_two_pipelines_are_pinned_and_replay():
+    for name, (status, model, expected_stats) in PIPELINES.items():
+        problem = pipeline_family(name, 2)
+        stats: dict = {}
+        verdict = solve(problem, stats=stats)
+        assert (verdict.status, verdict.model, stats) == (status, model, expected_stats)
+        assert pipeline_replay(problem, verdict.model) == model, name
