@@ -296,6 +296,17 @@ def trimmed_nfa(
     remap = trim_renumbering(
         n_states, [(q, r) for q, _, r in transitions], initial, finals
     )
+    return _renumbered(alphabet, remap, transitions, initial, finals)
+
+
+def _renumbered(
+    alphabet: Alphabet,
+    remap: dict[int, int],
+    transitions: Sequence[tuple[int, str, int]],
+    initial: int,
+    finals: frozenset[int],
+) -> Nfa:
+    """The machine on the states of ``remap``, renamed by it."""
     return Nfa(
         alphabet,
         len(remap),
@@ -310,10 +321,17 @@ def trimmed_nfa(
 
 
 def nfa_trim(nfa: Nfa) -> Nfa:
-    """Restrict to states both reachable and co-reachable, renumbered densely."""
-    return trimmed_nfa(
-        nfa.alphabet, nfa.n_states, nfa.transitions, nfa.initial, nfa.finals
+    """Restrict to states both reachable and co-reachable, renumbered densely.
+
+    A machine that keeps every state is returned as it is: its
+    renumbering is the identity, so a rebuilt copy would be equal.
+    """
+    remap = trim_renumbering(
+        nfa.n_states, [(q, r) for q, _, r in nfa.transitions], nfa.initial, nfa.finals
     )
+    if len(remap) == nfa.n_states:
+        return nfa
+    return _renumbered(nfa.alphabet, remap, nfa.transitions, nfa.initial, nfa.finals)
 
 
 def nfa_reduce(nfa: Nfa) -> Nfa:

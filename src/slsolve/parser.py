@@ -1,4 +1,4 @@
-"""Reading and writing the ``.slp`` problem format.
+"""Reading the ``.slp`` problem format, and quoting words for it.
 
 A problem file is line-oriented:
 
@@ -623,26 +623,3 @@ def parse_problem(text: str) -> Problem:
     :raises ParseError: with a line number on any syntactic or scoping error.
     """
     return _FileParser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a transducer as the block ``parse_problem`` reads back
-
-
-def _label_token(label: str) -> str:
-    if label == EPSILON:
-        return "~"
-    if len(label) == 1 and label.isalnum():
-        return label
-    return quote_word(label)
-
-
-def format_transducer(t: Transducer, name: str = "t") -> str:
-    lines = [f"transducer {name} {{"]
-    lines.append(f"  states {t.n_states}")
-    lines.append(f"  initial {t.initial}")
-    lines.append("  final " + " ".join(str(f) for f in sorted(t.finals)))
-    for q, ins, outs, r in t.transitions:
-        lines.append(f"  t {q} {_label_token(ins)}/{_label_token(outs)} {r}")
-    lines.append("}")
-    return "\n".join(lines)

@@ -468,10 +468,20 @@ def _boundary_filter(
     observable at inner boundary ``j`` on at least one accepting run;
     cut choices outside these sets cannot possibly yield a solution.
 
+    Before the product, one backward search finds the live pairs: those
+    ``(q, s)`` from which ``t.finals × a_img.finals`` can be reached when
+    a consuming arc moves ``q`` alone, on any letter, and an emitting arc
+    moves ``q`` and ``s`` together.  Every product move (a consumed
+    literal or zone letter, an emission, a zone boundary) projects onto
+    such a move, so a product state with a dead pair never reaches
+    acceptance, and neither does anything after it.  Skipping those
+    states therefore drops no accepting run, and the result is the same
+    set as without the skip.
+
     A sound filter only: zone languages are refinements known so far,
     so surviving pairs may still fail full propagation.  Returns None
-    when the exploration exceeds the state cap (caller falls back to
-    blind enumeration).
+    when the live pairs plus the product states found exceed the state
+    cap (caller falls back to blind enumeration).
     """
     assert t.is_normalized
     a_img = nfa_eps_eliminate(a_img)
@@ -480,15 +490,46 @@ def _boundary_filter(
     lits = arg_shape.literals
 
     consuming = t.consuming
+    consumed_from: list[set[int]] = [set() for _ in range(t.n_states)]
+    for q, row in enumerate(consuming):
+        for q2s in row.values():
+            for q2 in q2s:
+                consumed_from[q2].add(q)
+    emitted_from: list[list[tuple[int, str]]] = [[] for _ in range(t.n_states)]
+    for q, row in enumerate(t.emitting):
+        for b, q2s in row.items():
+            for q2 in q2s:
+                emitted_from[q2].append((q, b))
+    image_from: list[dict[str, list[int]]] = [{} for _ in range(a_img.n_states)]
+    for s, b, s2 in a_img.transitions:
+        image_from[s2].setdefault(b, []).append(s)
+
+    def pair_preds(pair: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        q2, s2 = pair
+        for q in consumed_from[q2]:
+            yield q, s2
+        into = image_from[s2]
+        for q, b in emitted_from[q2]:
+            for s in into.get(b, ()):
+                yield q, s
+
+    live = reachable(
+        ((q, s) for q in t.finals for s in a_img.finals), pair_preds
+    )
+    if len(live) > _FILTER_STATE_CAP:
+        return None
+    if (t.initial, a_img.initial) not in live:
+        return [set() for _ in range(m - 1)]
 
     def emit(q: int, s: int) -> Iterator[tuple[int, int]]:
-        """The (transducer, image) states after ``t`` emits a letter from ``q``."""
+        """The live (transducer, image) states after ``t`` emits a letter from ``q``."""
         image_arcs = a_img.arcs_by_symbol[s]
         for b, q2s in t.emitting[q].items():
             s2s = image_arcs.get(b, ())
             for q2 in q2s:
                 for s2 in s2s:
-                    yield q2, s2
+                    if (q2, s2) in live:
+                        yield q2, s2
 
     def make_pre(j: int, i: int, q: int, s: int) -> tuple:
         if i == len(lits[j]):
@@ -505,7 +546,8 @@ def _boundary_filter(
         if kind == "pre":
             _, j, i, q, s = state
             for q2 in consuming[q].get(lits[j][i], ()):
-                yield None, make_pre(j, i + 1, q2, s)
+                if (q2, s) in live:
+                    yield None, make_pre(j, i + 1, q2, s)
             for q2, s2 in emit(q, s):
                 yield None, ("pre", j, i, q2, s2)
         elif kind == "main":
@@ -515,7 +557,8 @@ def _boundary_filter(
             for ch, q2s in consuming[q].items():
                 for r2 in zone_arcs.get(ch, ()):
                     for q2 in q2s:
-                        yield None, ("main", j, q2, s, r2)
+                        if (q2, s) in live:
+                            yield None, ("main", j, q2, s, r2)
             for q2, s2 in emit(q, s):
                 yield None, ("main", j, q2, s2, r)
             if r in zone.finals:
@@ -529,7 +572,8 @@ def _boundary_filter(
         elif kind == "post":
             _, i, q, s = state
             for q2 in consuming[q].get(lits[m][i], ()):
-                yield None, make_post(i + 1, q2, s)
+                if (q2, s) in live:
+                    yield None, make_post(i + 1, q2, s)
             for q2, s2 in emit(q, s):
                 yield None, ("post", i, q2, s2)
         else:
@@ -540,7 +584,7 @@ def _boundary_filter(
     explored = explore(
         make_pre(0, 0, t.initial, a_img.initial),
         successors,
-        cap=_FILTER_STATE_CAP + 1,
+        cap=_FILTER_STATE_CAP + 1 - len(live),
     )
     if explored is None:
         return None

@@ -32,7 +32,6 @@ from slsolve.constraints import (
 )
 from slsolve.parser import (
     ParseError,
-    format_transducer,
     parse_problem,
     quote_word,
     unquote,
@@ -261,25 +260,6 @@ def test_unquote_rejects_dangling_backslash():
         unquote('"a\\"', line_no=7)
     assert "dangling backslash" in str(info.value)
     assert info.value.line_no == 7
-
-
-def test_format_transducer_round_trips_through_parser():
-    source = (
-        'alphabet "ab&"\nstr x y\n'
-        "transducer fancy {\n"
-        "  states 2\n  initial 0\n  final 0 1\n"
-        "  t 0 a/~ 1\n"
-        '  t 1 ~/"&" 0\n'
-        '  t 0 "&"/"ab" 0\n'
-        "}\ny = fancy(x)\n"
-    )
-    original = parse_problem(source).relations[0].transducer
-    text = format_transducer(original, "fancy")
-    assert "~" in text and '"&"' in text and '"ab"' in text
-    reparsed = parse_problem(
-        'alphabet "ab&"\nstr x y\n' + text + "\ny = fancy(x)\n"
-    ).relations[0].transducer
-    assert reparsed == original
 
 
 def test_epsilon_label_round_trip():

@@ -1,13 +1,15 @@
-"""Byte-identity of the product kernels: segments, images and trimming.
+"""Byte-identity of the product kernels: segments, images, filters, trims.
 
-``solver._segment_machine`` and ``transducer._image`` are tuned for
-speed, but their results must not move: the numbering of every state
-feeds later products, and so the models the solver reports.  Rather
-than keep a second copy of the old code, the outputs of the old kernels
-on seeded inputs were digested once and are pinned here.  Each digest is
-the first 16 hex digits of the sha256 of the machines' canonical
-``repr`` lines, in call order.  A change meant to alter these outputs
-re-records the digests with the same helpers, and says so.
+``solver._segment_machine``, ``transducer._image`` and
+``solver._boundary_filter`` are tuned for speed, but their results must
+not move: the numbering of every state feeds later products, and the
+filter's boundary pairs decide which cuts are tried, so both reach the
+models the solver reports.  Rather than keep a second copy of the old
+code, the outputs of the old kernels on seeded inputs were digested once
+and are pinned here.  Each digest is the first 16 hex digits of the
+sha256 of the outputs' canonical ``repr`` lines, in call order.  A
+change meant to alter these outputs re-records the digests with the same
+helpers, and says so.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from slsolve.automata import (
     trimmed_nfa,
 )
 from slsolve.regex import regex_parse
-from slsolve.solver import _segment_machine, solve
+from slsolve.solver import Shape, _boundary_filter, _segment_machine, solve
 from slsolve.transducer import (
     Transducer,
     post_image,
@@ -42,8 +44,13 @@ def canonical(machine) -> str:
     )
 
 
-def digest(machines) -> str:
-    text = "\n".join(canonical(m) for m in machines)
+def canonical_pairs(pairs) -> str:
+    """One line fixing a filter's result: sorted pairs per boundary, or None."""
+    return repr(None if pairs is None else [sorted(at) for at in pairs])
+
+
+def digest(outputs, line=canonical) -> str:
+    text = "\n".join(line(x) for x in outputs)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -121,25 +128,64 @@ def random_images(seed: int, count: int) -> list[Nfa]:
     return out
 
 
-def sanitizer_calls(monkeypatch, name: str) -> tuple[list, list]:
-    """The segments and bounded pre-images built while solving one benchmark."""
-    segments: list[Transducer] = []
-    images: list[Nfa] = []
-    make_segment, make_image = solver._segment_machine, solver.pre_image_within
+def random_nfa(rng: random.Random, alphabet: Alphabet) -> Nfa:
+    """A small machine with epsilon arcs, repeats and unreachable states."""
+    n = rng.randint(1, 6)
+    arcs = [
+        (rng.randrange(n), rng.choice(("",) + alphabet.symbols), rng.randrange(n))
+        for _ in range(rng.randint(n, 3 * n + 2))
+    ]
+    finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Nfa(alphabet, n, arcs, rng.randrange(n), finals)
 
-    def segment(*args):
-        segments.append(make_segment(*args))
-        return segments[-1]
 
-    def image(*args):
-        images.append(make_image(*args))
-        return images[-1]
+def random_filters(seed: int, count: int) -> list:
+    """Boundary filters of random machines over two- and three-piece layouts.
 
-    monkeypatch.setattr(solver, "_segment_machine", segment)
-    monkeypatch.setattr(solver, "pre_image_within", image)
+    About a third of the results keep a pair at every boundary; the rest
+    refute the application, most of them because no accepting run exists.
+    """
+    rng = random.Random(seed)
+    images = [
+        regex_parse(p, ABC)
+        for p in ("(a|b|c)*", "(a|b|c)*b(a|b|c)*", "[^c]*", "(ab|c)*", "a*b*c*")
+    ]
+    langs = [
+        regex_parse(p, ABC)
+        for p in ("(a|b|c)*", "(a|b)*", "[^b]*b[^b]*", "(ab|c)*", "a(a|b|c)*")
+    ]
+    out = []
+    for _ in range(count):
+        t = random_normalized(rng, ABC)
+        a_img = rng.choice(images) if rng.random() < 0.8 else random_nfa(rng, ABC)
+        m = rng.choice((2, 3))
+        literals = tuple(
+            random_word(rng, "abc", 1) if rng.random() < 0.4 else "" for _ in range(m + 1)
+        )
+        shape = Shape(literals, tuple(("x", j) for j in range(m)))
+        zones = [
+            rng.choice(langs) if rng.random() < 0.85 else random_nfa(rng, ABC)
+            for _ in range(m)
+        ]
+        out.append(_boundary_filter(t, a_img, shape, zones))
+    return out
+
+
+def sanitizer_calls(monkeypatch, name: str, *funcs: str) -> list[list]:
+    """The results of each named ``solver`` function while solving one benchmark."""
+    calls = []
+    for func in funcs:
+        results: list = []
+
+        def recording(*args, real=getattr(solver, func), results=results):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(solver, func, recording)
+        calls.append(results)
     solve(load_benchmark(name).problem)
     monkeypatch.undo()
-    return segments, images
+    return calls
 
 
 #: Digests of the outputs of the construction the kernels replaced.
@@ -150,6 +196,15 @@ SANITIZER = {
     "ex_corrected": (0, "e3b0c44298fc1c14", 0, "e3b0c44298fc1c14"),
     "ex_iframe": (4, "91a6a1fa19a2e6a1", 4, "dde74e610670c069"),
     "ex_mxss1": (5, "95c08d9321692178", 5, "577d2ebd0ac666ff"),
+}
+
+#: Digests of the boundary filter's results before it skipped dead pairs.
+RANDOM_FILTERS = "112477bfc87530c9"
+SANITIZER_FILTERS = {
+    "ex_cacm": (1, "1965a109f7465dce"),
+    "ex_corrected": (1, "cf1cbb66a638b486"),
+    "ex_iframe": (1, "58fa299594280d90"),
+    "ex_mxss1": (1, "1965a109f7465dce"),
 }
 
 
@@ -163,9 +218,22 @@ def test_random_images_are_pinned():
 
 def test_sanitizer_segments_and_pre_images_are_pinned(monkeypatch):
     for name in benchmark_names():
-        segments, images = sanitizer_calls(monkeypatch, name)
+        segments, images = sanitizer_calls(
+            monkeypatch, name, "_segment_machine", "pre_image_within"
+        )
         got = (len(segments), digest(segments), len(images), digest(images))
         assert got == SANITIZER[name], name
+
+
+def test_random_filters_are_pinned():
+    assert digest(random_filters(13, 500), canonical_pairs) == RANDOM_FILTERS
+
+
+def test_sanitizer_filters_are_pinned(monkeypatch):
+    for name in benchmark_names():
+        (results,) = sanitizer_calls(monkeypatch, name, "_boundary_filter")
+        got = (len(results), digest(results, canonical_pairs))
+        assert got == SANITIZER_FILTERS[name], name
 
 
 def test_trimmed_nfa_is_nfa_trim_of_the_raw_machine():
@@ -181,3 +249,17 @@ def test_trimmed_nfa_is_nfa_trim_of_the_raw_machine():
         finals = frozenset(q for q in range(n) if rng.random() < 0.3)
         expected = nfa_trim(Nfa(ABC, n, arcs, initial, finals))
         assert trimmed_nfa(ABC, n, arcs, initial, finals) == expected
+
+
+def test_nfa_trim_returns_a_trimmed_machine_itself():
+    rng = random.Random(6)
+    kept = 0
+    for _ in range(600):
+        nfa = random_nfa(rng, ABC)
+        trimmed = nfa_trim(nfa)
+        assert trimmed == trimmed_nfa(
+            ABC, nfa.n_states, nfa.transitions, nfa.initial, nfa.finals
+        )
+        assert nfa_trim(trimmed) is trimmed
+        kept += trimmed is nfa
+    assert kept  # some random machines are already trimmed

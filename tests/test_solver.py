@@ -271,7 +271,7 @@ def test_capped_boundary_filter_falls_back_to_blind_placement(
         return results[-1]
 
     monkeypatch.setattr(slsolve.solver, "_boundary_filter", recording)
-    monkeypatch.setattr(slsolve.solver, "_FILTER_STATE_CAP", 1)
+    monkeypatch.setattr(slsolve.solver, "_FILTER_STATE_CAP", 0)
     blind_stats: dict = {}
     blind = solve(problem, stats=blind_stats)
     assert results and all(r is None for r in results)
