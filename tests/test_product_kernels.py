@@ -1,15 +1,15 @@
 """Byte-identity of the product kernels: segments, images, filters, trims.
 
-``solver._segment_machine``, ``transducer._image`` and
-``solver._boundary_filter`` are tuned for speed, but their results must
-not move: the numbering of every state feeds later products, and the
-filter's boundary pairs decide which cuts are tried, so both reach the
-models the solver reports.  Rather than keep a second copy of the old
-code, the outputs of the old kernels on seeded inputs were digested once
-and are pinned here.  Each digest is the first 16 hex digits of the
-sha256 of the outputs' canonical ``repr`` lines, in call order.  A
-change meant to alter these outputs re-records the digests with the same
-helpers, and says so.
+``solver._segment_machine``, ``transducer._image``,
+``solver._boundary_filter`` and ``automata.nfa_intersect`` are tuned for
+speed, but their results must not move: the numbering of every state
+feeds later products, and the filter's boundary pairs decide which cuts
+are tried, so both reach the models the solver reports.  Rather than
+keep a second copy of the old code, the outputs of the old kernels on
+seeded inputs were digested once and are pinned here.  Each digest is
+the first 16 hex digits of the sha256 of the outputs' canonical ``repr``
+lines, in call order.  A change meant to alter these outputs re-records
+the digests with the same helpers, and says so.
 """
 
 import hashlib
@@ -20,7 +20,9 @@ from slsolve.automata import (
     EPSILON,
     Alphabet,
     Nfa,
+    nfa_intersect,
     nfa_trim,
+    nfa_universal,
     trimmed_nfa,
 )
 from slsolve.regex import regex_parse
@@ -171,6 +173,36 @@ def random_filters(seed: int, count: int) -> list:
     return out
 
 
+def random_intersections(seed: int, count: int) -> list[Nfa]:
+    """Products of random pairs, each taken in both argument orders.
+
+    Sides are random epsilon machines, regexes, or the one-state
+    universal machine, over three letters or over ten (where a random
+    machine's states read only a few of the letters the universal one
+    reads).
+    """
+    rng = random.Random(seed)
+    wide = Alphabet.of("abcdefghij")
+    out = []
+    for _ in range(count):
+        alphabet = rng.choice((ABC, wide))
+        sides = []
+        for _ in range(2):
+            roll = rng.random()
+            if roll < 0.25:
+                sides.append(nfa_universal(alphabet))
+            elif roll < 0.45:
+                sides.append(
+                    regex_parse(rng.choice(("(ab|c)*", "a*b*c*", "[^b]*b[^b]*")), alphabet)
+                )
+            else:
+                sides.append(random_nfa(rng, alphabet))
+        a, b = sides
+        out.append(nfa_intersect(a, b))
+        out.append(nfa_intersect(b, a))
+    return out
+
+
 def sanitizer_calls(monkeypatch, name: str, *funcs: str) -> list[list]:
     """The results of each named ``solver`` function while solving one benchmark."""
     calls = []
@@ -207,6 +239,9 @@ SANITIZER_FILTERS = {
     "ex_mxss1": (1, "1965a109f7465dce"),
 }
 
+#: Digest of the products before ``nfa_intersect`` walked the smaller table.
+RANDOM_INTERSECTIONS = "c02c3b83b59e53c4"
+
 
 def test_random_segments_are_pinned():
     assert digest(random_segments(11, 800)) == RANDOM_SEGMENTS
@@ -234,6 +269,10 @@ def test_sanitizer_filters_are_pinned(monkeypatch):
         (results,) = sanitizer_calls(monkeypatch, name, "_boundary_filter")
         got = (len(results), digest(results, canonical_pairs))
         assert got == SANITIZER_FILTERS[name], name
+
+
+def test_random_intersections_are_pinned():
+    assert digest(random_intersections(14, 600)) == RANDOM_INTERSECTIONS
 
 
 def test_trimmed_nfa_is_nfa_trim_of_the_raw_machine():
