@@ -13,6 +13,7 @@ Every product, closure and trim is a search through one of two kernels:
 :func:`explore`, a breadth-first search that numbers states in discovery
 order and records the arcs between them, and :func:`reachable`, a plain
 reachability set (with :func:`live_states` on top of it for trimming).
+Products trim in the one construction that builds them (:func:`trimmed_nfa`).
 """
 
 from __future__ import annotations
@@ -557,14 +558,18 @@ def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
 
 
 def nfa_multi_slice(nfa: Nfa, sources: Iterable[int], targets: Iterable[int]) -> Nfa:
-    """Re-anchor with several start and several end states.
+    """The trimmed slice of ``nfa`` from any of ``sources`` into ``targets``.
 
-    A fresh initial state (the last id) carries epsilon arcs to every
-    requested source, keeping the single-initial invariant.
+    ``nfa`` must be epsilon-free.  A fresh initial state (id
+    ``n_states``) carries a copy of every source's arcs and accepts iff
+    some source is a target, which keeps the single-initial invariant
+    without epsilon arcs.  The result is built trimmed.
     """
-    fresh = nfa.n_states
-    transitions = nfa.transitions + tuple((fresh, EPSILON, s) for s in sources)
-    return Nfa(nfa.alphabet, nfa.n_states + 1, transitions, fresh, frozenset(targets))
+    fresh, sources, finals = nfa.n_states, frozenset(sources), frozenset(targets)
+    copies = tuple((fresh, sym, r) for q in sources for sym, r in nfa.arcs[q])
+    if not finals.isdisjoint(sources):
+        finals |= {fresh}
+    return trimmed_nfa(nfa.alphabet, fresh + 1, nfa.transitions + copies, fresh, finals)
 
 
 def nfa_enumerate(

@@ -233,6 +233,7 @@ class _FileParser:
         self.alphabet: Optional[Alphabet] = None
         self.str_vars: list[str] = []
         self.int_vars: list[str] = []
+        self.kind_of: dict[str, str] = {}  # declared name -> "str" or "int"
         self.relations: list[RelAtom] = []
         self.reg_parts: list[BoolTree] = []
         self.int_parts: list[BoolTree] = []
@@ -249,12 +250,19 @@ class _FileParser:
         return self.alphabet
 
     def check_str_var(self, name: str, line_no: int) -> None:
-        if name not in self.str_vars:
+        if self.kind_of.get(name) != "str":
             raise ParseError(line_no, f"undeclared string variable {name!r}")
 
     def check_int_var(self, name: str, line_no: int) -> None:
-        if name not in self.int_vars:
+        if self.kind_of.get(name) != "int":
             raise ParseError(line_no, f"undeclared integer variable {name!r}")
+
+    def check_word(self, word: str, line_no: int) -> str:
+        try:
+            self.need_alphabet(line_no).check_word(word)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        return word
 
     def resolve_transducer(self, name: str, line_no: int) -> Transducer:
         if name in self.local_transducers:
@@ -315,8 +323,9 @@ class _FileParser:
         for name in names:
             if not re.fullmatch(_IDENT, name):
                 raise ParseError(line_no, f"bad variable name {name!r}")
-            if name in self.str_vars or name in self.int_vars:
+            if name in self.kind_of:
                 raise ParseError(line_no, f"variable {name!r} declared twice")
+            self.kind_of[name] = parts[0]
             (self.str_vars if parts[0] == "str" else self.int_vars).append(name)
 
     def parse_diseq(self, line: str, line_no: int) -> None:
@@ -334,13 +343,13 @@ class _FileParser:
         indexof = _INDEXOF_RE.match(rhs)
         if indexof is not None:
             self.check_int_var(lhs, line_no)
-            needle = unquote(indexof.group(1), line_no)
+            needle = self.check_word(unquote(indexof.group(1), line_no), line_no)
             if not needle:
                 raise ParseError(line_no, "indexof needle must be nonempty")
             hay_text = indexof.group(2)
             haystack: Var | Lit
             if hay_text.startswith('"'):
-                haystack = Lit(unquote(hay_text, line_no))
+                haystack = Lit(self.check_word(unquote(hay_text, line_no), line_no))
             else:
                 self.check_str_var(hay_text, line_no)
                 haystack = Var(hay_text)
@@ -382,13 +391,9 @@ class _FileParser:
             expect_item = False
         if expect_item:
             raise ParseError(line_no, "concatenation ends with '.'")
-        alphabet = self.need_alphabet(line_no)
         for item in items:
             if isinstance(item, Lit):
-                try:
-                    alphabet.check_word(item.text)
-                except ValueError as exc:
-                    raise ParseError(line_no, str(exc)) from None
+                self.check_word(item.text, line_no)
         self.relations.append(ConcatEq(lhs, tuple(items)))
 
     # -- s-expression layers --------------------------------------------
@@ -487,7 +492,7 @@ class _FileParser:
                 if len(node) != 3 or node[1][0] != "id" or node[2][0] != "char":
                     raise ParseError(line_no, "expected (count <var> '<char>')")
                 self.check_str_var(node[1][1], line_no)
-                char = _unquote_char(node[2][1], line_no)
+                char = self.check_word(_unquote_char(node[2][1], line_no), line_no)
                 return [(1, CountTerm(node[1][1], char))], 0
             raise ParseError(line_no, "cannot parse integer expression")
         kind, text = node
@@ -516,7 +521,7 @@ class _FileParser:
                 self.check_int_var(index, line_no)
                 return CharPos(var, index)
             if kind == "char":
-                return CharConst(_unquote_char(text, line_no))
+                return CharConst(self.check_word(_unquote_char(text, line_no), line_no))
             raise ParseError(line_no, "expected x[i] or '<char>'")
 
         def leaf(node) -> BoolTree:

@@ -42,7 +42,6 @@ from .automata import (
     EPSILON,
     Nfa,
     explore,
-    live_states,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -52,7 +51,6 @@ from .automata import (
     nfa_multi_slice,
     nfa_nonempty_shortest,
     nfa_reduce,
-    nfa_trim,
     nfa_universal,
     reachable,
 )
@@ -76,6 +74,7 @@ from .transducer import (
     apply_function,
     post_image,
     pre_image_within,
+    trimmed_transducer,
 )
 
 #: A piece of some variable's value: (variable name, piece index).
@@ -303,12 +302,12 @@ def _pieces_for(
     The piece runs from ``start`` (the previous cut, or the initial
     state), past the literal gap ``literal``, which is consumed inside
     the slice as several entry states, into ``finals``.  ``nfa`` must be
-    epsilon-free.
+    epsilon-free; the slice is built trimmed in one construction.
     """
     starts = _word_step(nfa, frozenset({start}), literal)
     if not starts or not finals:
         return None
-    piece = nfa_trim(nfa_eps_eliminate(nfa_multi_slice(nfa, starts, finals)))
+    piece = nfa_multi_slice(nfa, starts, finals)
     return None if nfa_is_empty(piece) else piece
 
 
@@ -335,8 +334,9 @@ def _segment_machine(
     input moves are real only in the piece zone, and a literal letter
     read invisibly advances the row; those invisible moves are folded
     into per-state closures, so the result needs no epsilon pass.  Live
-    states are numbered in ``row * n + state`` order, as a trimmed
-    ``rows * n`` machine would number them.
+    states are numbered in ``row * n + state`` order: the explored states,
+    renamed by the rank of that id (most of the ``rows * n`` are never
+    reached), are trimmed in one construction.
     """
     assert t.is_normalized
     n = t.n_states
@@ -370,20 +370,14 @@ def _segment_machine(
         return out
 
     order, arcs = explore(from_state, successors)
-    finals = frozenset(i for i, sid in enumerate(order) if sid in accepting)
-    keep = live_states(len(order), [(i, j) for i, _, j in arcs], 0, finals)
-    keep.add(0)
-    remap = {i: k for k, i in enumerate(sorted(keep, key=order.__getitem__))}
-    return Transducer(
+    rank = {sid: k for k, sid in enumerate(sorted(order))}
+    ids = [rank[sid] for sid in order]
+    return trimmed_transducer(
         t.alphabet,
-        len(remap),
-        [
-            (remap[i], ins, outs, remap[j])
-            for i, (ins, outs), j in arcs
-            if i in remap and j in remap
-        ],
-        remap[0],
-        frozenset(remap[i] for i in finals if i in remap),
+        len(order),
+        [(ids[i], ins, outs, ids[j]) for i, (ins, outs), j in arcs],
+        rank[from_state],
+        frozenset(rank[sid] for sid in accepting),
     )
 
 
@@ -460,13 +454,19 @@ def _boundary_filter(
     """Joint boundary states that lie on some accepting run of a split.
 
     For ``y = T(x)`` with the argument split into ``m`` pieces, explores
-    one product of: position within the argument's literal/piece layout,
-    the state of ``t``, the state of ``y``'s automaton ``a_img`` (driven
-    by ``t``'s output), and — inside piece zones — the state of that
-    zone's current language refinement.  Element ``j`` of the result is
-    the set of ``(transducer state, image-automaton state)`` pairs
-    observable at inner boundary ``j`` on at least one accepting run;
-    cut choices outside these sets cannot possibly yield a solution.
+    one product of states ``(p, q, s)``: a position ``p`` in the layout
+    of the argument's :class:`Shape`, the state ``q`` of ``t``, and the
+    state ``s`` of ``y``'s automaton ``a_img`` (driven by ``t``'s
+    output).  The layout has one position per literal letter, the states
+    of each zone's current language refinement (a literal's last letter
+    leads straight to its zone's initial state), one boundary after each
+    inner zone, and an end.  A zone's finals move silently to its
+    boundary (the last zone's to the last literal, or to the end), and a
+    boundary, which emits nothing, moves silently into the next literal.
+    Each step consumes a layout letter, emits, or takes a silent move.
+    Element ``j`` of the result is the set of ``(q, s)`` pairs observable
+    at inner boundary ``j`` on at least one accepting run; cut choices
+    outside these sets cannot possibly yield a solution.
 
     Before the product, one backward search finds the live pairs: those
     ``(q, s)`` from which ``t.finals × a_img.finals`` can be reached when
@@ -487,7 +487,6 @@ def _boundary_filter(
     a_img = nfa_eps_eliminate(a_img)
     zones = [nfa_eps_eliminate(z) for z in zone_langs]
     m = len(arg_shape.slots)
-    lits = arg_shape.literals
 
     consuming = t.consuming
     consumed_from: list[set[int]] = [set() for _ in range(t.n_states)]
@@ -521,68 +520,47 @@ def _boundary_filter(
     if (t.initial, a_img.initial) not in live:
         return [set() for _ in range(m - 1)]
 
-    def emit(q: int, s: int) -> Iterator[tuple[int, int]]:
-        """The live (transducer, image) states after ``t`` emits a letter from ``q``."""
-        image_arcs = a_img.arcs_by_symbol[s]
-        for b, q2s in t.emitting[q].items():
-            s2s = image_arcs.get(b, ())
-            for q2 in q2s:
-                for s2 in s2s:
-                    if (q2, s2) in live:
-                        yield q2, s2
+    # The layout, built back to front from the end (position 0): each
+    # position's letter moves and silent moves.
+    layout: list[tuple[dict[str, tuple[int, ...]], tuple[int, ...]]] = [({}, ())]
+    boundary_at: dict[int, int] = {}
+    entry = 0
+    for j in reversed(range(m + 1)):
+        if j < m - 1:
+            boundary_at[len(layout)] = j
+            layout.append(({}, (entry,)))
+            entry = len(layout) - 1
+        if j < m:
+            zone, base = zones[j], len(layout)
+            for r, moves in zone.arcs_by_symbol.items():
+                shifted = {c: tuple(base + r2 for r2 in rs) for c, rs in moves.items()}
+                layout.append((shifted, (entry,) if r in zone.finals else ()))
+            entry = base + zone.initial
+        for ch in reversed(arg_shape.literals[j]):
+            layout.append(({ch: (entry,)}, ()))
+            entry = len(layout) - 1
 
-    def make_pre(j: int, i: int, q: int, s: int) -> tuple:
-        if i == len(lits[j]):
-            return ("main", j, q, s, zones[j].initial)
-        return ("pre", j, i, q, s)
-
-    def make_post(i: int, q: int, s: int) -> tuple:
-        if i == len(lits[m]):
-            return ("end", q, s)
-        return ("post", i, q, s)
-
-    def successors(state: tuple) -> Iterator[tuple[None, tuple]]:
-        kind = state[0]
-        if kind == "pre":
-            _, j, i, q, s = state
-            for q2 in consuming[q].get(lits[j][i], ()):
-                if (q2, s) in live:
-                    yield None, make_pre(j, i + 1, q2, s)
-            for q2, s2 in emit(q, s):
-                yield None, ("pre", j, i, q2, s2)
-        elif kind == "main":
-            _, j, q, s, r = state
-            zone = zones[j]
-            zone_arcs = zone.arcs_by_symbol[r]
-            for ch, q2s in consuming[q].items():
-                for r2 in zone_arcs.get(ch, ()):
-                    for q2 in q2s:
-                        if (q2, s) in live:
-                            yield None, ("main", j, q2, s, r2)
-            for q2, s2 in emit(q, s):
-                yield None, ("main", j, q2, s2, r)
-            if r in zone.finals:
-                if j < m - 1:
-                    yield None, ("bnd", j, q, s)
-                else:
-                    yield None, make_post(0, q, s)
-        elif kind == "bnd":
-            _, j, q, s = state
-            yield None, make_pre(j + 1, 0, q, s)
-        elif kind == "post":
-            _, i, q, s = state
-            for q2 in consuming[q].get(lits[m][i], ()):
-                if (q2, s) in live:
-                    yield None, make_post(i + 1, q2, s)
-            for q2, s2 in emit(q, s):
-                yield None, ("post", i, q2, s2)
-        else:
-            _, q, s = state
-            for q2, s2 in emit(q, s):
-                yield None, ("end", q2, s2)
+    def successors(state: tuple[int, int, int]) -> Iterator[tuple[None, tuple]]:
+        p, q, s = state
+        moves, after = layout[p]
+        for ch, q2s in consuming[q].items():
+            for p2 in moves.get(ch, ()):
+                for q2 in q2s:
+                    if (q2, s) in live:
+                        yield None, (p2, q2, s)
+        if p not in boundary_at:
+            image_arcs = a_img.arcs_by_symbol[s]
+            for b, q2s in t.emitting[q].items():
+                s2s = image_arcs.get(b, ())
+                for q2 in q2s:
+                    for s2 in s2s:
+                        if (q2, s2) in live:
+                            yield None, (p, q2, s2)
+        for p2 in after:
+            yield None, (p2, q, s)
 
     explored = explore(
-        make_pre(0, 0, t.initial, a_img.initial),
+        (entry, t.initial, a_img.initial),
         successors,
         cap=_FILTER_STATE_CAP + 1 - len(live),
     )
@@ -596,17 +574,17 @@ def _boundary_filter(
     alive = reachable(
         (
             i
-            for i, state in enumerate(order)
-            if state[0] == "end" and state[1] in t.finals and state[2] in a_img.finals
+            for i, (p, q, s) in enumerate(order)
+            if p == 0 and q in t.finals and s in a_img.finals
         ),
         preds.__getitem__,
     )
 
     out: list[set[tuple[int, int]]] = [set() for _ in range(m - 1)]
     for i in alive:
-        state = order[i]
-        if state[0] == "bnd":
-            out[state[1]].add((state[2], state[3]))
+        p, q, s = order[i]
+        if p in boundary_at:
+            out[boundary_at[p]].add((q, s))
     return out
 
 

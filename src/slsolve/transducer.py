@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .automata import (
     EPSILON,
@@ -212,25 +212,36 @@ def transducer_normalize(t: Transducer) -> Transducer:
             for a, b, r in by_state[p]:
                 rules.append((q, a, b, r))
 
-    normalized = Transducer(t.alphabet, n, rules, t.initial, frozenset(finals))
-    return transducer_trim(normalized)
+    return trimmed_transducer(t.alphabet, n, rules, t.initial, frozenset(finals))
 
 
 def transducer_trim(t: Transducer) -> Transducer:
     """Drop states that are unreachable or cannot reach acceptance."""
+    return trimmed_transducer(t.alphabet, t.n_states, t.transitions, t.initial, t.finals)
+
+
+def trimmed_transducer(
+    alphabet: Alphabet,
+    n_states: int,
+    transitions: Sequence[tuple[int, str, str, int]],
+    initial: int,
+    finals: frozenset[int],
+) -> Transducer:
+    """``transducer_trim(Transducer(...))`` in one construction, as
+    :func:`~slsolve.automata.trimmed_nfa` builds a trimmed automaton."""
     remap = trim_renumbering(
-        t.n_states, [(q, r) for q, _, _, r in t.transitions], t.initial, t.finals
+        n_states, [(q, r) for q, _, _, r in transitions], initial, finals
     )
     return Transducer(
-        t.alphabet,
+        alphabet,
         len(remap),
         [
             (remap[q], a, b, remap[r])
-            for q, a, b, r in t.transitions
+            for q, a, b, r in transitions
             if q in remap and r in remap
         ],
-        remap[t.initial],
-        frozenset(remap[f] for f in t.finals if f in remap),
+        remap[initial],
+        frozenset(remap[f] for f in finals if f in remap),
     )
 
 

@@ -232,6 +232,14 @@ def test_oversized_integer_literal_is_a_parse_error(slp, capsys):
     assert captured.err.startswith(f"{path}:3:1: error: bad integer literal 999")
 
 
+def test_character_outside_the_alphabet_is_a_parse_error(slp, capsys):
+    path = slp('alphabet "ab"\nstr x\ncharc (= x[1] \'c\')\n')
+    assert run(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:3:1: error: character 'c' not in alphabet\n"
+
+
 def test_double_definition_through_a_literal_fails_cleanly(slp, capsys):
     path = slp('alphabet "ab"\nstr y x\nx = "a"\nx = y . "b"\n')
     assert run(["solve", path]) == 2

@@ -5,6 +5,8 @@ surfaces it to users; the happy paths assert the exact constraint
 structures produced.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,10 @@ def big(text: str, line_no: int, name: str):
         ('alphabet "ab"\nstr x\nint x\n', 3, "declared twice"),
         ('alphabet "ab"\nstr x\nx = y\n', 3, "undeclared string variable 'y'"),
         ('alphabet "ab"\nstr x\nx = "xyz"\n', 3, "not in alphabet"),
+        ('alphabet "ab"\nstr x\ncharc (= x[1] \'c\')\n', 3, "not in alphabet"),
+        ('alphabet "ab"\nstr x\nintc (<= (count x \'c\') 1)\n', 3, "not in alphabet"),
+        ('alphabet "ab"\nint u\nu = indexof("a", "cab", first)\n', 3, "not in alphabet"),
+        ('alphabet "ab"\nstr x\nint u\nu = indexof("c", x, first)\n', 4, "not in alphabet"),
         ('alphabet "ab"\nstr x\nx = . "a"\n', 3, "misplaced '.'"),
         ('alphabet "ab"\nstr x\nx = "a" .\n', 3, "ends with '.'"),
         ('alphabet "ab"\nstr x\nx = "a" "b"\n', 3, "missing '.'"),
@@ -271,6 +277,19 @@ def test_epsilon_label_round_trip():
     t = problem.relations[0].transducer
     assert (0, EPSILON, "a", 0) in t.transitions
     assert transducer_membership(t, "", "aaa")
+
+
+def test_long_definition_chain_parses_in_linear_time():
+    # Each line looks up its variables among all the declared ones; with
+    # a list per lookup, 50,000 of them take about a minute.
+    n = 50_000
+    lines = ['alphabet "ab"', "str " + " ".join(f"x{i}" for i in range(n))]
+    lines += [f'x{i + 1} = x{i} . "a"' for i in range(n - 1)]
+    start = time.perf_counter()
+    problem = parse_problem("\n".join(lines) + "\n")
+    assert time.perf_counter() - start < 10.0
+    assert len(problem.relations) == n - 1
+    assert problem.str_vars[:3] == ("x0", "x1", "x2")
 
 
 def test_parsed_regex_respects_declared_alphabet():

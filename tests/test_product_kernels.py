@@ -1,4 +1,4 @@
-"""Byte-identity of the product kernels: segments, images, filters, trims.
+"""Byte-identity of the product kernels: segments, images, filters, slices, trims.
 
 ``solver._segment_machine``, ``transducer._image``,
 ``solver._boundary_filter`` and ``automata.nfa_intersect`` are tuned for
@@ -20,7 +20,9 @@ from slsolve.automata import (
     EPSILON,
     Alphabet,
     Nfa,
+    nfa_eps_eliminate,
     nfa_intersect,
+    nfa_multi_slice,
     nfa_trim,
     nfa_universal,
     trimmed_nfa,
@@ -147,6 +149,11 @@ def random_filters(seed: int, count: int) -> list:
     About a third of the results keep a pair at every boundary; the rest
     refute the application, most of them because no accepting run exists.
     """
+    return [_boundary_filter(*args) for args in random_filter_args(seed, count)]
+
+
+def random_filter_args(seed: int, count: int) -> list[tuple]:
+    """The arguments of :func:`random_filters`, one tuple per call."""
     rng = random.Random(seed)
     images = [
         regex_parse(p, ABC)
@@ -169,7 +176,7 @@ def random_filters(seed: int, count: int) -> list:
             rng.choice(langs) if rng.random() < 0.85 else random_nfa(rng, ABC)
             for _ in range(m)
         ]
-        out.append(_boundary_filter(t, a_img, shape, zones))
+        out.append((t, a_img, shape, zones))
     return out
 
 
@@ -201,6 +208,41 @@ def random_intersections(seed: int, count: int) -> list[Nfa]:
         out.append(nfa_intersect(a, b))
         out.append(nfa_intersect(b, a))
     return out
+
+
+def sanitizer_filter_args(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of each boundary filter while solving one benchmark."""
+    calls: list[tuple] = []
+
+    def recording(*args, real=solver._boundary_filter):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_boundary_filter", recording)
+        solve(load_benchmark(name).problem)
+    return calls
+
+
+def filter_searches(monkeypatch, calls: list[tuple]) -> list:
+    """Per filter call, its product search as ``(states found, cap)``.
+
+    The states found are None when the search stopped at its cap; the
+    whole entry is None when the filter decided without a search.
+    """
+    searches: list = []
+
+    def counting(start, successors, cap=None, real=solver.explore):
+        result = real(start, successors, cap)
+        searches[-1] = (None if result is None else len(result[0]), cap)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "explore", counting)
+        for args in calls:
+            searches.append(None)
+            _boundary_filter(*args)
+    return searches
 
 
 def sanitizer_calls(monkeypatch, name: str, *funcs: str) -> list[list]:
@@ -239,6 +281,15 @@ SANITIZER_FILTERS = {
     "ex_mxss1": (1, "1965a109f7465dce"),
 }
 
+#: Product states each boundary filter explored before it walked one layout.
+RANDOM_FILTER_STATES = "b5ac53c4921dda42"
+SANITIZER_FILTER_STATES = {
+    "ex_cacm": 1008,
+    "ex_corrected": 383,
+    "ex_iframe": 3591,
+    "ex_mxss1": 1329,
+}
+
 #: Digest of the products before ``nfa_intersect`` walked the smaller table.
 RANDOM_INTERSECTIONS = "c02c3b83b59e53c4"
 
@@ -269,6 +320,34 @@ def test_sanitizer_filters_are_pinned(monkeypatch):
         (results,) = sanitizer_calls(monkeypatch, name, "_boundary_filter")
         got = (len(results), digest(results, canonical_pairs))
         assert got == SANITIZER_FILTERS[name], name
+
+
+def test_random_filter_product_sizes_are_pinned(monkeypatch):
+    searches = filter_searches(monkeypatch, random_filter_args(13, 500))
+    states = [None if found is None else found[0] for found in searches]
+    assert digest(states, repr) == RANDOM_FILTER_STATES
+
+
+def test_filter_state_cap_is_exact(monkeypatch):
+    """The filter gives up one state below what its search needs, not at it.
+
+    The filter hands ``explore`` the cap left after its live pairs, so a
+    search of ``n`` states under cap ``c`` needs a state cap of
+    ``n + _FILTER_STATE_CAP - c``.  One below that, the search itself
+    stops (not the live-pair check), and the filter returns None.
+    """
+    for name in benchmark_names():
+        (args,) = sanitizer_filter_args(monkeypatch, name)
+        ((states, cap),) = filter_searches(monkeypatch, [args])
+        assert states == SANITIZER_FILTER_STATES[name], name
+        need = states + solver._FILTER_STATE_CAP - cap
+        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", need - 1)
+        assert filter_searches(monkeypatch, [args]) == [(None, states - 1)], name
+        assert _boundary_filter(*args) is None
+        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", need)
+        pairs = _boundary_filter(*args)
+        monkeypatch.undo()
+        assert digest([pairs], canonical_pairs) == SANITIZER_FILTERS[name][1], name
 
 
 def test_random_intersections_are_pinned():
@@ -302,3 +381,26 @@ def test_nfa_trim_returns_a_trimmed_machine_itself():
         assert nfa_trim(trimmed) is trimmed
         kept += trimmed is nfa
     assert kept  # some random machines are already trimmed
+
+
+def test_multi_slice_is_the_trimmed_epsilon_slice():
+    """The one-construction slice equals the three-step one it replaced.
+
+    That one added a fresh initial state with an epsilon arc to every
+    source, then eliminated epsilons and trimmed.
+    """
+    rng = random.Random(7)
+    seen = {"no sources": 0, "no targets": 0, "overlap": 0}
+    for _ in range(800):
+        nfa = nfa_eps_eliminate(random_nfa(rng, ABC))
+        states = range(nfa.n_states)
+        sources = [q for q in states if rng.random() < 0.35]
+        targets = [q for q in states if rng.random() < 0.35]
+        seen["no sources"] += not sources
+        seen["no targets"] += not targets
+        seen["overlap"] += bool(set(sources) & set(targets))
+        fresh = nfa.n_states
+        arcs = nfa.transitions + tuple((fresh, EPSILON, q) for q in sources)
+        old = Nfa(ABC, fresh + 1, arcs, fresh, frozenset(targets))
+        assert nfa_multi_slice(nfa, sources, targets) == nfa_trim(nfa_eps_eliminate(old))
+    assert all(seen.values()), seen
