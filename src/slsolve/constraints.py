@@ -91,17 +91,15 @@ BoolTree = Union[Leaf, Not, And, Or]
 def tree_leaves(tree: BoolTree) -> list[Leaf]:
     """All leaves in left-to-right traversal order (duplicates kept)."""
     out: list[Leaf] = []
-
-    def walk(node: BoolTree) -> None:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Leaf):
             out.append(node)
         elif isinstance(node, Not):
-            walk(node.child)
+            stack.append(node.child)
         else:
-            for child in node.children:
-                walk(child)
-
-    walk(tree)
+            stack.extend(reversed(node.children))
     return out
 
 
@@ -140,26 +138,26 @@ def tree_eval_indexed(tree: BoolTree, values: Sequence[bool]) -> bool:
     two independent positions.
     """
     counter = iter(range(len(values)))
-
-    def walk(node: BoolTree) -> bool:
-        if isinstance(node, Leaf):
-            return values[next(counter)]
-        if isinstance(node, Not):
-            return not walk(node.child)
-        if isinstance(node, And):
-            # No short-circuiting: every leaf must consume its index.
-            results = [walk(c) for c in node.children]
-            return all(results)
-        if isinstance(node, Or):
-            results = [walk(c) for c in node.children]
-            return any(results)
-        raise TypeError(f"not a boolean tree node: {node!r}")
-
-    result = walk(tree)
+    result = _eval_indexed(tree, values, counter)
     # All positions consumed exactly once.
     if next(counter, None) is not None:
         raise ValueError("value vector longer than the tree's leaf count")
     return result
+
+
+def _eval_indexed(
+    node: BoolTree, values: Sequence[bool], counter: Iterator[int]
+) -> bool:
+    """:func:`tree_eval_indexed` below ``node``, leaves numbered by ``counter``."""
+    if isinstance(node, Leaf):
+        return values[next(counter)]
+    if isinstance(node, Not):
+        return not _eval_indexed(node.child, values, counter)
+    if isinstance(node, (And, Or)):
+        # No short-circuiting: every leaf must consume its index.
+        results = [_eval_indexed(c, values, counter) for c in node.children]
+        return all(results) if isinstance(node, And) else any(results)
+    raise TypeError(f"not a boolean tree node: {node!r}")
 
 
 def satisfying_vectors(tree: Optional[BoolTree]) -> Iterator[tuple[bool, ...]]:

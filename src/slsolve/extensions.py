@@ -467,37 +467,39 @@ def _indexof_scenarios(
         # enumerated so the chain stays statically known.
         landing_z, landing_k, _frag = placement[-1]
 
-        def chains(
-            z: int, entry: int, comps: list, pieces: list
-        ) -> Iterator[tuple[list, list]]:
-            if z % 2 == 0:
-                nxt, first = _run_literal(delta, p, entry, shape.literals[z // 2])
-                if z == landing_z:
-                    if first == landing_k:
-                        yield comps, pieces
-                elif first is None:
-                    yield from chains(z + 1, nxt, comps, pieces)
-                return
-            comp = (shape.slots[z // 2], needle, entry)
-            if z == landing_z:
-                landing = MonitorPiece(len(comps), None, len(base.terms) - 1)
-                yield comps + [comp], pieces + [landing]
-                return
-            for exit_state in range(p + 1):
-                yield from chains(
-                    z + 1,
-                    exit_state,
-                    comps + [comp],
-                    pieces + [MonitorPiece(len(comps), exit_state, None)],
-                )
-
-        for comps, pieces in chains(0, 0, [], []):
-            yield Scenario(
+        def monitored(comps: list, pieces: list) -> Scenario:
+            return Scenario(
                 base.terms,
                 base.links,
                 comps=tuple(comps),
                 monitors=(Monitor(tuple(pieces)),),
             )
+
+        # Depth-first, exit states ascending: (zone, entry state, comps,
+        # pieces) prefixes still to extend, the next one on top.
+        stack: list[tuple[int, int, list, list]] = [(0, 0, [], [])]
+        while stack:
+            z, entry, comps, pieces = stack.pop()
+            if z % 2 == 0:
+                nxt, first = _run_literal(delta, p, entry, shape.literals[z // 2])
+                if z == landing_z:
+                    if first == landing_k:
+                        yield monitored(comps, pieces)
+                elif first is None:
+                    stack.append((z + 1, nxt, comps, pieces))
+                continue
+            comp = (shape.slots[z // 2], needle, entry)
+            if z == landing_z:
+                landing = MonitorPiece(len(comps), None, len(base.terms) - 1)
+                yield monitored(comps + [comp], pieces + [landing])
+                continue
+            for exit_state in reversed(range(p + 1)):
+                stack.append((
+                    z + 1,
+                    exit_state,
+                    comps + [comp],
+                    pieces + [MonitorPiece(len(comps), exit_state, None)],
+                ))
 
 
 # ---------------------------------------------------------------------------
@@ -731,30 +733,24 @@ def _definite_caps(
             cap = atom.bound // coeff
             caps[key] = min(caps.get(key, cap), cap)
 
-    def visit(tree: BoolTree, positive: bool) -> None:
+    # (subtree, polarity) pairs still to visit; caps combine by min, so
+    # the visiting order does not matter.
+    stack = [(tree, True) for tree in trees]
+    while stack:
+        tree, positive = stack.pop()
         if isinstance(tree, Leaf):
             if positive:
                 atom = tree.atom
                 assert isinstance(atom, LoweredLinear)
                 leaf_caps(atom)
         elif isinstance(tree, Not):
-            visit(tree.child, not positive)
-        elif isinstance(tree, And):
-            if positive:
-                for child in tree.children:
-                    visit(child, True)
-            elif len(tree.children) == 1:
-                visit(tree.children[0], False)
+            stack.append((tree.child, not positive))
         else:
-            assert isinstance(tree, Or)
-            if not positive:
-                for child in tree.children:
-                    visit(child, False)
-            elif len(tree.children) == 1:
-                visit(tree.children[0], True)
-
-    for tree in trees:
-        visit(tree, True)
+            assert isinstance(tree, (And, Or))
+            # Conjunctive positions: every child of a positive And or a
+            # negative Or; an only child either way.
+            if positive == isinstance(tree, And) or len(tree.children) == 1:
+                stack.extend((child, positive) for child in tree.children)
     return caps
 
 

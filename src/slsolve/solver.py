@@ -209,11 +209,22 @@ def normalize_regular(
     of its negatively assigned ones (the full language when a variable
     is unconstrained).  Complements are built lazily, once per leaf, so
     branches that never falsify a leaf never pay for determinization.
+
+    Each automaton is reduced (:func:`slsolve.automata.nfa_reduce`)
+    before it is yielded: cut enumeration guesses one state per cut,
+    and any automaton of the language will do, so fewer states mean
+    fewer cuts.  Two kinds are yielded as built.  The universal
+    automaton has one state already.  A transducer image's automaton
+    gets its cut states from the boundary filter, not from enumeration,
+    and it feeds the pre-images of propagation, which grow when it is
+    reduced: on ``ex_mxss1`` the first pre-image has 84 states instead
+    of 52.
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
     universal = nfa_universal(problem.alphabet)
     complements: dict[int, Nfa] = {}
+    images = {rel.lhs for rel in problem.relations if isinstance(rel, TransducerEq)}
 
     for values in satisfying_vectors(tree):
         var_nfas: dict[str, Nfa] = {v: universal for v in problem.str_vars}
@@ -227,6 +238,9 @@ def normalize_regular(
                     complements[idx] = nfa_complement(atom.nfa)
                 factor = complements[idx]
             var_nfas[atom.var] = nfa_intersect(var_nfas[atom.var], factor)
+        for var, nfa in var_nfas.items():
+            if nfa is not universal and var not in images:
+                var_nfas[var] = nfa_reduce(nfa)
         yield values, var_nfas
 
 
@@ -543,11 +557,22 @@ def _boundary_filter(
     def successors(state: tuple[int, int, int]) -> Iterator[tuple[None, tuple]]:
         p, q, s = state
         moves, after = layout[p]
-        for ch, q2s in consuming[q].items():
-            for p2 in moves.get(ch, ()):
-                for q2 in q2s:
+        # Walk the smaller of the two letter tables (a literal's has one).
+        row = consuming[q]
+        if len(moves) < len(row):
+            for ch, p2s in moves.items():
+                for q2 in row.get(ch, ()):
                     if (q2, s) in live:
-                        yield None, (p2, q2, s)
+                        for p2 in p2s:
+                            yield None, (p2, q2, s)
+        else:
+            for ch, q2s in row.items():
+                p2s = moves.get(ch)
+                if p2s:
+                    for q2 in q2s:
+                        if (q2, s) in live:
+                            for p2 in p2s:
+                                yield None, (p2, q2, s)
         if p not in boundary_at:
             image_arcs = a_img.arcs_by_symbol[s]
             for b, q2s in t.emitting[q].items():
@@ -606,7 +631,8 @@ def _branch_forests(
     at a time, states ascending, so tuples come out in lexicographic
     order.  Piece ``j`` depends only on boundaries ``j - 1`` and ``j``,
     so it is attached as soon as boundary ``j`` is fixed (sliced once
-    per branch through a memo; segments through ``seg_cache``) and
+    per branch through a memo, and intersected onto its node through a
+    memo keyed by both automata; segments through ``seg_cache``) and
     detached on backtrack; an empty piece, segment relation or node
     intersection drops every tuple extending the prefix.  Unsplit
     transducer images are pinned to the forward range of their
@@ -620,6 +646,7 @@ def _branch_forests(
     nodes: dict[NodeId, Nfa] = {}
     edges: list[tuple[NodeId, NodeId, Transducer]] = []
     slices: dict[tuple[str, str, int, Optional[int]], Optional[Nfa]] = {}
+    meets: dict[tuple[Nfa, Nfa], Nfa] = {}
 
     def place(
         options: list[Iterable[int]], first: int, attach: Callable
@@ -681,7 +708,12 @@ def _branch_forests(
                 return None
             node = shape.slots[j]
             old = nodes.get(node)
-            new = piece if old is None else nfa_intersect(old, piece)
+            if old is None:
+                new = piece
+            else:
+                new = meets.get((old, piece))
+                if new is None:
+                    new = meets[old, piece] = nfa_intersect(old, piece)
             if nfa_is_empty(new):
                 return None
             nodes[node] = new
@@ -815,17 +847,27 @@ def _branch_forests(
         nfas = {n: nodes.get(n, universal) for n in primary}
         return AcForest(order=primary, nfas=nfas, children=children, parent=parent)
 
-    def rec(i: int) -> Iterator[AcForest]:
-        if i == len(levels):
-            yield assemble()
-            return
-        var, (options, first, attach) = levels[i]
-        for cuts in place(options(), first, attach):
-            if var is not None:
-                chosen[var] = cuts
-            yield from rec(i + 1)
+    def enter(level: int) -> Iterator[tuple[int, ...]]:
+        _var, (options, first, attach) = levels[level]
+        return place(options(), first, attach)
 
-    yield from rec(0)
+    # Depth-first over the levels: one placement iterator per entered level.
+    if not levels:
+        yield assemble()
+        return
+    stack = [enter(0)]
+    while stack:
+        cuts = next(stack[-1], None)
+        if cuts is None:
+            stack.pop()
+            continue
+        var = levels[len(stack) - 1][0]
+        if var is not None:
+            chosen[var] = cuts
+        if len(stack) == len(levels):
+            yield assemble()
+        else:
+            stack.append(enter(len(stack)))
 
 
 # ---------------------------------------------------------------------------

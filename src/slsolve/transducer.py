@@ -72,7 +72,7 @@ class Transducer:
             if not (0 <= f < n):
                 raise ValueError("final state out of range")
 
-    @property
+    @cached_property
     def is_normalized(self) -> bool:
         return all(
             (len(ins) == 1 and outs == EPSILON)
@@ -80,9 +80,15 @@ class Transducer:
             for _, ins, outs, _ in self.transitions
         )
 
-    @cached_property
+    @property
     def normalized(self) -> "Transducer":
         """This machine in normalized form (itself when already normalized)."""
+        return self if self.is_normalized else self._normal_form
+
+    @cached_property
+    def _normal_form(self) -> "Transducer":
+        # Not cached on a normalized machine: a machine holding itself is
+        # a reference cycle, left for the cyclic collector.
         return transducer_normalize(self)
 
     @cached_property

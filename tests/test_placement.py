@@ -8,7 +8,10 @@ yield the same forests in the same order.  Scaling is checked with the
 solver's deterministic work budget instead of wall clocks.
 """
 
+import importlib.util
+import sys
 from itertools import product as iter_product
+from pathlib import Path
 from typing import Iterator, Optional
 
 import pytest
@@ -19,6 +22,7 @@ from slsolve.automata import (
     nfa_intersect,
     nfa_is_empty,
     nfa_multi_slice,
+    nfa_reduce,
     nfa_trim,
     nfa_universal,
 )
@@ -413,3 +417,57 @@ def test_string_only_solve_stops_at_the_resource_limit():
     assert verdict.model is None
     assert stats["cut-placements"] == 6
     assert stats["forests"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Cuts on reduced automata
+
+
+def test_branch_automata_are_reduced_except_images():
+    """``normalize_regular`` reduces every automaton but an image's.
+
+    At ``odd-a-count`` d4 the product for ``x_n`` has 8 states and its
+    reduction 4.  ``ci`` in ``ex_mxss1`` is a transducer image, so it
+    keeps its 55-state product although the reduction has 52.
+    """
+    problem = square_chain("odd-a-count", 4)
+    (_values, var_nfas), = normalize_regular(problem)
+    universal = nfa_universal(problem.alphabet)
+    assert var_nfas["x1"] == universal
+    for var, leaf in zip(("x0", "x2"), problem.regular.children):
+        product = nfa_intersect(universal, leaf.atom.nfa)
+        assert var_nfas[var] == nfa_reduce(product)
+    assert nfa_intersect(universal, problem.regular.children[1].atom.nfa).n_states == 8
+    assert var_nfas["x2"].n_states == 4
+
+    mxss = fold_constant_relations(load_benchmark("ex_mxss1").problem)
+    (_values, var_nfas), = normalize_regular(mxss)
+    product = nfa_intersect(nfa_universal(mxss.alphabet), mxss.regular.atom.nfa)
+    assert var_nfas["ci"] == product
+    assert (product.n_states, nfa_reduce(product).n_states) == (55, 52)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_square_chain_benchmark_places_at_most_270_cuts(monkeypatch):
+    """The benchmark's 33 square-chain instances, at its arguments.
+
+    Cut placements on the branch automata as built (before reduction)
+    totalled 607.  The instances are the benchmark's own
+    (``perfbench/workloads.py``), loaded by path.
+    """
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module runs.
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    instances = list(workloads.build("square-chain"))
+    assert len(instances) == 33
+    total = 0
+    for inst in instances:
+        stats: dict = {}
+        verdict = solve(inst.problem, stats=stats, **inst.solve_kwargs)
+        assert workloads.check(inst, verdict) is None
+        total += stats["cut-placements"]
+    assert total <= 270
