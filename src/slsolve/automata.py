@@ -184,61 +184,39 @@ class Nfa:
         n = self.n_states
         if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
-        # Arcs as (source, symbol index, target) keys, epsilon -1 and a
-        # symbol outside the alphabet ``bad``; sorted, they are checked
-        # and read back through ``labels`` (whose index -1 is epsilon).
         idx = self.alphabet._index
-        bad = len(idx) + 1
-        keyed = sorted(
-            {
-                (q, -1 if sym == EPSILON else idx.get(sym, bad), r)
-                for q, sym, r in self.transitions
-            }
-        )
-        if keyed and (keyed[0][0] < 0 or keyed[-1][0] >= n):
-            self._raise_bad_arc()
-        for _q, s, r in keyed:
-            if s == bad or not 0 <= r < n:
-                self._raise_bad_arc()
-        labels = self.alphabet.symbols + (EPSILON,)
+        keyed: dict[tuple[int, int, int], tuple[int, str, int]] = {}
+        for q, sym, r in self.transitions:
+            if not (0 <= q < n and 0 <= r < n):
+                raise ValueError(f"transition {(q, sym, r)} out of range")
+            s = -1 if sym == EPSILON else idx.get(sym)
+            if s is None:
+                raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            keyed[(q, s, r)] = (q, sym, r)
         object.__setattr__(
-            self, "transitions", tuple([(q, labels[s], r) for q, s, r in keyed])
+            self, "transitions", tuple(keyed[key] for key in sorted(keyed))
         )
         for f in self.finals:
             if not (0 <= f < n):
                 raise ValueError("final state out of range")
 
-    def _raise_bad_arc(self) -> None:
-        """Raise for the first transition, in the order given, that is invalid."""
-        n, idx = self.n_states, self.alphabet._index
-        for q, sym, r in self.transitions:
-            if not (0 <= q < n and 0 <= r < n):
-                raise ValueError(f"transition {(q, sym, r)} out of range")
-            if sym != EPSILON and sym not in idx:
-                raise ValueError(f"transition symbol {sym!r} not in alphabet")
-
     @cached_property
     def arcs(self) -> dict[int, list[tuple[str, int]]]:
         """Outgoing arcs per state, epsilon first, then alphabet order."""
-        rows: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+        out: dict[int, list[tuple[str, int]]] = {q: [] for q in range(self.n_states)}
         for q, sym, r in self.transitions:
-            rows[q].append((sym, r))
-        return dict(enumerate(rows))
+            out[q].append((sym, r))
+        return out
 
     @cached_property
     def arcs_by_symbol(self) -> dict[int, dict[str, tuple[int, ...]]]:
-        """Per state, each label's targets; labels in :attr:`arcs` order."""
-        rows: list[dict[str, list[int]]] = [{} for _ in range(self.n_states)]
-        for q, sym, r in self.transitions:
-            row = rows[q]
-            targets = row.get(sym)
-            if targets is None:
-                row[sym] = [r]
-            else:
-                targets.append(r)
+        out: dict[int, dict[str, list[int]]] = {q: {} for q in range(self.n_states)}
+        for q, arcs in self.arcs.items():
+            for sym, r in arcs:
+                out[q].setdefault(sym, []).append(r)
         return {
-            q: {sym: tuple(rs) for sym, rs in row.items()}
-            for q, row in enumerate(rows)
+            q: {sym: tuple(rs) for sym, rs in by_sym.items()}
+            for q, by_sym in out.items()
         }
 
     @cached_property

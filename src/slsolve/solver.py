@@ -557,22 +557,11 @@ def _boundary_filter(
     def successors(state: tuple[int, int, int]) -> Iterator[tuple[None, tuple]]:
         p, q, s = state
         moves, after = layout[p]
-        # Walk the smaller of the two letter tables (a literal's has one).
-        row = consuming[q]
-        if len(moves) < len(row):
-            for ch, p2s in moves.items():
-                for q2 in row.get(ch, ()):
+        for ch, q2s in consuming[q].items():
+            for p2 in moves.get(ch, ()):
+                for q2 in q2s:
                     if (q2, s) in live:
-                        for p2 in p2s:
-                            yield None, (p2, q2, s)
-        else:
-            for ch, q2s in row.items():
-                p2s = moves.get(ch)
-                if p2s:
-                    for q2 in q2s:
-                        if (q2, s) in live:
-                            for p2 in p2s:
-                                yield None, (p2, q2, s)
+                        yield None, (p2, q2, s)
         if p not in boundary_at:
             image_arcs = a_img.arcs_by_symbol[s]
             for b, q2s in t.emitting[q].items():

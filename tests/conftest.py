@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+from types import ModuleType
+
 import pytest
 
 from slsolve.constraints import Problem
@@ -29,3 +34,17 @@ def extension_problems() -> list[Problem]:
     all read it.
     """
     return [gen_random_problem(seed, with_extensions=True) for seed in range(300)]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def workloads(monkeypatch) -> ModuleType:
+    """The benchmark's workload module (``perfbench/workloads.py``), loaded by path."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module runs.
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    return module

@@ -159,6 +159,33 @@ def test_live_states_are_reachable_and_coreachable():
     assert live_states(5, edges, 0, set()) == set()
 
 
+def test_live_states_and_emptiness_on_random_graphs():
+    """Both against their definitions: plain forward and backward searches."""
+    rng = random.Random(13)
+    empty = 0
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        arcs = [
+            (rng.randrange(n), rng.choice((EPSILON, "a", "b")), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        initial = rng.randrange(n)
+        finals = frozenset(q for q in range(n) if rng.random() < 0.25)
+        fwd: dict[int, list[int]] = {q: [] for q in range(n)}
+        rev: dict[int, list[int]] = {q: [] for q in range(n)}
+        for q, _, r in arcs:
+            fwd[q].append(r)
+            rev[r].append(q)
+        forward = reachable([initial], fwd.__getitem__)
+        backward = reachable(finals, rev.__getitem__)
+        edges = [(q, r) for q, _, r in arcs]
+        assert live_states(n, edges, initial, finals) == forward & backward
+        is_empty = nfa_is_empty(Nfa(AB, n, arcs, initial, finals))
+        assert is_empty == forward.isdisjoint(finals)
+        empty += is_empty
+    assert 0 < empty < 1500
+
+
 # ---------------------------------------------------------------------------
 # Language-preserving rewrites
 

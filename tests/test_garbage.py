@@ -9,24 +9,14 @@ it reaches.
 """
 
 import gc
-import importlib.util
-import sys
-from pathlib import Path
 
 from slsolve.oracle import gen_random_problem
 from slsolve.solver import solve
 from slsolve.websec import benchmark_names, load_benchmark
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
-
-def test_solves_leave_no_cyclic_garbage(monkeypatch):
+def test_solves_leave_no_cyclic_garbage(workloads):
     """The sanitizer cases, one square chain per family, extension seeds 0..19."""
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while the module runs.
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec.loader.exec_module(workloads)
     square = {}
     for inst in workloads.build("square-chain"):
         family, _, dim = inst.name.rpartition("-d")

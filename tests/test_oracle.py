@@ -8,10 +8,7 @@ the straight-line gate and stays cheap to brute-force.
 """
 
 import hashlib
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -225,21 +222,13 @@ def test_generator_varies_with_the_seed():
     assert gen_random_problem(1) != gen_random_problem(2)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def test_seeded_corpora_are_pinned(monkeypatch, string_problems, extension_problems):
+def test_seeded_corpora_are_pinned(workloads, string_problems, extension_problems):
     """The fingerprint digests of both corpora stay put.
 
     A change to the generator or to its resampling filter moves them.
     The fingerprint is the benchmark's own (``perfbench/workloads.py``),
     loaded by path.
     """
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while the module runs.
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec.loader.exec_module(workloads)
 
     def digest(problems: list[Problem]) -> str:
         joined = "".join(workloads.fingerprint(p) for p in problems)

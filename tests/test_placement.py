@@ -8,10 +8,7 @@ yield the same forests in the same order.  Scaling is checked with the
 solver's deterministic work budget instead of wall clocks.
 """
 
-import importlib.util
-import sys
 from itertools import product as iter_product
-from pathlib import Path
 from typing import Iterator, Optional
 
 import pytest
@@ -447,21 +444,13 @@ def test_branch_automata_are_reduced_except_images():
     assert (product.n_states, nfa_reduce(product).n_states) == (55, 52)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def test_square_chain_benchmark_places_at_most_270_cuts(monkeypatch):
+def test_square_chain_benchmark_places_at_most_270_cuts(workloads):
     """The benchmark's 33 square-chain instances, at its arguments.
 
     Cut placements on the branch automata as built (before reduction)
     totalled 607.  The instances are the benchmark's own
     (``perfbench/workloads.py``), loaded by path.
     """
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while the module runs.
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec.loader.exec_module(workloads)
     instances = list(workloads.build("square-chain"))
     assert len(instances) == 33
     total = 0
