@@ -9,11 +9,20 @@ machine depends only on its inputs, never on hash order.  The
 transitions in any order, with repeats — so equal machines compare and
 hash equal however they were built.
 
-Every product, closure and trim is a search through one of two kernels:
-:func:`explore`, a breadth-first search that numbers states in discovery
-order and records the arcs between them, and :func:`reachable`, a plain
-reachability set (with :func:`live_states` on top of it for trimming).
-Products trim in the one construction that builds them (:func:`trimmed_nfa`).
+Each machine keeps one per-state arc table, :attr:`Nfa.arcs_by_symbol`,
+and words are read through one move, :meth:`Nfa.step`.  Searches run on
+two kernels: :func:`explore`, a breadth-first search that numbers states
+in discovery order and records the arcs between them, builds every
+product and subset construction; :func:`reachable`, a plain
+reachability set, computes epsilon closures and the co-reachable half of
+:func:`live_states`, through which every trim goes.  Products trim
+in the one construction that builds them (:func:`trimmed_nfa`).
+:func:`nfa_is_empty` keeps its own search: it stops at the first final
+state it meets, where :func:`reachable` would finish the whole set, and
+a version on :func:`reachable` measured slower on square-chain cut
+placement, which asks it most.  :func:`nfa_nonempty_shortest` tries
+every letter at each position of a witness, so it reads the table
+inline rather than through :meth:`Nfa.step`.
 """
 
 from __future__ import annotations
@@ -201,55 +210,41 @@ class Nfa:
                 raise ValueError("final state out of range")
 
     @cached_property
-    def arcs(self) -> dict[int, list[tuple[str, int]]]:
-        """Outgoing arcs per state, epsilon first, then alphabet order."""
-        out: dict[int, list[tuple[str, int]]] = {q: [] for q in range(self.n_states)}
-        for q, sym, r in self.transitions:
-            out[q].append((sym, r))
-        return out
-
-    @cached_property
     def arcs_by_symbol(self) -> dict[int, dict[str, tuple[int, ...]]]:
+        """Outgoing arcs per state: symbol -> targets, epsilon first, then
+        alphabet order (the order of :attr:`transitions`)."""
         out: dict[int, dict[str, list[int]]] = {q: {} for q in range(self.n_states)}
-        for q, arcs in self.arcs.items():
-            for sym, r in arcs:
-                out[q].setdefault(sym, []).append(r)
+        for q, sym, r in self.transitions:
+            out[q].setdefault(sym, []).append(r)
         return {
-            q: {sym: tuple(rs) for sym, rs in by_sym.items()}
-            for q, by_sym in out.items()
+            q: {sym: tuple(rs) for sym, rs in row.items()} for q, row in out.items()
         }
 
     @cached_property
     def has_epsilon(self) -> bool:
         return any(sym == EPSILON for _, sym, _ in self.transitions)
 
-    @cached_property
-    def _eps_targets(self) -> list[list[int]]:
-        """Epsilon successors per state."""
-        out: list[list[int]] = [[] for _ in range(self.n_states)]
-        for q, sym, r in self.transitions:
-            if sym == EPSILON:
-                out[q].append(r)
-        return out
-
     def eps_closure(self, states: Iterable[int]) -> frozenset[int]:
-        return frozenset(reachable(states, self._eps_targets.__getitem__))
+        by_sym = self.arcs_by_symbol
+        return frozenset(reachable(states, lambda q: by_sym[q].get(EPSILON, ())))
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
         """One closed move: epsilon-closure after reading ``symbol``."""
-        nxt = set()
-        for q in states:
-            for r in self.arcs_by_symbol[q].get(symbol, ()):
-                nxt.add(r)
-        return self.eps_closure(nxt)
+        by_sym = self.arcs_by_symbol
+        nxt = frozenset(r for q in states for r in by_sym[q].get(symbol, ()))
+        return self.eps_closure(nxt) if self.has_epsilon else nxt
 
-    def run(self, word: str) -> frozenset[int]:
-        states = self.eps_closure({self.initial})
+    def read(self, states: frozenset[int], word: str) -> frozenset[int]:
+        """The states reached from the epsilon-closed ``states`` by reading
+        ``word``, one :meth:`step` per letter."""
         for ch in word:
             states = self.step(states, ch)
             if not states:
                 break
         return states
+
+    def run(self, word: str) -> frozenset[int]:
+        return self.read(self.eps_closure({self.initial}), word)
 
 
 def nfa_from_word(word: str, alphabet: Alphabet) -> Nfa:
@@ -289,9 +284,9 @@ def nfa_eps_eliminate(nfa: Nfa) -> Nfa:
         if closure & nfa.finals:
             finals.add(q)
         for p in closure:
-            for sym, r in nfa.arcs[p]:
+            for sym, rs in nfa.arcs_by_symbol[p].items():
                 if sym != EPSILON:
-                    transitions.append((q, sym, r))
+                    transitions += [(q, sym, r) for r in rs]
     return Nfa(
         nfa.alphabet, nfa.n_states, transitions, nfa.initial, frozenset(finals)
     )
@@ -488,11 +483,10 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
 def nfa_determinize(nfa: Nfa) -> Nfa:
     """Complete subset-construction DFA (includes the sink subset)."""
     nfa = nfa_eps_eliminate(nfa)
-    by_sym = nfa.arcs_by_symbol
 
     def successors(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for sym in nfa.alphabet:
-            yield sym, frozenset(r for q in subset for r in by_sym[q].get(sym, ()))
+            yield sym, nfa.step(subset, sym)
 
     order, arcs = explore(frozenset({nfa.initial}), successors)
     finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
@@ -518,10 +512,11 @@ def nfa_is_empty(nfa: Nfa) -> bool:
         q = queue.popleft()
         if q in nfa.finals:
             return False
-        for _, r in nfa.arcs[q]:
-            if r not in reach:
-                reach.add(r)
-                queue.append(r)
+        for rs in nfa.arcs_by_symbol[q].values():
+            for r in rs:
+                if r not in reach:
+                    reach.add(r)
+                    queue.append(r)
     return True
 
 
@@ -587,7 +582,7 @@ def nfa_multi_slice(nfa: Nfa, sources: Iterable[int], targets: Iterable[int]) ->
     without epsilon arcs.  The result is built trimmed.
     """
     fresh, sources, finals = nfa.n_states, frozenset(sources), frozenset(targets)
-    copies = tuple((fresh, sym, r) for q in sources for sym, r in nfa.arcs[q])
+    copies = tuple((fresh, sym, r) for q, sym, r in nfa.transitions if q in sources)
     if not finals.isdisjoint(sources):
         finals |= {fresh}
     return trimmed_nfa(nfa.alphabet, fresh + 1, nfa.transitions + copies, fresh, finals)
@@ -618,12 +613,7 @@ def nfa_enumerate(
         nxt_level: list[tuple[str, frozenset[int]]] = []
         for word, states in level:
             for sym in nfa.alphabet:
-                nxt = frozenset(
-                    r
-                    for q in states
-                    for r in nfa.arcs_by_symbol[q].get(sym, ())
-                    if dist[r] <= budget
-                )
+                nxt = frozenset(r for r in nfa.step(states, sym) if dist[r] <= budget)
                 if not nxt:
                     continue
                 nxt_level.append((word + sym, nxt))

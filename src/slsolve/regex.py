@@ -19,8 +19,17 @@ class RegexSyntaxError(ValueError):
     """Raised for malformed patterns."""
 
 
-class _Builder:
-    def __init__(self, alphabet: Alphabet) -> None:
+class _Parser:
+    """Recursive descent over the pattern, emitting Thompson fragments.
+
+    A fragment is a (start, accept) state pair; accept states never have
+    outgoing arcs, so fragments compose by epsilon-linking.  States and
+    arcs accumulate in ``n_states`` and ``transitions``.
+    """
+
+    def __init__(self, pattern: str, alphabet: Alphabet) -> None:
+        self.pattern = pattern
+        self.pos = 0
         self.alphabet = alphabet
         self.n_states = 0
         self.transitions: list[tuple[int, str, int]] = []
@@ -31,19 +40,6 @@ class _Builder:
 
     def add(self, q: int, sym: str, r: int) -> None:
         self.transitions.append((q, sym, r))
-
-
-class _Parser:
-    """Recursive descent over the pattern, emitting Thompson fragments.
-
-    A fragment is a (start, accept) state pair; accept states never have
-    outgoing arcs, so fragments compose by epsilon-linking.
-    """
-
-    def __init__(self, pattern: str, builder: _Builder) -> None:
-        self.pattern = pattern
-        self.pos = 0
-        self.b = builder
 
     def peek(self) -> str | None:
         return self.pattern[self.pos] if self.pos < len(self.pattern) else None
@@ -69,10 +65,10 @@ class _Parser:
             branches.append(self.sequence())
         if len(branches) == 1:
             return branches[0]
-        start, accept = self.b.new_state(), self.b.new_state()
+        start, accept = self.new_state(), self.new_state()
         for s, a in branches:
-            self.b.add(start, EPSILON, s)
-            self.b.add(a, EPSILON, accept)
+            self.add(start, EPSILON, s)
+            self.add(a, EPSILON, accept)
         return start, accept
 
     def sequence(self) -> tuple[int, int]:
@@ -80,11 +76,11 @@ class _Parser:
         while self.peek() is not None and self.peek() not in {"|", ")"}:
             frags.append(self.item())
         if not frags:
-            state = self.b.new_state()
+            state = self.new_state()
             return state, state
         start, accept = frags[0]
         for s, a in frags[1:]:
-            self.b.add(accept, EPSILON, s)
+            self.add(accept, EPSILON, s)
             accept = a
         return start, accept
 
@@ -97,13 +93,13 @@ class _Parser:
 
     def repeat(self, frag: tuple[int, int], op: str) -> tuple[int, int]:
         s, a = frag
-        start, accept = self.b.new_state(), self.b.new_state()
-        self.b.add(start, EPSILON, s)
-        self.b.add(a, EPSILON, accept)
+        start, accept = self.new_state(), self.new_state()
+        self.add(start, EPSILON, s)
+        self.add(a, EPSILON, accept)
         if op in {"*", "+"}:
-            self.b.add(a, EPSILON, s)
+            self.add(a, EPSILON, s)
         if op in {"*", "?"}:
-            self.b.add(start, EPSILON, accept)
+            self.add(start, EPSILON, accept)
         return start, accept
 
     def atom(self) -> tuple[int, int]:
@@ -123,7 +119,7 @@ class _Parser:
             raise self.error("unbalanced ')'")
         if ch == ".":
             self.take()
-            return self.char_set(list(self.b.alphabet))
+            return self.char_set(list(self.alphabet))
         if ch == "[":
             self.take()
             return self.char_class()
@@ -136,16 +132,16 @@ class _Parser:
         return self.literal(ch)
 
     def literal(self, ch: str) -> tuple[int, int]:
-        if ch not in self.b.alphabet:
+        if ch not in self.alphabet:
             raise self.error(f"literal {ch!r} is not in the alphabet")
-        start, accept = self.b.new_state(), self.b.new_state()
-        self.b.add(start, ch, accept)
+        start, accept = self.new_state(), self.new_state()
+        self.add(start, ch, accept)
         return start, accept
 
     def char_set(self, chars: list[str]) -> tuple[int, int]:
-        start, accept = self.b.new_state(), self.b.new_state()
+        start, accept = self.new_state(), self.new_state()
         for ch in chars:
-            self.b.add(start, ch, accept)
+            self.add(start, ch, accept)
         return start, accept
 
     def char_class(self) -> tuple[int, int]:
@@ -188,9 +184,9 @@ class _Parser:
         # class silently restricts to the alphabet; a negated class means
         # "any alphabet character not listed".
         if negated:
-            chars = [c for c in self.b.alphabet if c not in members]
+            chars = [c for c in self.alphabet if c not in members]
         else:
-            chars = [c for c in self.b.alphabet if c in members]
+            chars = [c for c in self.alphabet if c in members]
         return self.char_set(chars)
 
 
@@ -203,15 +199,15 @@ def regex_parse(pattern: str, alphabet: Alphabet) -> Nfa:
     :raises RegexSyntaxError: on malformed patterns, literals outside
         the alphabet, or nesting too deep for the recursive descent.
     """
-    builder = _Builder(alphabet)
+    parser = _Parser(pattern, alphabet)
     try:
-        start, accept = _Parser(pattern, builder).parse()
+        start, accept = parser.parse()
     except RecursionError:
         raise RegexSyntaxError("pattern nested too deeply") from None
     return Nfa(
         alphabet,
-        max(builder.n_states, 1),
-        builder.transitions,
+        max(parser.n_states, 1),
+        parser.transitions,
         start,
         frozenset({accept}),
     )

@@ -297,17 +297,6 @@ def primary_nodes(
     return tuple(out)
 
 
-def _word_step(nfa: Nfa, states: frozenset[int], word: str) -> frozenset[int]:
-    """States reachable from ``states`` by reading ``word`` (no epsilons)."""
-    for ch in word:
-        states = frozenset(
-            r for q in states for r in nfa.arcs_by_symbol[q].get(ch, ())
-        )
-        if not states:
-            break
-    return states
-
-
 def _pieces_for(
     nfa: Nfa, literal: str, start: int, finals: frozenset[int]
 ) -> Optional[Nfa]:
@@ -318,7 +307,7 @@ def _pieces_for(
     the slice as several entry states, into ``finals``.  ``nfa`` must be
     epsilon-free; the slice is built trimmed in one construction.
     """
-    starts = _word_step(nfa, frozenset({start}), literal)
+    starts = nfa.read(frozenset({start}), literal)
     if not starts or not finals:
         return None
     piece = nfa_multi_slice(nfa, starts, finals)
@@ -398,11 +387,9 @@ def _segment_machine(
 #: Ranges larger than this fall back to the plain membership automaton.
 _RANGE_STATE_CAP = 400
 
-#: Below this many raw cut combinations the blind search is cheap enough
-#: that building a boundary filter would not pay for itself.
-_FILTER_THRESHOLD = 256
-
-#: Abandon a boundary filter whose product exploration grows past this.
+#: Every split transducer application is filtered (``_boundary_filter``);
+#: a filter whose live pairs plus product states grow past this is
+#: abandoned, and only then are the boundaries placed blind.
 _FILTER_STATE_CAP = 400_000
 
 
@@ -625,8 +612,10 @@ def _branch_forests(
     detached on backtrack; an empty piece, segment relation or node
     intersection drops every tuple extending the prefix.  Unsplit
     transducer images are pinned to the forward range of their
-    definition chain, and split applications place only boundary pairs
-    that a one-shot reachability filter leaves alive.  Each placement
+    definition chain.  Every split application places only the boundary
+    pairs that its boundary filter (``_boundary_filter``) leaves alive,
+    unless the filter passes ``_FILTER_STATE_CAP`` and is abandoned;
+    then its boundaries are placed blind.  Each placement
     charges ``budget`` one unit; once it runs out the enumeration stops,
     which the caller sees in ``budget.remaining``.
     """
@@ -684,7 +673,7 @@ def _branch_forests(
         last = frozenset(
             q
             for q in range(nfa.n_states)
-            if _word_step(nfa, frozenset({q}), lits[-1]) & nfa.finals
+            if nfa.read(frozenset({q}), lits[-1]) & nfa.finals
         )
 
         def attach(j: int, prev: int, cut: Optional[int]):
@@ -802,14 +791,10 @@ def _branch_forests(
         m = len(arg_shape.slots)
         if m < 2:
             continue
-        t = norm_ts[idx]
-        a_img = var_nfas[rel.lhs]
-        if (t.n_states * a_img.n_states) ** (m - 1) <= _FILTER_THRESHOLD:
-            continue
-        zone_langs = [
-            nodes.get(arg_shape.slots[j], universal) for j in range(m)
-        ]
-        pairs = _boundary_filter(t, a_img, arg_shape, zone_langs)
+        zone_langs = [nodes.get(arg_shape.slots[j], universal) for j in range(m)]
+        pairs = _boundary_filter(
+            norm_ts[idx], var_nfas[rel.lhs], arg_shape, zone_langs
+        )
         if pairs is None:
             continue
         if any(not v for v in pairs):
@@ -970,7 +955,8 @@ def solve(
 
     Models returned are always verified against the original problem
     before being reported.  A ``stats`` dict, when supplied, is filled
-    with deterministic search counters, whatever the verdict.
+    with deterministic search counters on every exit from the search:
+    whatever the verdict, and also when the search raises.
     """
     if int_bound is not None and int_bound < 0:
         raise ValueError(f"int_bound must be at least 0, not {int_bound}")
@@ -994,8 +980,35 @@ def solve(
         walker = ScenarioWalks(folded, shapes, int_bound, budget)
     bound = None if walker is None else walker.int_bound
     branches = forests = feasible_forests = 0
-
-    def note() -> None:
+    try:
+        for _values, var_nfas in normalize_regular(folded):
+            branches += 1
+            for forest in _branch_forests(
+                folded, graph, shapes, var_nfas, norm_ts, seg_cache, budget
+            ):
+                forests += 1
+                feasible = _propagate(forest)
+                if feasible is None:
+                    continue
+                feasible_forests += 1
+                if walker is None:
+                    model = _join_model(folded, shapes, _extract(forest, feasible))
+                else:
+                    model = walker.model(forest, feasible)
+                if model is not None:
+                    if not evaluate(problem, model):
+                        raise RuntimeError("internal error: model failed verification")
+                    return Verdict("sat", model=model)
+                # A walk may have spent the budget; leaving now keeps the
+                # next placement from charging it (and counting) once more.
+                if budget.remaining < 0:
+                    break
+            if budget.remaining < 0:
+                return Verdict("resource-limit", int_bound=bound)
+        if walker is not None and walker.within:
+            return Verdict("unsat-within-bounds", int_bound=bound)
+        return Verdict("unsat")
+    finally:
         if stats is not None:
             stats["membership-branches"] = branches
             stats["forests"] = forests
@@ -1003,37 +1016,6 @@ def solve(
             stats["cut-placements"] = budget.placements
             if walker is not None:
                 walker.note(stats)
-
-    for _values, var_nfas in normalize_regular(folded):
-        branches += 1
-        for forest in _branch_forests(
-            folded, graph, shapes, var_nfas, norm_ts, seg_cache, budget
-        ):
-            forests += 1
-            feasible = _propagate(forest)
-            if feasible is None:
-                continue
-            feasible_forests += 1
-            if walker is None:
-                model = _join_model(folded, shapes, _extract(forest, feasible))
-            else:
-                model = walker.model(forest, feasible)
-            if model is not None:
-                if not evaluate(problem, model):
-                    raise RuntimeError("internal error: model failed verification")
-                note()
-                return Verdict("sat", model=model)
-            # A walk may have spent the budget; leaving now keeps the
-            # next placement from charging it (and counting) once more.
-            if budget.remaining < 0:
-                break
-        if budget.remaining < 0:
-            note()
-            return Verdict("resource-limit", int_bound=bound)
-    note()
-    if walker is not None and walker.within:
-        return Verdict("unsat-within-bounds", int_bound=bound)
-    return Verdict("unsat")
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,21 @@ operation works on :attr:`Transducer.normalized`, so callers may hand
 over either form and each machine is normalized at most once.  As with
 :class:`~slsolve.automata.Nfa`, the :class:`Transducer` constructor
 fixes the arc order, so callers may pass transitions in any order.
+
+Searches run on the kernels of :mod:`slsolve.automata`: ``explore``
+builds the image products, ``reachable`` closes the empty moves of
+:func:`transducer_normalize` and decides :func:`transducer_membership`.
+The silent closure inside :func:`_image` stays hand-written: it runs for
+every (transducer state, bound state) pair of every image, joining two
+arc tables at each step, where a ``reachable`` callback would build a
+generator for every pair it pops.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .automata import (
     EPSILON,
@@ -221,11 +228,6 @@ def transducer_normalize(t: Transducer) -> Transducer:
     return trimmed_transducer(t.alphabet, n, rules, t.initial, frozenset(finals))
 
 
-def transducer_trim(t: Transducer) -> Transducer:
-    """Drop states that are unreachable or cannot reach acceptance."""
-    return trimmed_transducer(t.alphabet, t.n_states, t.transitions, t.initial, t.finals)
-
-
 def trimmed_transducer(
     alphabet: Alphabet,
     n_states: int,
@@ -233,7 +235,8 @@ def trimmed_transducer(
     initial: int,
     finals: frozenset[int],
 ) -> Transducer:
-    """``transducer_trim(Transducer(...))`` in one construction, as
+    """The :class:`Transducer` restricted to its live states, renumbered
+    densely, built in one construction as
     :func:`~slsolve.automata.trimmed_nfa` builds a trimmed automaton."""
     remap = trim_renumbering(
         n_states, [(q, r) for q, _, _, r in transitions], initial, finals
@@ -414,24 +417,20 @@ def apply_function(t: Transducer, word: str) -> Nfa:
 def transducer_membership(t: Transducer, x: str, y: str) -> bool:
     """Does the relation contain the pair ``(x, y)``?
 
-    Breadth-first search over positions ``(i, j)`` and states; every
-    move of a normalized machine advances ``i + j``, so the search space
-    is finite.
+    A search over positions ``(i, j)`` in ``x`` and ``y`` and states;
+    every move of a normalized machine advances ``i + j``, so the search
+    space is finite.
     """
     t = t.normalized
     t.alphabet.check_word(x)
     t.alphabet.check_word(y)
-    start = (0, 0, t.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j, q = queue.popleft()
-        if i == len(x) and j == len(y) and q in t.finals:
-            return True
-        emits = t.emitting[q].get(y[j], ()) if j < len(y) else ()
-        consumes = t.consuming[q].get(x[i], ()) if i < len(x) else ()
-        for nxt in [(i, j + 1, r) for r in emits] + [(i + 1, j, r) for r in consumes]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+
+    def moves(pos: tuple[int, int, int]) -> Iterator[tuple[int, int, int]]:
+        i, j, q = pos
+        if j < len(y):
+            yield from ((i, j + 1, r) for r in t.emitting[q].get(y[j], ()))
+        if i < len(x):
+            yield from ((i + 1, j, r) for r in t.consuming[q].get(x[i], ()))
+
+    reached = reachable([(0, 0, t.initial)], moves)
+    return any((len(x), len(y), f) in reached for f in t.finals)

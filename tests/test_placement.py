@@ -26,7 +26,6 @@ from slsolve.automata import (
 from slsolve.constraints import Problem, TransducerEq, evaluate
 from slsolve.parser import parse_problem
 from slsolve.solver import (
-    _FILTER_THRESHOLD,
     AcForest,
     Budget,
     NodeId,
@@ -35,7 +34,6 @@ from slsolve.solver import (
     _branch_forests,
     _segment_machine,
     _var_ranges,
-    _word_step,
     fold_constant_relations,
     normalize_regular,
     primary_nodes,
@@ -49,6 +47,12 @@ from slsolve.websec import benchmark_names, load_benchmark
 # ---------------------------------------------------------------------------
 # The reference: blind tuple enumeration
 
+#: The reference filters a split transducer application only above this
+#: many raw boundary combinations, as the solver once did; the solver now
+#: filters every one.  Below it the checks compare the solver's filtered
+#: placement with blind placement.
+_FILTER_THRESHOLD = 256
+
 
 def reference_pieces(
     nfa: Nfa, shape: Shape, cuts: tuple[int, ...]
@@ -60,9 +64,9 @@ def reference_pieces(
     pieces: list[Nfa] = []
     for j in range(m):
         if j == 0:
-            starts = _word_step(nfa, frozenset({nfa.initial}), shape.literals[0])
+            starts = nfa.read(frozenset({nfa.initial}), shape.literals[0])
         else:
-            starts = _word_step(nfa, frozenset({cuts[j - 1]}), shape.literals[j])
+            starts = nfa.read(frozenset({cuts[j - 1]}), shape.literals[j])
         if not starts:
             return None
         if j < m - 1:
@@ -71,7 +75,7 @@ def reference_pieces(
             finals = frozenset(
                 q
                 for q in range(nfa.n_states)
-                if _word_step(nfa, frozenset({q}), shape.literals[m]) & nfa.finals
+                if nfa.read(frozenset({q}), shape.literals[m]) & nfa.finals
             )
         if not finals:
             return None

@@ -26,6 +26,7 @@ from slsolve.constraints import (
     evaluate,
 )
 from slsolve.oracle import OracleConfig, brute_force_solve
+from slsolve.parser import parse_problem
 from slsolve.regex import regex_parse
 from slsolve.solver import Verdict, fold_constant_relations, max_model_bound, solve
 from slsolve.straightline import CyclicDefinition, MultiplyDefined
@@ -249,8 +250,7 @@ def test_straightline_check_runs_once_unless_folding_changes_the_problem(
 def test_capped_boundary_filter_falls_back_to_blind_placement(
     monkeypatch, pattern, machine
 ):
-    # y = T(x) with x cut into three pieces: the raw cut combinations are
-    # past the filter threshold, so the boundary filter runs.
+    # y = T(x) with x cut into three pieces, so the boundary filter runs.
     problem = Problem(
         alphabet=AB,
         str_vars=("u", "v", "w", "x", "y"),
@@ -277,6 +277,73 @@ def test_capped_boundary_filter_falls_back_to_blind_placement(
     assert results and all(r is None for r in results)
     assert blind == filtered
     assert blind_stats["cut-placements"] > filtered_stats["cut-placements"]
+
+
+SWAP = """\
+alphabet "ab"
+transducer sw {
+  states 2
+  initial 0
+  final 0 1
+  t 0 a/b 1
+  t 0 b/a 0
+  t 1 a/a 1
+  t 1 b/b 0
+}
+str u v x y
+x = u . "a" . v
+y = sw(x)
+"""
+
+
+@pytest.mark.parametrize(
+    "pattern, expected",
+    [("(a|b)*bb(a|b)*", "sat"), ("a*", "unsat")],
+    ids=["sat", "unsat"],
+)
+def test_small_split_application_is_filtered(monkeypatch, pattern, expected):
+    # Two pieces under a two-state transducer: few enough raw boundary
+    # combinations that placing them blind would be cheap, yet the filter
+    # runs, and it only ever drops placements.
+    problem = parse_problem(
+        SWAP + f"regc (and (in u /a+/) (in y /{pattern}/))\n"
+    )
+    calls = []
+    real = slsolve.solver._boundary_filter
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slsolve.solver, "_boundary_filter", recording)
+    filtered_stats: dict = {}
+    filtered = solve(problem, stats=filtered_stats)
+    assert calls
+    assert filtered.status == expected
+
+    monkeypatch.setattr(slsolve.solver, "_boundary_filter", lambda *args: None)
+    blind_stats: dict = {}
+    blind = solve(problem, stats=blind_stats)
+    assert blind == filtered
+    assert filtered_stats["cut-placements"] <= blind_stats["cut-placements"]
+
+
+def test_stats_are_filled_when_the_search_raises(monkeypatch):
+    def broken(forest):
+        raise RuntimeError("propagation failed")
+
+    monkeypatch.setattr(slsolve.solver, "_propagate", broken)
+    problem = Problem(
+        alphabet=AB,
+        str_vars=("y", "x"),
+        relations=(ConcatEq("x", (Var("y"), Var("y"))),),
+        regular=reg("x", "abab"),
+    )
+    stats: dict = {}
+    with pytest.raises(RuntimeError, match="propagation failed"):
+        solve(problem, stats=stats)
+    assert stats.pop("cut-placements") > 0
+    assert stats == {"membership-branches": 1, "forests": 1, "feasible-forests": 0}
 
 
 def test_empty_problem_is_trivially_sat():
