@@ -94,7 +94,7 @@ def main() -> None:
         print()
         print("pipeline replay (each stage recomputed from the input):")
         for var in graph.order:
-            origin = "source" if graph.is_source(var) else "derived"
+            origin = "source" if var in graph.sources else "derived"
             print(f"    {var:<4} [{origin}]  {quote_word(value[var])}")
 
         assert nfa_membership(sink_nfa(case), value[case.sink_var])

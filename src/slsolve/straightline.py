@@ -52,9 +52,6 @@ class DependencyGraph:
     defining: Mapping[str, RelAtom]
     uses: Mapping[str, tuple[str, ...]]
 
-    def is_source(self, var: str) -> bool:
-        return var not in self.defining
-
 
 def check_straightline(problem: Problem) -> DependencyGraph:
     """Verify straight-line form and return the canonical ordering.

@@ -1,275 +1,47 @@
 """Cut placement in the splitting stage.
 
 ``_branch_forests`` places piece boundaries one at a time and prunes
-dead prefixes.  A copy of the blind enumerator it replaced — every cut
-tuple of a choice point from ``itertools.product``, each sliced in full
-before any intersection — is kept here as the reference: both must
-yield the same forests in the same order.  Scaling is checked with the
-solver's deterministic work budget instead of wall clocks.
+dead prefixes.  The forests it yields on every membership branch of the
+instances below are pinned, in order, as a semantic pin: the node order,
+each node's automaton by its language, and the transducer segments
+between nodes (built by ``_segment_machine``, whose output
+``test_product_kernels.py`` pins by structure).  A language is keyed by
+its canonical minimal DFA, so a change that shrinks or renumbers node
+automata keeps the pins.  Scaling is checked with the solver's
+deterministic work budget instead of wall clocks.
+
+The pins were recorded while a copy of the blind enumerator that cut
+placement replaced (every cut tuple of a choice point from
+``itertools.product``, each sliced in full before any intersection)
+still yielded the same forests in the same order, node automata equal by
+structure.  To re-record, print ``forests_pin`` on the same inputs and
+paste it into the table of the test.
 """
 
-from itertools import product as iter_product
-from typing import Iterator, Optional
-
 import pytest
+from outcome_digest import digest
 
 from slsolve.automata import (
     Nfa,
-    nfa_eps_eliminate,
+    explore,
+    nfa_determinize,
     nfa_intersect,
-    nfa_is_empty,
-    nfa_multi_slice,
     nfa_reduce,
-    nfa_trim,
     nfa_universal,
 )
 from slsolve.constraints import Problem, TransducerEq, evaluate
 from slsolve.parser import parse_problem
 from slsolve.solver import (
-    AcForest,
     Budget,
-    NodeId,
-    Shape,
-    _boundary_filter,
     _branch_forests,
-    _segment_machine,
-    _var_ranges,
     fold_constant_relations,
     normalize_regular,
-    primary_nodes,
     solve,
     split_concat,
 )
 from slsolve.straightline import check_straightline
-from slsolve.transducer import Transducer, transducer_normalize
+from slsolve.transducer import transducer_normalize
 from slsolve.websec import benchmark_names, load_benchmark
-
-# ---------------------------------------------------------------------------
-# The reference: blind tuple enumeration
-
-#: The reference filters a split transducer application only above this
-#: many raw boundary combinations, as the solver once did; the solver now
-#: filters every one.  Below it the checks compare the solver's filtered
-#: placement with blind placement.
-_FILTER_THRESHOLD = 256
-
-
-def reference_pieces(
-    nfa: Nfa, shape: Shape, cuts: tuple[int, ...]
-) -> Optional[list[Nfa]]:
-    """Every piece automaton of one cut tuple, sliced from scratch."""
-    if nfa.has_epsilon:
-        nfa = nfa_eps_eliminate(nfa)
-    m = len(shape.slots)
-    pieces: list[Nfa] = []
-    for j in range(m):
-        if j == 0:
-            starts = nfa.read(frozenset({nfa.initial}), shape.literals[0])
-        else:
-            starts = nfa.read(frozenset({cuts[j - 1]}), shape.literals[j])
-        if not starts:
-            return None
-        if j < m - 1:
-            finals: frozenset[int] = frozenset({cuts[j]})
-        else:
-            finals = frozenset(
-                q
-                for q in range(nfa.n_states)
-                if nfa.read(frozenset({q}), shape.literals[m]) & nfa.finals
-            )
-        if not finals:
-            return None
-        piece = nfa_trim(nfa_eps_eliminate(nfa_multi_slice(nfa, starts, finals)))
-        if nfa_is_empty(piece):
-            return None
-        pieces.append(piece)
-    return pieces
-
-
-def reference_forests(
-    problem: Problem,
-    graph,
-    shapes: dict[str, Shape],
-    var_nfas: dict[str, Nfa],
-    norm_ts: dict[int, Transducer],
-    seg_cache: dict,
-) -> Iterator[AcForest]:
-    """The forests of one membership branch, one whole cut tuple at a time."""
-    primary = primary_nodes(problem, graph, shapes)
-    universal = nfa_universal(problem.alphabet)
-    nodes: dict[NodeId, Nfa] = {}
-    edges: list[tuple[NodeId, NodeId, Transducer]] = []
-
-    def add_pieces(shape, pieces):
-        saved = []
-        for j, piece in enumerate(pieces):
-            node = shape.slots[j]
-            old = nodes.get(node)
-            saved.append((node, old))
-            new = piece if old is None else nfa_intersect(old, piece)
-            if nfa_is_empty(new):
-                undo(saved)
-                return None
-            nodes[node] = new
-        return saved
-
-    def undo(saved):
-        for node, old in reversed(saved):
-            if old is None:
-                nodes.pop(node, None)
-            else:
-                nodes[node] = old
-
-    def rel_segments(idx, rel, d):
-        t = norm_ts[idx]
-        arg_shape = shapes[rel.arg]
-        m = len(arg_shape.slots)
-        out = []
-        for k in range(m):
-            from_state = t.initial if k == 0 else d[k - 1]
-            to_key = d[k] if k < m - 1 else None
-            key = (idx, k, from_state, to_key)
-            seg = seg_cache.get(key)
-            if seg is None:
-                to_states = frozenset({d[k]}) if k < m - 1 else t.finals
-                post_lit = arg_shape.literals[m] if k == m - 1 else ""
-                seg = _segment_machine(
-                    t, arg_shape.literals[k], from_state, to_states, post_lit
-                )
-                seg_cache[key] = seg
-            if not seg.finals:
-                return None
-            out.append((arg_shape.slots[k], (rel.lhs, k), seg))
-        return out
-
-    image_rel_idx = {
-        rel.lhs: idx
-        for idx, rel in enumerate(problem.relations)
-        if isinstance(rel, TransducerEq)
-    }
-    norm_by_var = {
-        rel.lhs: norm_ts[idx]
-        for idx, rel in enumerate(problem.relations)
-        if isinstance(rel, TransducerEq)
-    }
-
-    ranges = _var_ranges(problem, graph, shapes, var_nfas, norm_by_var)
-    for var in graph.order:
-        rel = graph.defining.get(var)
-        if isinstance(rel, TransducerEq) and len(shapes[var].slots) == 1:
-            rng = ranges.get(var)
-            if rng is not None and rng is not var_nfas[var]:
-                if nfa_is_empty(rng):
-                    return
-                nodes[(var, 0)] = rng
-
-    chosen: dict[str, tuple[int, ...]] = {}
-    levels: list[tuple[str, object]] = []
-    for var in graph.order:
-        shape = shapes[var]
-        nfa = var_nfas[var]
-        if len(shape.slots) >= 2 and nfa.n_states > 1:
-            levels.append(("var", var))
-        else:
-            chosen[var] = (0,) * (len(shape.slots) - 1)
-            pieces = reference_pieces(nfa, shape, chosen[var])
-            if pieces is None or add_pieces(shape, pieces) is None:
-                return
-
-    filters = {}
-    for idx, rel in enumerate(problem.relations):
-        if not isinstance(rel, TransducerEq):
-            continue
-        arg_shape = shapes[rel.arg]
-        m = len(arg_shape.slots)
-        if m < 2:
-            continue
-        t = norm_ts[idx]
-        a_img = var_nfas[rel.lhs]
-        if (t.n_states * a_img.n_states) ** (m - 1) <= _FILTER_THRESHOLD:
-            continue
-        zone_langs = [nodes.get(arg_shape.slots[j], universal) for j in range(m)]
-        pairs = _boundary_filter(t, a_img, arg_shape, zone_langs)
-        if pairs is None:
-            continue
-        if any(not v for v in pairs):
-            return
-        filters[idx] = pairs
-
-    for idx, rel in enumerate(problem.relations):
-        if not isinstance(rel, TransducerEq):
-            continue
-        m = len(shapes[rel.arg].slots)
-        if m >= 2 and norm_ts[idx].n_states > 1:
-            levels.append(("rel", idx))
-        else:
-            segs = rel_segments(idx, rel, (0,) * (m - 1))
-            if segs is None:
-                return
-            edges.extend(segs)
-
-    def assemble():
-        children = {n: [] for n in primary}
-        parent = {}
-        for pn, cn, machine in edges:
-            children[pn].append((cn, machine))
-            parent[cn] = (pn, machine)
-        nfas = {n: nodes.get(n, universal) for n in primary}
-        return AcForest(order=primary, nfas=nfas, children=children, parent=parent)
-
-    def rec(i):
-        if i == len(levels):
-            yield assemble()
-            return
-        kind, payload = levels[i]
-        if kind == "var":
-            var = payload
-            shape = shapes[var]
-            nfa = var_nfas[var]
-            n_cuts = len(shape.slots) - 1
-            pairs = filters.get(image_rel_idx.get(var, -1))
-            if pairs is None:
-                cut_iter = iter_product(range(nfa.n_states), repeat=n_cuts)
-            else:
-                cut_iter = iter_product(
-                    *(sorted({c for _d, c in pairs[j]}) for j in range(n_cuts))
-                )
-            for cuts in cut_iter:
-                pieces = reference_pieces(nfa, shape, cuts)
-                if pieces is None:
-                    continue
-                saved = add_pieces(shape, pieces)
-                if saved is None:
-                    continue
-                chosen[var] = cuts
-                yield from rec(i + 1)
-                del chosen[var]
-                undo(saved)
-        else:
-            idx = payload
-            rel = problem.relations[idx]
-            m = len(shapes[rel.arg].slots)
-            pairs = filters.get(idx)
-            if pairs is None:
-                d_iter = iter_product(range(norm_ts[idx].n_states), repeat=m - 1)
-            else:
-                cuts = chosen[rel.lhs]
-                d_iter = iter_product(
-                    *(
-                        sorted({d for d, c in pairs[j] if c == cuts[j]})
-                        for j in range(m - 1)
-                    )
-                )
-            for d in d_iter:
-                segs = rel_segments(idx, rel, d)
-                if segs is None:
-                    continue
-                edges.extend(segs)
-                yield from rec(i + 1)
-                del edges[-len(segs):]
-
-    yield from rec(0)
-
 
 # ---------------------------------------------------------------------------
 # Instances
@@ -312,12 +84,31 @@ def square_chain(family: str, dim: int) -> Problem:
     return parse_problem("\n".join(lines) + "\n")
 
 
-def forest_key(forest: AcForest) -> tuple:
-    return forest.order, forest.nfas, forest.children, forest.parent
+def language(nfa: Nfa) -> str:
+    """A digest of the machine's language: of its canonical minimal DFA.
+
+    ``nfa_reduce`` of the subset construction is the trimmed minimal
+    DFA; numbering its states in breadth-first order, letters in
+    alphabet order, makes it the same for every machine of the language.
+    """
+    dfa = nfa_reduce(nfa_determinize(nfa))
+    by_sym = dfa.arcs_by_symbol
+
+    def successors(q):
+        return [(sym, r) for sym, targets in by_sym[q].items() for r in targets]
+
+    order, arcs = explore(dfa.initial, successors)
+    finals = [i for i, q in enumerate(order) if q in dfa.finals]
+    return digest([(len(order), arcs, finals)])
 
 
-def assert_same_forests(problem: Problem) -> int:
-    """Both enumerators agree on every branch; returns the forest count."""
+def forests_pin(problem: Problem) -> tuple[int, str]:
+    """The forest count and one digest of every forest, branch by branch.
+
+    A forest is its node order, each node's language and each edge's
+    segment machine.  Forests share machines, so each machine's digest
+    is memoised by object.
+    """
     folded = fold_constant_relations(problem)
     graph = check_straightline(folded)
     shapes = split_concat(folded, graph)
@@ -326,36 +117,86 @@ def assert_same_forests(problem: Problem) -> int:
         for idx, rel in enumerate(folded.relations)
         if isinstance(rel, TransducerEq)
     }
-    total = 0
-    for _values, var_nfas in normalize_regular(folded):
-        args = (folded, graph, shapes, var_nfas, norm_ts)
+    memo: dict[int, tuple[object, str]] = {}
+
+    def key(machine, make=lambda segment: digest([segment])) -> str:
+        hit = memo.get(id(machine))
+        if hit is None:
+            hit = memo[id(machine)] = (machine, make(machine))
+        return hit[1]
+
+    keys = []
+    for branch, (_values, var_nfas) in enumerate(normalize_regular(folded)):
         budget = Budget(10**9)
-        placed = [forest_key(f) for f in _branch_forests(*args, {}, budget)]
-        blind = [forest_key(f) for f in reference_forests(*args, {})]
-        assert placed == blind
+        for f in _branch_forests(folded, graph, shapes, var_nfas, norm_ts, {}, budget):
+            nfas = {node: key(nfa, language) for node, nfa in f.nfas.items()}
+            children = {
+                node: [(child, key(seg)) for child, seg in edges]
+                for node, edges in f.children.items()
+            }
+            parent = {
+                child: (node, key(seg)) for child, (node, seg) in f.parent.items()
+            }
+            keys.append((branch, f.order, nfas, children, parent))
         assert budget.remaining >= 0
-        total += len(placed)
-    return total
+    return len(keys), digest(keys)
+
+
+def pins_of(problems) -> tuple[int, str]:
+    """Forests of several problems under one pin."""
+    pins = [forests_pin(problem) for problem in problems]
+    return sum(n for n, _d in pins), digest(pins, repr)
 
 
 # ---------------------------------------------------------------------------
-# Differential checks
+# Pinned forests
 
 
-#: Families checked at d8 too.  Blind enumeration of the others at d8
-#: takes from 4 s (``odd-length-aa``) to minutes (``odd-a-count``).
+#: Families pinned at d8 too: the ones the blind enumerator finished
+#: there, from 4 s (``odd-length-aa``) to minutes (``odd-a-count``).
 BLIND_D8 = ("a-blocks", "ab-plus", "odd-length", "tree-no-repeat", "tree-only-b")
+
+#: Per instance or group: forests yielded, and their digest.
+SQUARE_FORESTS = {
+    "a-blocks": (3, "15447aab6b3b2472"),
+    "ab-or-ba": (2, "bd731e2511af3f61"),
+    "ab-plus": (3, "81b0fb979896d316"),
+    "alternating": (2, "4692db2736ef2572"),
+    "no-b": (0, "88e979c41f5846b6"),
+    "odd-a-count": (0, "88e979c41f5846b6"),
+    "odd-length": (0, "f612dc981aa22303"),
+    "odd-length-aa": (0, "88e979c41f5846b6"),
+    "odd-length-b": (0, "88e979c41f5846b6"),
+    "odd-length-mid": (0, "88e979c41f5846b6"),
+    "tree-no-repeat": (6, "708297be7ee91957"),
+    "tree-odd-or-none": (0, "88e979c41f5846b6"),
+    "tree-only-b": (3, "c09546c911d08c33"),
+    "tree-or": (2, "700ed0dfb2011b7a"),
+}
+SANITIZER_FORESTS = {
+    "ex_cacm": (79, "6fd006d5676cc26c"),
+    "ex_corrected": (0, "e3b0c44298fc1c14"),
+    "ex_iframe": (135, "1ffcdeb9785cf381"),
+    "ex_mxss1": (79, "e294bef610823dec"),
+}
+GAPPED_FORESTS = {
+    "gaps": (1, "0f2264f0bb39d8dd"),
+    "two-sources": (2, "d6be42632b2dd180"),
+    "transducer": (158, "b1f8d86d6b42a702"),
+}
+RANDOM_FORESTS = (181, "85bff8200309dc61")
 
 
 @pytest.mark.parametrize("family", sorted(SQUARE_FAMILIES))
 def test_square_chain_forests_match_blind_enumeration(family):
-    for dim in (2, 4, 8) if family in BLIND_D8 else (2, 4):
-        assert_same_forests(square_chain(family, dim))
+    dims = (2, 4, 8) if family in BLIND_D8 else (2, 4)
+    got = pins_of(square_chain(family, dim) for dim in dims)
+    assert got == SQUARE_FORESTS[family]
 
 
 @pytest.mark.parametrize("name", benchmark_names())
 def test_sanitizer_forests_match_blind_enumeration(name):
-    assert_same_forests(load_benchmark(name).problem)
+    assert forests_pin(load_benchmark(name).problem) == SANITIZER_FORESTS[name]
 
 
 ALT = """\
@@ -382,14 +223,16 @@ GAPPED = (
 
 
 @pytest.mark.parametrize("text", GAPPED, ids=["gaps", "two-sources", "transducer"])
-def test_gapped_forests_match_blind_enumeration(text):
-    problem = parse_problem('alphabet "ab"\n' + text)
-    assert assert_same_forests(problem) > 0
+def test_gapped_forests_match_blind_enumeration(request, text):
+    count, pin = forests_pin(parse_problem('alphabet "ab"\n' + text))
+    assert count > 0
+    assert (count, pin) == GAPPED_FORESTS[request.node.callspec.id]
 
 
 def test_random_string_forests_match_blind_enumeration(string_problems):
-    total = sum(assert_same_forests(problem) for problem in string_problems[:200])
-    assert total > 0
+    count, pin = pins_of(string_problems[:200])
+    assert count > 0
+    assert (count, pin) == RANDOM_FORESTS
 
 
 # ---------------------------------------------------------------------------

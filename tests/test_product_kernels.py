@@ -8,12 +8,15 @@ are tried, so both reach the models the solver reports.  Rather than
 keep a second copy of the old code, the outputs of the old kernels on
 seeded inputs were digested once and are pinned here.  Each digest is
 the first 16 hex digits of the sha256 of the outputs' canonical ``repr``
-lines, in call order.  A change meant to alter these outputs re-records
-the digests with the same helpers, and says so.
+lines, in call order (``outcome_digest.canonical``: a machine as its
+states, arcs, initial and sorted final states; a filter result as its
+sorted pairs per boundary).  A change meant to alter these outputs
+re-records the digests with the same helpers, and says so.
 """
 
-import hashlib
 import random
+
+from outcome_digest import digest
 
 from slsolve import solver
 from slsolve.automata import (
@@ -39,23 +42,6 @@ from slsolve.transducer import (
 from slsolve.websec import benchmark_names, load_benchmark
 
 ABC = Alphabet.of("abc")
-
-
-def canonical(machine) -> str:
-    """One line fixing a machine's states, arcs, initial and final states."""
-    return repr(
-        (machine.n_states, machine.transitions, machine.initial, sorted(machine.finals))
-    )
-
-
-def canonical_pairs(pairs) -> str:
-    """One line fixing a filter's result: sorted pairs per boundary, or None."""
-    return repr(None if pairs is None else [sorted(at) for at in pairs])
-
-
-def digest(outputs, line=canonical) -> str:
-    text = "\n".join(line(x) for x in outputs)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def random_word(rng: random.Random, letters: str, max_len: int) -> str:
@@ -312,20 +298,20 @@ def test_sanitizer_segments_and_pre_images_are_pinned(monkeypatch):
 
 
 def test_random_filters_are_pinned():
-    assert digest(random_filters(13, 500), canonical_pairs) == RANDOM_FILTERS
+    assert digest(random_filters(13, 500)) == RANDOM_FILTERS
 
 
 def test_sanitizer_filters_are_pinned(monkeypatch):
     for name in benchmark_names():
         (results,) = sanitizer_calls(monkeypatch, name, "_boundary_filter")
-        got = (len(results), digest(results, canonical_pairs))
+        got = (len(results), digest(results))
         assert got == SANITIZER_FILTERS[name], name
 
 
 def test_random_filter_product_sizes_are_pinned(monkeypatch):
     searches = filter_searches(monkeypatch, random_filter_args(13, 500))
     states = [None if found is None else found[0] for found in searches]
-    assert digest(states, repr) == RANDOM_FILTER_STATES
+    assert digest(states) == RANDOM_FILTER_STATES
 
 
 def test_filter_state_cap_is_exact(monkeypatch):
@@ -347,7 +333,7 @@ def test_filter_state_cap_is_exact(monkeypatch):
         monkeypatch.setattr(solver, "_FILTER_STATE_CAP", need)
         pairs = _boundary_filter(*args)
         monkeypatch.undo()
-        assert digest([pairs], canonical_pairs) == SANITIZER_FILTERS[name][1], name
+        assert digest([pairs]) == SANITIZER_FILTERS[name][1], name
 
 
 def test_random_intersections_are_pinned():
