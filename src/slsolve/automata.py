@@ -21,8 +21,16 @@ in the one construction that builds them (:func:`trimmed_nfa`).
 state it meets, where :func:`reachable` would finish the whole set, and
 a version on :func:`reachable` measured slower on square-chain cut
 placement, which asks it most.  :func:`nfa_nonempty_shortest` tries
-every letter at each position of a witness, so it reads the table
-inline rather than through :meth:`Nfa.step`.
+the letters on the current states' rows at each position of a witness,
+so it reads the table inline rather than through :meth:`Nfa.step`.
+
+Machines with epsilon arcs are read through :func:`closed_rows`: each
+state's row and finality as :func:`nfa_eps_eliminate` would give them.
+:func:`nfa_intersect` and :func:`nfa_determinize` (so
+:func:`nfa_complement`) build those rows only for the states their
+search reaches, instead of first building an eliminated copy; a regex
+leaf is such a machine.  :func:`nfa_eps_eliminate` builds its machine
+from the same rows.
 """
 
 from __future__ import annotations
@@ -30,7 +38,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Callable,
+    Container,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 #: The empty word, used as the epsilon label on transitions.
 EPSILON = ""
@@ -269,24 +286,67 @@ def nfa_membership(nfa: Nfa, word: str) -> bool:
     return bool(nfa.run(word) & nfa.finals)
 
 
+class _ClosedRows(dict):
+    """State -> letter row of ``nfa_eps_eliminate(nfa)``, built on first read.
+
+    A row maps each letter, in alphabet order, to its targets in
+    ascending order: the non-epsilon arcs of the state's epsilon-closure.
+    :attr:`finals` collects the states read so far whose closure meets
+    the machine's finals.
+    """
+
+    def __init__(self, nfa: Nfa) -> None:
+        super().__init__()
+        self.nfa = nfa
+        self.finals: set[int] = set()
+
+    def __missing__(self, q: int) -> dict[str, tuple[int, ...]]:
+        by_sym = self.nfa.arcs_by_symbol
+        closure = self.nfa.eps_closure((q,))
+        if not closure.isdisjoint(self.nfa.finals):
+            self.finals.add(q)
+        merged: dict[str, set[int]] = {}
+        for p in closure:
+            for sym, rs in by_sym[p].items():
+                if sym != EPSILON:
+                    merged.setdefault(sym, set()).update(rs)
+        letters = sorted(merged, key=self.nfa.alphabet._index.__getitem__)
+        row = self[q] = {sym: tuple(sorted(merged[sym])) for sym in letters}
+        return row
+
+
+def closed_rows(
+    nfa: Nfa,
+) -> tuple[Mapping[int, dict[str, tuple[int, ...]]], Container[int]]:
+    """Each state's letter row and finality as in ``nfa_eps_eliminate(nfa)``.
+
+    An epsilon-free machine gives its own :attr:`Nfa.arcs_by_symbol` and
+    finals.  Otherwise rows are built only for the states a search
+    reads, and the finals returned hold the final states among those
+    read, so a caller reads a state's row before asking whether it is
+    final.
+    """
+    if not nfa.has_epsilon:
+        return nfa.arcs_by_symbol, nfa.finals
+    rows = _ClosedRows(nfa)
+    return rows, rows.finals
+
+
 def nfa_eps_eliminate(nfa: Nfa) -> Nfa:
     """A language-equivalent automaton with no epsilon transitions.
 
     States are preserved; each state inherits the non-epsilon arcs and
-    finality of its epsilon-closure.
+    finality of its epsilon-closure (its :func:`closed_rows`).
     """
     if not nfa.has_epsilon:
         return nfa
-    transitions: list[tuple[int, str, int]] = []
-    finals = set()
-    for q in range(nfa.n_states):
-        closure = nfa.eps_closure({q})
-        if closure & nfa.finals:
-            finals.add(q)
-        for p in closure:
-            for sym, rs in nfa.arcs_by_symbol[p].items():
-                if sym != EPSILON:
-                    transitions += [(q, sym, r) for r in rs]
+    rows, finals = closed_rows(nfa)
+    transitions = [
+        (q, sym, r)
+        for q in range(nfa.n_states)
+        for sym, rs in rows[q].items()
+        for r in rs
+    ]
     return Nfa(
         nfa.alphabet, nfa.n_states, transitions, nfa.initial, frozenset(finals)
     )
@@ -402,10 +462,8 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    a = nfa_eps_eliminate(a)
-    b = nfa_eps_eliminate(b)
-    a_by_sym = a.arcs_by_symbol
-    b_by_sym = b.arcs_by_symbol
+    a_by_sym, a_finals = closed_rows(a)
+    b_by_sym, b_finals = closed_rows(b)
 
     def successors(pair: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
         # Both tables are in alphabet order, so walking the smaller one
@@ -429,7 +487,7 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
 
     order, arcs = explore((a.initial, b.initial), successors)
     finals = frozenset(
-        i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
+        i for i, (qa, qb) in enumerate(order) if qa in a_finals and qb in b_finals
     )
     return trimmed_nfa(a.alphabet, len(order), arcs, 0, finals)
 
@@ -482,14 +540,16 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
 
 def nfa_determinize(nfa: Nfa) -> Nfa:
     """Complete subset-construction DFA (includes the sink subset)."""
-    nfa = nfa_eps_eliminate(nfa)
+    rows, nfa_finals = closed_rows(nfa)
 
     def successors(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for sym in nfa.alphabet:
-            yield sym, nfa.step(subset, sym)
+            yield sym, frozenset(r for q in subset for r in rows[q].get(sym, ()))
 
     order, arcs = explore(frozenset({nfa.initial}), successors)
-    finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
+    finals = frozenset(
+        i for i, subset in enumerate(order) if not subset.isdisjoint(nfa_finals)
+    )
     return Nfa(nfa.alphabet, len(order), arcs, 0, finals)
 
 
@@ -551,16 +611,19 @@ def nfa_nonempty_shortest(nfa: Nfa) -> Optional[str]:
     dist = _distances_to_finals(nfa)
     if dist[nfa.initial] > nfa.n_states:
         return None
+    by_sym = nfa.arcs_by_symbol
+    idx = nfa.alphabet._index
     word = []
     states = {nfa.initial}
     remaining = dist[nfa.initial]
     while remaining > 0:
         chosen = None
-        for sym in nfa.alphabet:
+        letters = {sym for q in states for sym in by_sym[q]}
+        for sym in sorted(letters, key=idx.__getitem__):
             nxt = {
                 r
                 for q in states
-                for r in nfa.arcs_by_symbol[q].get(sym, ())
+                for r in by_sym[q].get(sym, ())
                 if dist[r] == remaining - 1
             }
             if nxt:

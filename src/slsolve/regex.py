@@ -193,8 +193,10 @@ class _Parser:
 def regex_parse(pattern: str, alphabet: Alphabet) -> Nfa:
     """Compile ``pattern`` into an NFA over ``alphabet`` (whole-word match).
 
-    The result may contain epsilon transitions; feed it through
-    :func:`~slsolve.automata.nfa_eps_eliminate` where that matters.
+    The result may contain epsilon transitions.  The automata operations
+    accept such machines; a loop that reads
+    :attr:`~slsolve.automata.Nfa.arcs_by_symbol` directly needs
+    :func:`~slsolve.automata.nfa_eps_eliminate` first.
 
     :raises RegexSyntaxError: on malformed patterns, literals outside
         the alphabet, or nesting too deep for the recursive descent.

@@ -209,6 +209,10 @@ def normalize_regular(
     of its negatively assigned ones (the full language when a variable
     is unconstrained).  Complements are built lazily, once per leaf, so
     branches that never falsify a leaf never pay for determinization.
+    Vectors that agree on a variable's leaves share its automaton: each
+    product of a prefix of those leaves, and each reduction, is built
+    once per call, so yielded automata may be the same objects across
+    branches.
 
     Each automaton is reduced (:func:`slsolve.automata.nfa_reduce`)
     before it is yielded: cut enumeration guesses one state per cut,
@@ -222,25 +226,37 @@ def normalize_regular(
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
-    universal = nfa_universal(problem.alphabet)
     complements: dict[int, Nfa] = {}
     images = {rel.lhs for rel in problem.relations if isinstance(rel, TransducerEq)}
+    # A key is the (leaf index, value) prefix of one variable's leaves;
+    # the empty key is the universal automaton, shared by every variable.
+    products: dict[tuple, Nfa] = {(): nfa_universal(problem.alphabet)}
+    reduced: dict[tuple, Nfa] = {}
 
     for values in satisfying_vectors(tree):
-        var_nfas: dict[str, Nfa] = {v: universal for v in problem.str_vars}
+        keys: dict[str, tuple] = dict.fromkeys(problem.str_vars, ())
         for idx, (leaf, value) in enumerate(zip(leaves, values)):
             atom = leaf.atom
             assert isinstance(atom, RegAtom)
+            prev = keys[atom.var]
+            key = keys[atom.var] = prev + ((idx, value),)
+            if key in products:
+                continue
             if value:
                 factor = atom.nfa
             else:
                 if idx not in complements:
                     complements[idx] = nfa_complement(atom.nfa)
                 factor = complements[idx]
-            var_nfas[atom.var] = nfa_intersect(var_nfas[atom.var], factor)
-        for var, nfa in var_nfas.items():
-            if nfa is not universal and var not in images:
-                var_nfas[var] = nfa_reduce(nfa)
+            products[key] = nfa_intersect(products[prev], factor)
+        var_nfas: dict[str, Nfa] = {}
+        for var, key in keys.items():
+            if not key or var in images:
+                var_nfas[var] = products[key]
+            else:
+                if key not in reduced:
+                    reduced[key] = nfa_reduce(products[key])
+                var_nfas[var] = reduced[key]
         yield values, var_nfas
 
 

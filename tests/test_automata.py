@@ -35,6 +35,7 @@ from slsolve.automata import (
     nfa_universal,
     reachable,
 )
+from slsolve.oracle import _random_pattern
 from slsolve.regex import regex_parse
 
 AB = Alphabet.of("ab")
@@ -80,6 +81,17 @@ def gallery(alphabet: Alphabet) -> list[Nfa]:
     rng = random.Random(20240917)
     machines.extend(random_nfa(rng, alphabet) for _ in range(5))
     return machines
+
+
+def epsilon_machines(seed: int, alphabet: Alphabet = ABC) -> list[Nfa]:
+    """Seeded Thompson machines and unions of two, all with epsilon arcs."""
+    rng = random.Random(seed)
+    parsed = [
+        regex_parse(_random_pattern(rng, alphabet, depth=3), alphabet)
+        for _ in range(12)
+    ]
+    unions = [nfa_union(rng.choice(parsed), rng.choice(parsed)) for _ in range(6)]
+    return [m for m in parsed + unions if m.has_epsilon]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +282,21 @@ def test_intersect_rejects_alphabet_mismatch():
         nfa_intersect(nfa_universal(AB), nfa_universal(ABC))
 
 
+def test_searches_on_epsilon_machines_equal_their_eliminated_runs():
+    """Closed rows read on demand build the machines an eliminated copy gives."""
+    machines = epsilon_machines(18)
+    assert len(machines) >= 12
+    plain = machines[:4] + [nfa_from_word("ab", ABC), nfa_universal(ABC)]
+    for a in machines:
+        flat = nfa_eps_eliminate(a)
+        assert nfa_determinize(a) == nfa_determinize(flat)
+        assert nfa_complement(a) == nfa_complement(flat)
+        for b in plain:
+            flat_b = nfa_eps_eliminate(b)
+            assert nfa_intersect(a, b) == nfa_intersect(flat, flat_b)
+            assert nfa_intersect(b, a) == nfa_intersect(flat_b, flat)
+
+
 def test_determinize_is_deterministic_and_equivalent():
     for a in gallery(AB):
         det = nfa_determinize(a)
@@ -339,8 +366,12 @@ def test_shortest_is_reproducible():
 
 def test_shortest_agrees_with_enumeration():
     rng = random.Random(11)
-    for _ in range(30):
-        nfa = random_nfa(rng, AB, max_states=5)
+    machines = [random_nfa(rng, AB, max_states=5) for _ in range(30)]
+    # Nonempty words over an alphabet declared out of codepoint order.
+    cab = Alphabet.of("cab")
+    nonempty = regex_parse("(c|a|b)+", cab)
+    machines += [nfa_intersect(m, nonempty) for m in epsilon_machines(11, cab)]
+    for nfa in machines:
         first = nfa_enumerate(nfa, 6, limit=1)
         witness = nfa_nonempty_shortest(nfa)
         if first and len(first[0]) <= 6:

@@ -11,7 +11,14 @@ import time
 import pytest
 
 import slsolve.solver
-from slsolve.automata import Alphabet, nfa_membership
+from slsolve.automata import (
+    Alphabet,
+    nfa_complement,
+    nfa_intersect,
+    nfa_membership,
+    nfa_reduce,
+    nfa_universal,
+)
 from slsolve.constraints import (
     And,
     ConcatEq,
@@ -24,11 +31,18 @@ from slsolve.constraints import (
     TransducerEq,
     Var,
     evaluate,
+    tree_leaves,
 )
 from slsolve.oracle import OracleConfig, brute_force_solve
 from slsolve.parser import parse_problem
 from slsolve.regex import regex_parse
-from slsolve.solver import Verdict, fold_constant_relations, max_model_bound, solve
+from slsolve.solver import (
+    Verdict,
+    fold_constant_relations,
+    max_model_bound,
+    normalize_regular,
+    solve,
+)
 from slsolve.straightline import CyclicDefinition, MultiplyDefined
 from slsolve.transducer import erase_transducer, identity_transducer
 
@@ -326,6 +340,58 @@ def test_small_split_application_is_filtered(monkeypatch, pattern, expected):
     blind = solve(problem, stats=blind_stats)
     assert blind == filtered
     assert filtered_stats["cut-placements"] <= blind_stats["cut-placements"]
+
+
+SQUARE_D4 = 'alphabet "ab"\nstr x0 x1 x2\nx1 = x0 . x0\nx2 = x1 . x1\n'
+
+
+@pytest.mark.parametrize(
+    "xn_constraint",
+    [
+        "(or (in x2 /(aa)*a/) (in x2 /a(ba)*b/))",
+        "(or (in x2 /a(ba)*/) (not (in x2 /(a|b)*/)))",
+    ],
+    ids=["tree-or", "tree-odd-or-none"],
+)
+def test_normalization_builds_each_automaton_once(monkeypatch, xn_constraint):
+    # Vectors that agree on a variable's leaves share its products and
+    # their reduction; every yielded automaton is still the one a
+    # branch-by-branch rebuild gives.
+    problem = parse_problem(
+        SQUARE_D4 + f"regc (and (in x0 /(a|b)+/) {xn_constraint})\n"
+    )
+    calls = {"intersect": 0, "reduce": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        slsolve.solver, "nfa_intersect", counting("intersect", nfa_intersect)
+    )
+    monkeypatch.setattr(slsolve.solver, "nfa_reduce", counting("reduce", nfa_reduce))
+    branches = list(normalize_regular(problem))
+
+    leaves = tree_leaves(problem.regular)
+    prefixes, final_keys = set(), set()
+    for values, var_nfas in branches:
+        for var in problem.str_vars:
+            mine = [(i, v) for i, v in enumerate(values) if leaves[i].atom.var == var]
+            prefixes.update((var, tuple(mine[: k + 1])) for k in range(len(mine)))
+            expected = nfa_universal(problem.alphabet)
+            for i, v in mine:
+                atom = leaves[i].atom
+                factor = atom.nfa if v else nfa_complement(atom.nfa)
+                expected = nfa_intersect(expected, factor)
+            if mine:
+                final_keys.add((var, tuple(mine)))
+                expected = nfa_reduce(expected)
+            assert var_nfas[var] == expected
+    assert len(branches) > 1
+    assert calls == {"intersect": len(prefixes), "reduce": len(final_keys)}
 
 
 def test_stats_are_filled_when_the_search_raises(monkeypatch):
