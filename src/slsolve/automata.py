@@ -660,6 +660,8 @@ def nfa_enumerate(
     With ``limit`` set, stops as soon as that many words have been found
     (useful as a cheap "is this language too big to enumerate" probe).
     """
+    if limit is not None and limit <= 0:
+        return []
     nfa = nfa_eps_eliminate(nfa)
     # Prune prefixes that cannot reach acceptance within the length budget.
     dist = _distances_to_finals(nfa)

@@ -564,7 +564,6 @@ class MultiTrackAutomaton:
     """
 
     def __init__(self, forest: AcForest) -> None:
-        self.forest = forest
         self.tracks: tuple[NodeId, ...] = forest.order
         self._index = {node: i for i, node in enumerate(self.tracks)}
         self._nfas = [nfa_eps_eliminate(forest.nfas[node]) for node in self.tracks]
@@ -807,6 +806,8 @@ def counter_walk_solve(
         )
 
     links = [(link, len_slots(link.nodes)) for link in scenario.links]
+    # Forced zeros bind last, as the links ``value(index) + 0 == 0``.
+    links += [(LinkEq(index, 0, None, 0, ()), ()) for index in scenario.zeros]
     past_ends = [(pe, len_slots(pe.nodes)) for pe in scenario.past_ends]
     deltas: dict[str, list[dict[str, int]]] = {}
     for node, needle, _entry in scenario.comps:
@@ -874,9 +875,9 @@ def counter_walk_solve(
         return mta.is_final(prod), table
 
     # --- compiled acceptance ----------------------------------------------
-    # Every string index in ``links`` and ``zeros`` is bound before the
-    # integers left free are enumerated, so those are fixed for the walk.
-    bound_indices = {link.index for link in scenario.links} | set(scenario.zeros)
+    # Every string index in ``links`` is bound before the integers left
+    # free are enumerated, so those are fixed for the walk.
+    bound_indices = {link.index for link, _slots in links}
     free = [v for v in lowered.int_vars if v not in bound_indices]
     free_pos = {var: k for k, var in enumerate(free)}
     # One entry per leaf atom: its counter terms as (coefficient, state
@@ -972,9 +973,6 @@ def counter_walk_solve(
                 if link.term is not None:
                     pos += state[term_at + 2 * link.term]
                 if not bind(link.index, pos - link.shift):
-                    return None
-            for index in scenario.zeros:
-                if not bind(index, 0):
                     return None
 
             lower: dict[str, int] = {}

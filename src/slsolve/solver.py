@@ -222,7 +222,8 @@ def normalize_regular(
     gets its cut states from the boundary filter, not from enumeration,
     and it feeds the pre-images of propagation, which grow when it is
     reduced: on ``ex_mxss1`` the first pre-image has 84 states instead
-    of 52.
+    of 52.  Every yielded automaton is a product, a reduction or the
+    universal automaton, so none has epsilon arcs.
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
@@ -264,9 +265,7 @@ def normalize_regular(
 # Stage 2: shapes and splitting
 
 
-def split_concat(
-    problem: Problem, graph: Optional[DependencyGraph] = None
-) -> dict[str, Shape]:
+def split_concat(graph: DependencyGraph) -> dict[str, Shape]:
     """The piece decomposition of every variable.
 
     Source variables own a single piece; transducer images own one piece
@@ -275,8 +274,6 @@ def split_concat(
     identify each piece of a defined variable with the piece of the
     primary variable it coincides with.
     """
-    if graph is None:
-        graph = check_straightline(problem)
     shapes: dict[str, Shape] = {}
     for var in graph.order:
         rel = graph.defining.get(var)
@@ -302,7 +299,7 @@ def split_concat(
 
 
 def primary_nodes(
-    problem: Problem, graph: DependencyGraph, shapes: dict[str, Shape]
+    graph: DependencyGraph, shapes: dict[str, Shape]
 ) -> tuple[NodeId, ...]:
     """All forest nodes, grouped by owner in straight-line order."""
     out: list[NodeId] = []
@@ -414,7 +411,6 @@ def _var_ranges(
     graph: DependencyGraph,
     shapes: dict[str, Shape],
     var_nfas: dict[str, Nfa],
-    norm_by_var: dict[str, Transducer],
 ) -> dict[str, Nfa]:
     """Forward value overapproximations along the definition chain.
 
@@ -445,7 +441,7 @@ def _var_ranges(
             ranges[var] = var_nfas[var]
             continue
         if isinstance(rel, TransducerEq):
-            image = post_image(norm_by_var[var], ranges[rel.arg])
+            image = post_image(rel.transducer, ranges[rel.arg])
             cur = nfa_intersect(var_nfas[var], image)
         else:
             parts = [
@@ -610,7 +606,6 @@ def _branch_forests(
     graph: DependencyGraph,
     shapes: dict[str, Shape],
     var_nfas: dict[str, Nfa],
-    norm_ts: dict[int, Transducer],
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer],
     budget: Budget,
 ) -> Iterator[AcForest]:
@@ -635,7 +630,7 @@ def _branch_forests(
     charges ``budget`` one unit; once it runs out the enumeration stops,
     which the caller sees in ``budget.remaining``.
     """
-    primary = primary_nodes(problem, graph, shapes)
+    primary = primary_nodes(graph, shapes)
     universal = nfa_universal(problem.alphabet)
     nodes: dict[NodeId, Nfa] = {}
     edges: list[tuple[NodeId, NodeId, Transducer]] = []
@@ -682,7 +677,7 @@ def _branch_forests(
 
     def var_choice(var: str) -> Choice:
         """How to place a variable's cuts and attach its pieces."""
-        nfa = nfa_eps_eliminate(var_nfas[var])
+        nfa = var_nfas[var]
         shape = shapes[var]
         lits = shape.literals
         m = len(shape.slots)
@@ -716,7 +711,7 @@ def _branch_forests(
             return lambda: nodes.update({node: old})
 
         def options() -> list[Iterable[int]]:
-            pairs = filters.get(image_rel_idx.get(var, -1))
+            pairs = filters.get(var)
             if pairs is None:
                 return [range(nfa.n_states)] * (m - 1)
             return [sorted({c for _d, c in pairs[j]}) for j in range(m - 1)]
@@ -727,7 +722,7 @@ def _branch_forests(
         """How to place an application's boundaries and attach its segments."""
         rel = problem.relations[idx]
         assert isinstance(rel, TransducerEq)
-        t = norm_ts[idx]
+        t = rel.transducer.normalized
         lits = shapes[rel.arg].literals
         slots = shapes[rel.arg].slots
         m = len(slots)
@@ -746,7 +741,7 @@ def _branch_forests(
             return edges.pop
 
         def options() -> list[Iterable[int]]:
-            pairs = filters.get(idx)
+            pairs = filters.get(rel.lhs)
             if pairs is None:
                 return [range(t.n_states)] * (m - 1)
             cuts = chosen[rel.lhs]
@@ -766,15 +761,8 @@ def _branch_forests(
             prev = cut
         return True
 
-    image_rel_idx: dict[str, int] = {
-        rel.lhs: idx
-        for idx, rel in enumerate(problem.relations)
-        if isinstance(rel, TransducerEq)
-    }
-    norm_by_var = {var: norm_ts[idx] for var, idx in image_rel_idx.items()}
-
     # Pin unsplit transducer images to their forward range.
-    ranges = _var_ranges(problem, graph, shapes, var_nfas, norm_by_var)
+    ranges = _var_ranges(problem, graph, shapes, var_nfas)
     for var in graph.order:
         rel = graph.defining.get(var)
         if isinstance(rel, TransducerEq) and len(shapes[var].slots) == 1:
@@ -790,7 +778,8 @@ def _branch_forests(
     # of earlier levels are known.
     chosen: dict[str, tuple[int, ...]] = {}
     levels: list[tuple[Optional[str], Choice]] = []
-    filters: dict[int, list[set[tuple[int, int]]]] = {}
+    # Keyed by the image variable, which has exactly one defining relation.
+    filters: dict[str, list[set[tuple[int, int]]]] = {}
     for var in graph.order:
         m = len(shapes[var].slots)
         if m >= 2 and var_nfas[var].n_states > 1:
@@ -800,7 +789,7 @@ def _branch_forests(
             if not forced(m, var_choice(var)):
                 return
 
-    for idx, rel in enumerate(problem.relations):
+    for rel in problem.relations:
         if not isinstance(rel, TransducerEq):
             continue
         arg_shape = shapes[rel.arg]
@@ -809,19 +798,19 @@ def _branch_forests(
             continue
         zone_langs = [nodes.get(arg_shape.slots[j], universal) for j in range(m)]
         pairs = _boundary_filter(
-            norm_ts[idx], var_nfas[rel.lhs], arg_shape, zone_langs
+            rel.transducer.normalized, var_nfas[rel.lhs], arg_shape, zone_langs
         )
         if pairs is None:
             continue
         if any(not v for v in pairs):
             return
-        filters[idx] = pairs
+        filters[rel.lhs] = pairs
 
     for idx, rel in enumerate(problem.relations):
         if not isinstance(rel, TransducerEq):
             continue
         m = len(shapes[rel.arg].slots)
-        if m >= 2 and norm_ts[idx].n_states > 1:
+        if m >= 2 and rel.transducer.normalized.n_states > 1:
             levels.append((None, rel_choice(idx)))
         elif not forced(m, rel_choice(idx)):
             return
@@ -981,12 +970,7 @@ def solve(
             f"resource_limit must be at least 0, not {resource_limit}"
         )
     folded, graph = _checked_fold(problem)
-    shapes = split_concat(folded, graph)
-    norm_ts = {
-        idx: rel.transducer.normalized
-        for idx, rel in enumerate(folded.relations)
-        if isinstance(rel, TransducerEq)
-    }
+    shapes = split_concat(graph)
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer] = {}
     budget = Budget(resource_limit)
     walker = None
@@ -1000,7 +984,7 @@ def solve(
         for _values, var_nfas in normalize_regular(folded):
             branches += 1
             for forest in _branch_forests(
-                folded, graph, shapes, var_nfas, norm_ts, seg_cache, budget
+                folded, graph, shapes, var_nfas, seg_cache, budget
             ):
                 forests += 1
                 feasible = _propagate(forest)
@@ -1050,7 +1034,7 @@ def max_model_bound(problem: Problem) -> int:
     cap.  Integer variables are not covered.
     """
     folded, graph = _checked_fold(problem)
-    shapes = split_concat(folded, graph)
+    shapes = split_concat(graph)
     return _exact_bound(folded, graph, shapes)
 
 
@@ -1065,7 +1049,7 @@ def model_bound_exceeds(problem: Problem, cap: int) -> bool:
     is within ``cap`` is the exact bound computed.
     """
     folded, graph = _checked_fold(problem)
-    shapes = split_concat(folded, graph)
+    shapes = split_concat(graph)
     if _lower_bound(folded, graph, shapes) > cap:
         return True
     return _exact_bound(folded, graph, shapes) > cap
@@ -1153,7 +1137,7 @@ def _bound_from_counts(
             child_edges.setdefault(slot, []).append((child, idx))
             parent_edge[child] = (slot, idx)
 
-    primary = primary_nodes(folded, graph, shapes)
+    primary = primary_nodes(graph, shapes)
     f_bound: dict[NodeId, int] = {}
     for node in reversed(primary):
         states = 1

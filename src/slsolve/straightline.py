@@ -167,10 +167,10 @@ def dimension(problem: Problem, count_constants: bool = False) -> int:
     from .solver import _checked_fold, split_concat  # solver imports this module
 
     if not count_constants:
-        shapes = split_concat(*_checked_fold(problem))
+        shapes = split_concat(_checked_fold(problem)[1])
         return max((len(shape.slots) for shape in shapes.values()), default=0)
     graph = check_straightline(problem)
-    shapes = split_concat(problem, graph)
+    shapes = split_concat(graph)
     literals: dict[str, int] = {}
     for var in graph.order:
         rel = graph.defining.get(var)

@@ -444,6 +444,12 @@ def test_enumerate_respects_limit():
     assert nfa_enumerate(nfa, 4, limit=5) == ["", "a", "b", "c", "aa"]
 
 
+def test_enumerate_with_zero_limit_finds_nothing():
+    nfa = nfa_universal(ABC)
+    assert nfa_enumerate(nfa, 4, limit=1) == [""]
+    assert nfa_enumerate(nfa, 4, limit=0) == []
+
+
 def test_enumerate_agrees_with_membership():
     rng = random.Random(12)
     for _ in range(20):

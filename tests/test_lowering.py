@@ -55,7 +55,7 @@ from slsolve.solver import _checked_fold, split_concat
 def lowered(problem: Problem) -> tuple[list[Scenario], Optional[BoolTree]]:
     """The problem's scenario stream and lowered integer tree."""
     folded, graph = _checked_fold(problem)
-    shapes = split_concat(folded, graph)
+    shapes = split_concat(graph)
     scenarios = list(enumerate_scenarios(folded, shapes))
     return scenarios, lower_integer_terms(folded.integers, shapes)
 

@@ -281,7 +281,7 @@ def test_lower_bound_is_sound_on_every_generator_attempt(
             for problem in attempts:
                 exact = max_model_bound(problem)
                 folded, graph = _checked_fold(problem)
-                assert _lower_bound(folded, graph, split_concat(folded, graph)) <= exact
+                assert _lower_bound(folded, graph, split_concat(graph)) <= exact
                 for cap in (0, 8, 12, 100):
                     assert model_bound_exceeds(problem, cap) == (exact > cap)
                 bounds.append(exact)

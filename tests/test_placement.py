@@ -29,7 +29,7 @@ from slsolve.automata import (
     nfa_reduce,
     nfa_universal,
 )
-from slsolve.constraints import Problem, TransducerEq, evaluate
+from slsolve.constraints import Problem, evaluate
 from slsolve.parser import parse_problem
 from slsolve.solver import (
     Budget,
@@ -40,7 +40,6 @@ from slsolve.solver import (
     split_concat,
 )
 from slsolve.straightline import check_straightline
-from slsolve.transducer import transducer_normalize
 from slsolve.websec import benchmark_names, load_benchmark
 
 # ---------------------------------------------------------------------------
@@ -111,12 +110,7 @@ def forests_pin(problem: Problem) -> tuple[int, str]:
     """
     folded = fold_constant_relations(problem)
     graph = check_straightline(folded)
-    shapes = split_concat(folded, graph)
-    norm_ts = {
-        idx: transducer_normalize(rel.transducer)
-        for idx, rel in enumerate(folded.relations)
-        if isinstance(rel, TransducerEq)
-    }
+    shapes = split_concat(graph)
     memo: dict[int, tuple[object, str]] = {}
 
     def key(machine, make=lambda segment: digest([segment])) -> str:
@@ -128,7 +122,7 @@ def forests_pin(problem: Problem) -> tuple[int, str]:
     keys = []
     for branch, (_values, var_nfas) in enumerate(normalize_regular(folded)):
         budget = Budget(10**9)
-        for f in _branch_forests(folded, graph, shapes, var_nfas, norm_ts, {}, budget):
+        for f in _branch_forests(folded, graph, shapes, var_nfas, {}, budget):
             nfas = {node: key(nfa, language) for node, nfa in f.nfas.items()}
             children = {
                 node: [(child, key(seg)) for child, seg in edges]

@@ -137,7 +137,7 @@ def test_split_counts_sum_variable_occurrences():
             TransducerEq("z", "copy", COPY, "x"),
         ),
     )
-    shapes = split_concat(problem)
+    shapes = split_concat(check_straightline(problem))
     assert {var: len(shape.slots) for var, shape in shapes.items()} == {
         "y": 1,
         "x": 2,

@@ -21,6 +21,7 @@ from slsolve.constraints import (
     tree_leaves,
 )
 from slsolve.parser import parse_problem
+from slsolve import solver
 from slsolve.solver import solve
 from slsolve.straightline import check_straightline, dimension
 from slsolve.transducer import apply_function, transducer_membership
@@ -256,13 +257,16 @@ def test_corrected_pipeline_never_matches_the_attack_shape_on_fuzz():
 # Deep pipelines
 
 
-def pipeline_family(name: str, depth: int):
+def pipeline_family(name: str, depth: int, *extra: str):
     """A chain of sanitizer stages over the ``ex_mxss1`` alphabet.
 
     ``pipe``: ``y_i = escapeString(x_i)``, ``x_{i+1} = innerHTMLDecode(y_i)``.
     ``wrap``: ``y_i = innerHTMLDecode(x_i)``,
     ``x_{i+1} = "<a title='" . y_i . "'>"``.
-    The last value ``x_depth`` must contain a quote.
+    ``splice``: ``y_i = htmlEscape(x_i)``,
+    ``x_{i+1} = "<p>" . y_i . "</p>" . x_i``.
+    The last value ``x_depth`` must contain a quote; the ``extra`` lines
+    are appended to the source.
     """
     alphabet = next(
         line
@@ -275,11 +279,14 @@ def pipeline_family(name: str, depth: int):
         if name == "pipe":
             lines.append(f"y{i} = escapeString(x{i})")
             lines.append(f"x{i + 1} = innerHTMLDecode(y{i})")
-        else:
+        elif name == "wrap":
             lines.append(f"y{i} = innerHTMLDecode(x{i})")
             lines.append(f'x{i + 1} = "<a title=\'" . y{i} . "\'>"')
+        else:
+            lines.append(f"y{i} = htmlEscape(x{i})")
+            lines.append(f'x{i + 1} = "<p>" . y{i} . "</p>" . x{i}')
     lines.append(f"regc (in x{depth} /.*'.*/)")
-    return parse_problem("\n".join(lines) + "\n")
+    return parse_problem("\n".join([*lines, *extra]) + "\n")
 
 
 ONE_FOREST = {
@@ -317,3 +324,49 @@ def test_depth_two_pipelines_are_pinned_and_replay():
         verdict = solve(problem, stats=stats)
         assert (verdict.status, verdict.model, stats) == (status, model, expected_stats)
         assert pipeline_replay(problem, verdict.model) == model, name
+
+
+def test_unsat_splice_builds_each_segment_once(monkeypatch):
+    """The segment cache pays on an unsat splice.
+
+    No benchmark instance or pinned corpus builds a segment twice in one
+    solve; this splice, with ``x0`` kept free of quotes, places the same
+    ``htmlEscape`` boundaries under 56 forests and builds 57 segments
+    with the cache, 113 without it.
+    """
+    built = []
+    build = solver._segment_machine
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "_segment_machine", counted)
+    stats: dict = {}
+    verdict = solve(pipeline_family("splice", 2, "regc (in x0 /[a-z]*/)"), stats=stats)
+    assert (verdict.status, len(built)) == ("unsat", 57)
+    assert stats == {
+        "cut-placements": 68,
+        "feasible-forests": 0,
+        "forests": 56,
+        "membership-branches": 1,
+    }
+
+
+#: Sink regex on ``u = x2 . x2 . x2`` -> (forests, cut placements).  The
+#: forward range of ``x1``, a concatenation, pins the unsplit image
+#: ``y1``; without it the same verdicts take 182 and 156 placements.
+WRAP_SPLITS = {
+    "(<a title='[a-z]*'>)*;": (0, 13),
+    "(<a title='[a-z]*'>)*": (0, 12),
+}
+
+
+def test_wrap_chain_ending_in_a_split_is_pruned_by_concatenation_ranges():
+    for sink, (forests, placements) in WRAP_SPLITS.items():
+        problem = pipeline_family(
+            "wrap", 2, "str u", "u = x2 . x2 . x2", f"regc (in u /{sink}/)"
+        )
+        stats: dict = {}
+        assert solve(problem, stats=stats).status == "unsat", sink
+        assert (stats["forests"], stats["cut-placements"]) == (forests, placements)
