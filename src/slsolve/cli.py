@@ -60,7 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             default=2_000_000,
-            help="work budget: cut placements plus bounded integer walk steps",
+            help=(
+                "work budget: one unit per cut or boundary placement, per walk "
+                "state found and per free-integer combination an acceptance "
+                "check tries (at most the budget left plus one at once when no "
+                "constraint reads a free integer)"
+            ),
         )
         p.add_argument(
             "--model", action="store_true", help="print the satisfying assignment"

@@ -29,16 +29,17 @@ disequalities — is decided here by a bounded search:
 
 3. For each scenario, a breadth-first walk explores (product state,
    counter state) pairs, counters capped at the integer bound.  A walk
-   state is one flat tuple: the product state, one counter vector for
-   piece lengths and letter counts, then the position trackers and the
-   match trackers.  Each product state's moves are joined once per walk
-   with their planned counter updates into a step table.  Whenever the
-   walk stands on an accepting product state it tries to discharge the
-   lowered constraints from the counters; integer variables not pinned
-   by a linking equation are enumerated up to the bound.  The
-   constraint leaves are compiled once per walk, so each combination
-   of free integers only adds its own part to sums taken once per
-   state.
+   state is one flat tuple of ints: in slot 0 the product state's id
+   (each product state is interned to an id once per walk), then one
+   counter vector for piece lengths and letter counts, then the
+   position trackers and the match trackers.  Each id's moves are
+   joined once per walk with their planned counter updates into one
+   step table, which the id indexes.  Whenever the walk stands on an
+   accepting product state it tries to discharge the lowered
+   constraints from the counters; integer variables not pinned by a
+   linking equation are enumerated up to the bound.  The constraint
+   leaves are compiled once per walk, so each combination of free
+   integers only adds its own part to sums taken once per state.
 
 A satisfying walk reconstructs a full model, which is verified against
 the original problem before being reported.  A negative answer is
@@ -766,20 +767,28 @@ def counter_walk_solve(
     1-based positions.  The first satisfying state found (breadth-first,
     deterministic move order) is reconstructed into per-node words.
 
-    A walk state is one flat tuple: the product state, then the counter
-    vector (one slot per :class:`PieceLen` or :class:`PieceCount` term
-    that some check reads), then ``(position, frozen)`` per position
-    term, then ``(KMP state, first completion)`` per match tracker.  A
-    move bumps only counters of its own track and letter, so its updates
-    are planned once per ``(track, letter)`` with every slot already a
-    state index; each product state's moves are joined with their plans
-    into a step table once per walk.  The mandatory trees' leaves are
-    compiled once per walk into counter, pinned-integer and
-    free-integer parts, so an accepting state sums its counters once
-    and each combination of free integers adds only its own part.  When
-    no leaf reads a free integer, every combination has the same
-    values: they are evaluated once, and the budget is charged for as
-    many combinations as the enumeration would have tried.
+    A walk state is one flat tuple of ints: in slot 0 the id of its
+    product state, interned once per walk, then the counter vector (one
+    slot per :class:`PieceLen` or :class:`PieceCount` term that some
+    check reads), then ``(position, frozen)`` per position term, then
+    ``(KMP state, first completion)`` per match tracker.  A move bumps
+    only counters of its own track and letter, so its updates are
+    planned once per ``(track, letter)`` with every slot already a state
+    index; each id's moves are joined with their plans, successors as
+    ids, into one step table per id, built the first time a walk state
+    on that id is popped.  A move that can freeze no position term
+    yields one successor, one that can freeze one term yields two
+    (unfrozen first), and each further freezable term doubles them.
+
+    Each newly found walk state costs one unit of ``budget``.  The
+    mandatory trees' leaves are compiled once per walk into counter,
+    pinned-integer and free-integer parts, so an accepting state sums
+    its counters once and each combination of free integers adds only
+    its own part, costing one unit each.  When no leaf reads a free
+    integer, every combination has the same values: they are evaluated
+    once, and the budget is charged ``min(tries, max(remaining, 0) +
+    1)`` for the ``tries`` combinations the enumeration would have
+    tried.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
@@ -863,15 +872,30 @@ def counter_walk_solve(
         )
 
     plans: dict[tuple[int, str], tuple] = {}
+    # Product states interned to per-walk ids: ``prods[k]`` is the state
+    # with id k, and ``tables[k]`` its step table once some walk state
+    # standing on it has been popped.
+    prod_ids: dict[tuple[int, ...], int] = {}
+    prods: list[tuple[int, ...]] = []
+    tables: list[Optional[tuple[bool, list[tuple]]]] = []
 
-    def step_table(prod: tuple[int, ...]) -> tuple[bool, list[tuple]]:
-        """Finality and ``(successor, track, letter, *plan)`` per move."""
+    def intern(prod: tuple[int, ...]) -> int:
+        k = prod_ids.get(prod)
+        if k is None:
+            k = prod_ids[prod] = len(prods)
+            prods.append(prod)
+            tables.append(None)
+        return k
+
+    def step_table(k: int) -> tuple[bool, list[tuple]]:
+        """Finality and ``(successor id, track, letter, *plan)`` per move."""
+        prod = prods[k]
         table = []
         for track, ch, nxt_prod in mta.moves(prod):
             plan = plans.get((track, ch))
             if plan is None:
                 plan = plans[track, ch] = plan_for(track, ch)
-            table.append((nxt_prod, track, ch) + plan)
+            table.append((intern(nxt_prod), track, ch) + plan)
         return mta.is_final(prod), table
 
     # --- compiled acceptance ----------------------------------------------
@@ -912,7 +936,7 @@ def counter_walk_solve(
 
     # --- the walk ---------------------------------------------------------
     init = (
-        (mta.initial(),)
+        (intern(mta.initial()),)
         + (0,) * len(slot)
         + (0, 0) * len(scenario.terms)
         + tuple(x for _n, _needle, entry in scenario.comps for x in (entry, -1))
@@ -1075,31 +1099,30 @@ def counter_walk_solve(
         }
 
     # --- main loop --------------------------------------------------------
-    steps: dict[tuple[int, ...], tuple[bool, list[tuple]]] = {}
     while queue:
         state = queue.popleft()
-        prod = state[0]
-        entry = steps.get(prod)
+        entry = tables[state[0]]
         if entry is None:
-            entry = steps[prod] = step_table(prod)
+            entry = tables[state[0]] = step_table(state[0])
         final, table = entry
         if final:
             result = try_accept(state)
             if result is not None:
                 return result
-        for nxt_prod, track, ch, increments, comp_steps, term_steps in table:
+        for nxt_id, track, ch, increments, comp_steps, term_steps in table:
             grown = list(state)
-            grown[0] = nxt_prod
-            dead = False
-            for i, ceiling in increments:
-                v = grown[i]
-                v = v + 1 if v <= cap else top
-                if v > ceiling:
-                    dead = True
-                    break
-                grown[i] = v
-            if dead:
-                continue  # mandatory ceiling: the state can never accept
+            grown[0] = nxt_id
+            if increments:
+                dead = False
+                for i, ceiling in increments:
+                    v = grown[i]
+                    v = v + 1 if v <= cap else top
+                    if v > ceiling:
+                        dead = True
+                        break
+                    grown[i] = v
+                if dead:
+                    continue  # mandatory ceiling: the state can never accept
             for q_at, kmp_row, needle_len, length_at in comp_steps:
                 q = grown[q_at] = kmp_row[grown[q_at]]
                 if q == needle_len and grown[q_at + 1] == -1:
@@ -1116,18 +1139,26 @@ def counter_walk_solve(
                         forks.append(y_at + 1)
             # Each freezable term forks every option so far, unfrozen
             # first, so the options come out with the first term slowest.
-            options = [grown]
-            for z_at in forks:
-                forked = []
-                for option in options:
-                    frozen = option.copy()
-                    frozen[z_at] = 1
-                    forked += (option, frozen)
-                options = forked
-            for option in options:
-                nxt = tuple(option)
+            if not forks:
+                options: Sequence[tuple] = (tuple(grown),)
+            elif len(forks) == 1:
+                unfrozen = tuple(grown)
+                grown[forks[0]] = 1
+                options = (unfrozen, tuple(grown))
+            else:
+                lists = [grown]
+                for z_at in forks:
+                    forked = []
+                    for option in lists:
+                        frozen = option.copy()
+                        frozen[z_at] = 1
+                        forked += (option, frozen)
+                    lists = forked
+                options = [tuple(option) for option in lists]
+            for nxt in options:
                 if nxt not in parents:
-                    if not budget.charge():
+                    budget.remaining -= 1
+                    if budget.remaining < 0:
                         return WalkResult("resource")
                     parents[nxt] = (state, track, ch)
                     queue.append(nxt)

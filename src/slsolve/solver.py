@@ -107,8 +107,11 @@ class Verdict:
 class Budget:
     """A mutable work meter shared by everything one solve call does.
 
-    Cut and boundary placements and counter-walk steps draw on one limit;
-    ``placements`` counts the former.
+    Cut and boundary placements and the counter walk draw on one limit;
+    ``placements`` counts the former.  A walk charges one unit for each
+    walk state it newly finds and one for each combination of free
+    integers its acceptance check tries (``min(tries, max(remaining, 0)
+    + 1)`` at once when no leaf reads a free integer).
     """
 
     def __init__(self, limit: int) -> None:
@@ -947,11 +950,16 @@ def solve(
     ``int_bound`` (a default is derived from the problem when None), so
     the negative answer weakens to ``unsat-within-bounds`` unless the
     bound provably covers all integers.  ``resource_limit`` is a budget:
-    each cut or boundary placement costs one unit, as does each step of
-    the bounded walk, and the answer is ``resource-limit`` once it runs
-    out.  Membership normalization (complements included), segment
-    building, propagation and extraction are not charged yet, so a solve
-    can take long without spending the budget.
+    each cut or boundary placement costs one unit.  A bounded walk
+    charges one unit for each walk state it newly finds and one for each
+    combination of free integers its acceptance check tries; when no
+    leaf reads a free integer, a check charges ``min(tries,
+    max(remaining, 0) + 1)`` at once, where ``tries`` is the number of
+    combinations the enumeration would try.  The answer is
+    ``resource-limit`` once the budget runs out.  Membership
+    normalization (complements included), segment building, propagation
+    and extraction are not charged yet, so a solve can take long without
+    spending the budget.
 
     Both kinds of problem run the same three stages; only the step taken
     on a feasible forest differs.  A string-only solve extracts a model

@@ -1,22 +1,28 @@
 """The bounded counter walk of the extension solver.
 
-``counter_walk_solve`` keeps each walk state as one flat tuple, steps
-through per-product-state tables of planned moves and compiles the
-acceptance check's leaves once per walk.  Every walk that ``solve``
-makes on the seeded extension corpus, at resource limits 10,000 and
-300, is pinned: the walk count, and one digest of ``(repr(result),
-budget left)`` per walk in call order.  This is a semantic pin, as the
-budget left decides where a solve stops with ``resource-limit``.  The
-seeded walks are backed by hand-made walks whose acceptance check tries
-many combinations of free integers, where the budget runs out between
-two of them; each states its status, budget left and model.
+``counter_walk_solve`` keeps each walk state as one flat tuple of ints
+with the id of its product state in slot 0, steps through one table of
+planned moves per id and compiles the acceptance check's leaves once
+per walk.  Every walk that ``solve`` makes on the seeded extension
+corpus, at resource limits 10,000 and 300, is pinned: the walk count,
+and one digest of ``(repr(result), budget left)`` per walk in call
+order.  This is a semantic pin, as the budget left decides where a
+solve stops with ``resource-limit``.  The seeded walks are backed by
+two sets of hand-made walks, each stating its status, budget left and
+model: walks whose acceptance check tries many combinations of free
+integers, where the budget runs out between two of them, and one walk
+per path of the successor loop (no freezable position term, one, two,
+a mandatory ceiling, a match tracker's first completion).
 
-The pins and the hand-made answers were recorded while a copy of an
-earlier walk (moves regenerated for every popped state, counter updates
+The pins and the first set were recorded while a copy of an earlier
+walk (moves regenerated for every popped state, counter updates
 re-derived for every candidate successor, every tree re-evaluated for
 every combination of free integers) still checked each walk: same
-result, same budget left.  To re-record, print ``walk_pin`` for each
-limit and paste the pair into ``WALKS``.
+result, same budget left.  The second set was recorded while walk
+states still held the nested product state; its two-term walks fail
+when the forks come out with the last term slowest, or frozen first.
+To re-record the pins, print ``walk_pin`` for each limit and paste the
+pair into ``WALKS``.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ def test_every_walk_matches_the_reference(monkeypatch, extension_problems, limit
 
 
 # ---------------------------------------------------------------------------
-# Hand-made walks: the acceptance check's charges per integer combination
+# Hand-made walks: the acceptance check's charges per integer combination,
+# and one walk per path of the successor loop
 
 HEADER = 'alphabet "ab"\nstr x\n'
 #: ``u`` is read by no constraint; ``len x <= -1`` caps ``x`` at length
@@ -94,6 +101,36 @@ READ_SAT = HEADER + "int u\nintc (and (<= (+ (len x) (* -1 u)) -3) (<= (len x) 1
 #: Two free integers: ``v - u >= 4``, first satisfied at ``u = 0, v = 4``.
 TWO_FREE = HEADER + "int u v\nintc (<= (+ (len x) u (* -1 v)) -4)\n"
 
+#: ``len x >= 2``: every move bumps the length counter, and no
+#: constraint places a position term, so no move can freeze one.
+NO_FORK = HEADER + "intc (<= (* -1 (len x)) -2)\n"
+#: ``x[u] = 'a'`` with ``len x >= 2``: each ``a`` move on ``x`` may
+#: freeze the one term.  Unfrozen first finds ``u = 2`` before ``u = 1``.
+ONE_FORK = HEADER + "int u\ncharc (= x[u] 'a')\nintc (<= (* -1 (len x)) -2)\n"
+#: Two terms on the one piece of ``x``: each ``a`` move while both are
+#: unfrozen forks four ways.  The order of those four decides which
+#: states are found before the accepting one, so the budget left.
+TWO_FORKS = HEADER + "charc (= x[1] 'a')\ncharc (= x[3] 'a')\n"
+#: As ``TWO_FORKS``, with the positions left to the walk and required to
+#: differ.  Unfrozen first with the first term slowest finds the state
+#: that froze ``v`` on the first letter before the one that froze ``u``
+#: there, so the model is ``u = 2, v = 1`` and not its mirror image.
+TWO_FORKS_FREE = (
+    HEADER
+    + "int u v\ncharc (= x[u] 'a')\ncharc (= x[v] 'a')\n"
+    + "intc (or (<= (+ u (* -1 v)) -1) (<= (+ v (* -1 u)) -1))\n"
+)
+#: ``x ∈ a*b`` with ``len x <= 2`` and at least two ``a``: the mandatory
+#: ceiling on the length drops the third letter's moves, so the walk
+#: ends definite (unsat) instead of saturating the counter.
+CEILING = (
+    HEADER
+    + "regc (in x /a*b/)\nintc (<= (len x) 2)\nintc (<= (* -1 (count x 'a')) -2)\n"
+)
+#: The first ``ab`` in ``x`` starts at index 2 or later: the match
+#: tracker records its first completion and keeps it.
+FIRST_MATCH = HEADER + 'int u\nu = indexof("ab", x, first)\nintc (<= (* -1 u) -2)\n'
+
 
 @pytest.mark.parametrize(
     "text, int_bound, limit, status, left, model",
@@ -111,6 +148,12 @@ TWO_FREE = HEADER + "int u v\nintc (<= (+ (len x) u (* -1 v)) -4)\n"
         (READ_SAT, 5, 4, "sat", 0, {"x": "", "u": 3}),
         (READ_SAT, 5, 3, "resource-limit", -1, None),
         (TWO_FREE, 5, 100, "sat", 95, {"x": "", "u": 0, "v": 4}),
+        (NO_FORK, 5, 100, "sat", 95, {"x": "aa"}),
+        (ONE_FORK, 5, 100, "sat", 91, {"x": "aa", "u": 2}),
+        (TWO_FORKS, 5, 100, "sat", 59, {"x": "aaa"}),
+        (TWO_FORKS_FREE, 5, 100, "sat", 75, {"x": "aa", "u": 2, "v": 1}),
+        (CEILING, 5, 100, "unsat", 94, None),
+        (FIRST_MATCH, 5, 100, "sat", 29, {"x": "aab", "u": 2}),
     ],
     ids=[
         "unread-two-combinations",
@@ -126,6 +169,12 @@ TWO_FREE = HEADER + "int u v\nintc (<= (+ (len x) u (* -1 v)) -4)\n"
         "read-sat-on-the-last-unit",
         "read-out-before-sat",
         "two-free-first-slowest",
+        "no-freezable-term",
+        "one-freezable-term",
+        "two-freezable-terms",
+        "two-freezable-terms-free-positions",
+        "mandatory-ceiling",
+        "first-match-completion",
     ],
 )
 def test_hand_made_walks_match_the_reference(
@@ -139,3 +188,4 @@ def test_hand_made_walks_match_the_reference(
     assert len(walks) == (2 if text is TWO_SCENARIOS else 1)
     assert (verdict.status, stats["budget-left"]) == (status, left)
     assert verdict.model == model
+
