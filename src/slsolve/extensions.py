@@ -27,7 +27,11 @@ disequalities — is decided here by a bounded search:
    :class:`ScenarioWalks`, which turns it into a lazy multi-track
    product automaton whose moves emit one letter on one track at a time.
 
-3. For each scenario, a breadth-first walk explores (product state,
+3. Each scenario is first checked statically (:func:`refuted`): one
+   whose trees are false without reading a counter, which pins two
+   letters to one position, or which needs a letter its piece never
+   holds is skipped without a walk and charges no budget.  For every
+   other scenario, a breadth-first walk explores (product state,
    counter state) pairs, counters capped at the integer bound.  A walk
    state is one flat tuple of ints: in slot 0 the product state's id
    (each product state is interned to an id once per walk), then one
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
-from .automata import Alphabet, Nfa, explore, nfa_eps_eliminate
+from .automata import Alphabet, Nfa, nfa_eps_eliminate
 from .constraints import (
     And,
     Assignment,
@@ -82,10 +86,6 @@ from .constraints import (
 )
 from .solver import AcForest, Budget, NodeId, Shape, _join_model
 from .transducer import Transducer
-
-
-class ResourceLimit(RuntimeError):
-    """Raised when an explicitly capped construction outgrows its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +561,18 @@ class MultiTrackAutomaton:
 
     Moves and finality are memoised per product state: a forest has few
     product states, and one automaton serves every scenario walked over
-    that forest as well as :meth:`accepted_tuples`.
+    that forest.
     """
 
     def __init__(self, forest: AcForest) -> None:
         self.tracks: tuple[NodeId, ...] = forest.order
         self._index = {node: i for i, node in enumerate(self.tracks)}
         self._nfas = [nfa_eps_eliminate(forest.nfas[node]) for node in self.tracks]
+        #: The letters on some arc of each node's automaton.
+        self.letters = {
+            node: {ch for _q, ch, _r in nfa.transitions}
+            for node, nfa in zip(self.tracks, self._nfas)
+        }
         # Edges in a fixed order: by parent track, then child track.
         self._edges: list[tuple[int, int, Transducer]] = []
         for node in self.tracks:
@@ -587,10 +592,6 @@ class MultiTrackAutomaton:
         self._moves: dict[
             tuple[int, ...], tuple[tuple[int, str, tuple[int, ...]], ...]
         ] = {}
-
-    @property
-    def n_tracks(self) -> int:
-        return len(self.tracks)
 
     def initial(self) -> tuple[int, ...]:
         nfa_part = tuple(nfa.initial for nfa in self._nfas)
@@ -657,28 +658,6 @@ class MultiTrackAutomaton:
                             for (e, _ts), tgt in zip(edge_choices, combo):
                                 nxt[n + e] = tgt
                             yield i, ch, tuple(nxt)
-
-    def accepted_tuples(
-        self, max_len: int, state_cap: int = 100_000
-    ) -> set[tuple[str, ...]]:
-        """All solution tuples with every component at most ``max_len`` long.
-
-        Exhaustive search for differential testing; raises
-        :class:`ResourceLimit` when the walk outgrows ``state_cap``.
-        """
-
-        def successors(item: tuple) -> Iterator[tuple[str, tuple]]:
-            state, words = item
-            for track, ch, nxt in self.moves(state):
-                if len(words[track]) < max_len:
-                    grown = words[:track] + (words[track] + ch,) + words[track + 1 :]
-                    yield ch, (nxt, grown)
-
-        start = (self.initial(), ("",) * self.n_tracks)
-        explored = explore(start, successors, cap=state_cap)
-        if explored is None:
-            raise ResourceLimit(f"tuple enumeration exceeded {state_cap} states")
-        return {words for state, words in explored[0] if self.is_final(state)}
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1161,48 @@ def _leaf_truth(part: tuple[Optional[int], Optional[int]], shift: int) -> Option
 
 
 # ---------------------------------------------------------------------------
+# Static refutation
+
+
+def _constant_truth(atom: LoweredLinear) -> Optional[bool]:
+    """A leaf's value if it reads no term (``0 <= bound``), else unknown."""
+    return None if atom.terms else 0 <= atom.bound
+
+
+def refuted(lowered: LoweredProblem) -> bool:
+    """Whether no walk of ``lowered`` can accept, at any integer bound.
+
+    Three checks, none of which reads a counter:
+
+    - a mandatory tree (the scenario's ``extra`` or ``int_tree``) is
+      false once every leaf without terms is evaluated, the others left
+      unknown;
+    - a term's letter is on no arc of its node's automaton, so the term
+      never freezes;
+    - two links pin the terms of one node, guessing different letters,
+      to one position: same index, shift, constant and multiset of
+      preceding pieces.
+    """
+    scenario = lowered.scenario
+    trees = scenario.extra
+    if lowered.int_tree is not None:
+        trees += (lowered.int_tree,)
+    if any(tree_eval(tree, _constant_truth) is False for tree in trees):
+        return True
+    letters = lowered.automaton.letters
+    if any(ch not in letters[node] for node, ch in scenario.terms):
+        return True
+    guesses: dict[tuple, str] = {}
+    for link in scenario.links:
+        if link.term is not None:
+            node, ch = scenario.terms[link.term]
+            key = (link.index, link.shift, link.const, tuple(sorted(link.nodes)), node)
+            if guesses.setdefault(key, ch) != ch:
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Orchestration
 
 
@@ -1208,7 +1229,9 @@ class ScenarioWalks:
     (``default_int_bound`` when ``int_bound`` is None), lowers the integer
     constraints and enumerates the scenarios onto ``shapes``.
     :meth:`model` then walks every scenario over one forest's product
-    automaton, all on the solve's ``budget``.
+    automaton, all on the solve's ``budget``, except those that
+    :func:`refuted` rules out for that forest: these cost no budget and
+    never weaken the verdict to within-bounds.
     """
 
     def __init__(
@@ -1225,6 +1248,8 @@ class ScenarioWalks:
         self.int_tree = lower_integer_terms(problem.integers, shapes)
         self.scenarios = list(enumerate_scenarios(problem, shapes))
         self.walks = 0
+        #: (forest, scenario) pairs skipped without a walk.
+        self.refuted = 0
         #: Some walk's rejection depended on a capped counter or the bound.
         self.within = False
 
@@ -1233,18 +1258,22 @@ class ScenarioWalks:
     ) -> Optional[Assignment]:
         """The first satisfying walk's model (unverified), else None.
 
-        Every scenario is walked in turn, also after one walk has spent
-        the budget; the caller reads exhaustion off ``budget.remaining``.
+        Every scenario not :func:`refuted` is walked in turn, also after
+        one walk has spent the budget; the caller reads exhaustion off
+        ``budget.remaining``.
         """
         mta = MultiTrackAutomaton(
             AcForest(forest.order, feasible, forest.children, forest.parent)
         )
         problem = self.problem
         for scenario in self.scenarios:
-            self.walks += 1
             lowered = LoweredProblem(
                 mta, scenario, self.int_tree, problem.int_vars, problem.alphabet
             )
+            if refuted(lowered):
+                self.refuted += 1
+                continue
+            self.walks += 1
             result = counter_walk_solve(lowered, self.int_bound, self.budget)
             if result.status == "sat":
                 assert result.node_words is not None
@@ -1260,4 +1289,5 @@ class ScenarioWalks:
     def note(self, stats: dict) -> None:
         stats["scenarios"] = len(self.scenarios)
         stats["walks"] = self.walks
+        stats["scenarios-refuted"] = self.refuted
         stats["budget-left"] = self.budget.remaining

@@ -118,6 +118,8 @@ def test_output_is_byte_stable_across_runs(slp, capsys):
     second = capsys.readouterr()
     assert first.out == second.out
     assert first.err == second.err == ""
+    lines = first.out.splitlines()
+    assert "walks=1" in lines and "scenarios-refuted=0" in lines
 
 
 # ---------------------------------------------------------------------------

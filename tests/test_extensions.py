@@ -1,17 +1,23 @@
 """The bounded decision layer for integer, character, index-of, and
 disequality constraints.
 
-Three angles: frozen verdicts on small hand problems (including the
-sharpness of plain ``unsat`` versus ``unsat-within-bounds``), unit
-checks of the match-automaton and multi-track product against brute
-force, and a seeded differential sweep against the exhaustive oracle.
+Four angles: frozen verdicts on small hand problems (including the
+sharpness of plain ``unsat`` versus ``unsat-within-bounds``), the
+static refutation of scenarios (one hand problem per check, each with
+a near miss, and every refuted scenario of the seeded corpus walked
+anyway), unit checks of the match-automaton and multi-track product
+against brute force, and a seeded differential sweep against the
+exhaustive oracle.
 """
 
 import itertools
+from collections import Counter
+from typing import Iterator
 
 import pytest
 
-from slsolve.automata import Alphabet, nfa_enumerate
+from slsolve import extensions
+from slsolve.automata import Alphabet, explore, nfa_enumerate
 from slsolve.constraints import (
     And,
     CharAtom,
@@ -33,14 +39,15 @@ from slsolve.constraints import (
     evaluate,
 )
 from slsolve.extensions import (
+    Budget,
     MultiTrackAutomaton,
-    ResourceLimit,
     _kmp_delta,
     default_int_bound,
 )
 from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
+from slsolve.parser import parse_problem
 from slsolve.regex import regex_parse
-from slsolve.solver import AcForest, solve
+from slsolve.solver import AcForest, _checked_fold, solve
 from slsolve.transducer import (
     erase_transducer,
     identity_transducer,
@@ -345,9 +352,115 @@ def test_extension_stats_counters_are_reported():
     )
     stats: dict = {}
     solve(problem, stats=stats)
-    for key in ("membership-branches", "forests", "scenarios", "walks", "budget-left"):
+    keys = (
+        "membership-branches",
+        "forests",
+        "scenarios",
+        "walks",
+        "scenarios-refuted",
+        "budget-left",
+    )
+    for key in keys:
         assert key in stats
         assert isinstance(stats[key], int)
+
+
+# ---------------------------------------------------------------------------
+# Static refutation: scenarios no walk can accept are skipped
+
+HEADER = 'alphabet "ab"\nstr s d\nint u\n'
+
+
+@pytest.mark.parametrize(
+    "text, status, model",
+    [
+        # A disequality between two values of one shape: its length
+        # alternative is the constant ``0 <= -1``, and each position
+        # alternative pins two letters to one position of the piece.
+        (HEADER + "d = s\ns != d\n", "unsat", None),
+        (HEADER + 'd = s . "a"\ns != d\n', "sat", {"s": "", "d": "a", "u": 0}),
+        # Two index-of bindings of ``u`` on one piece, ``a`` and ``b``.
+        (
+            HEADER + 'd = s\nu = indexof("a", d, first)\nu = indexof("b", s, anywhere)\n',
+            "unsat",
+            None,
+        ),
+        (
+            HEADER + 'd = s\nu = indexof("a", d, first)\nu = indexof("a", s, anywhere)\n',
+            "sat",
+            {"s": "a", "d": "a", "u": 1},
+        ),
+        # The ``b`` of ``ab`` sits one place after the ``a``: no clash.
+        (
+            HEADER + 'd = s\nu = indexof("a", d, first)\nu = indexof("ab", s, anywhere)\n',
+            "sat",
+            {"s": "ab", "d": "ab", "u": 1},
+        ),
+        # One index on two pieces: their letters may differ.
+        (
+            HEADER
+            + "regc (and (in s /a|b/) (in d /a|b/))\ncharc (not (= s[u] d[u]))\n"
+            + "intc (and (<= u 1) (<= (* -1 u) -1))\n",
+            "sat",
+            {"s": "a", "d": "b", "u": 1},
+        ),
+        # A needle letter that no word of ``s`` holds.
+        (HEADER + 'regc (in s /a*/)\nu = indexof("b", s, anywhere)\n', "unsat", None),
+        (
+            HEADER + 'regc (in s /a*b/)\nu = indexof("b", s, anywhere)\n',
+            "sat",
+            {"s": "b", "d": "", "u": 1},
+        ),
+    ],
+    ids=[
+        "identical-shapes",
+        "identical-shapes-control",
+        "conflicting-indexof",
+        "conflicting-indexof-same-letter",
+        "conflicting-indexof-shifted-letter",
+        "one-index-two-pieces",
+        "missing-letter",
+        "missing-letter-control",
+    ],
+)
+def test_refuted_scenarios_are_not_walked(text, status, model):
+    """A refuted case answers ``unsat`` without a single walk (walking
+    its scenarios instead ends in ``resource-limit`` at a resource limit
+    of 10,000 on the first two); its near miss still walks."""
+    stats: dict = {}
+    verdict = solve(parse_problem(text), stats=stats)
+    assert (verdict.status, verdict.model) == (status, model)
+    if status == "unsat":
+        assert stats["walks"] == 0
+        assert stats["scenarios-refuted"] > 0
+    else:
+        assert stats["walks"] > 0
+
+
+def test_refuted_scenarios_have_no_accepting_walk(monkeypatch, extension_problems):
+    """Every scenario refuted on the seeded corpus at a resource limit of
+    10,000 is walked anyway, on a budget of its own: none accepts."""
+    refuted = extensions.refuted
+    skipped = []
+
+    def recorded(lowered):
+        if refuted(lowered):
+            skipped.append(lowered)
+            return True
+        return False
+
+    monkeypatch.setattr(extensions, "refuted", recorded)
+    statuses: Counter = Counter()
+    for problem in extension_problems:
+        skipped.clear()
+        solve(problem, resource_limit=10_000)
+        int_bound = default_int_bound(_checked_fold(problem)[0])
+        for lowered in skipped:
+            result = extensions.counter_walk_solve(lowered, int_bound, Budget(10_000))
+            statuses[result.status] += 1
+    assert statuses["sat"] == 0
+    # Some of these walks finish, so the check has teeth.
+    assert statuses["unsat"] + statuses["within"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +498,33 @@ def test_match_automaton_state_is_the_matched_prefix_length():
 # Unit: the multi-track product
 
 
+class ResourceLimit(RuntimeError):
+    """Raised when the tuple enumeration outgrows its state cap."""
+
+
+def accepted_tuples(
+    mta: MultiTrackAutomaton, max_len: int, state_cap: int = 100_000
+) -> set[tuple[str, ...]]:
+    """All solution tuples with every component at most ``max_len`` long.
+
+    Exhaustive search over the product's memoised moves; raises
+    :class:`ResourceLimit` when the walk outgrows ``state_cap``.
+    """
+
+    def successors(item: tuple) -> Iterator[tuple[str, tuple]]:
+        state, words = item
+        for track, ch, nxt in mta.moves(state):
+            if len(words[track]) < max_len:
+                grown = words[:track] + (words[track] + ch,) + words[track + 1 :]
+                yield ch, (nxt, grown)
+
+    start = (mta.initial(), ("",) * len(mta.tracks))
+    explored = explore(start, successors, cap=state_cap)
+    if explored is None:
+        raise ResourceLimit(f"tuple enumeration exceeded {state_cap} states")
+    return {words for state, words in explored[0] if mta.is_final(state)}
+
+
 def mk_forest(nodes, edges):
     order = tuple(name for name, _nfa in nodes)
     nfas = {name: nfa for name, nfa in nodes}
@@ -400,9 +540,9 @@ def test_single_track_tuples_are_the_language():
     nfa = regex_parse("(a|bb)*", AB)
     forest = mk_forest([(("x", 0), nfa)], [])
     mta = MultiTrackAutomaton(forest)
-    assert mta.accepted_tuples(3) == {(w,) for w in nfa_enumerate(nfa, 3)}
+    assert accepted_tuples(mta, 3) == {(w,) for w in nfa_enumerate(nfa, 3)}
     with pytest.raises(ResourceLimit):
-        mta.accepted_tuples(3, state_cap=4)
+        accepted_tuples(mta, 3, state_cap=4)
 
 
 def test_two_track_tuples_match_brute_force():
@@ -413,7 +553,7 @@ def test_two_track_tuples_match_brute_force():
         [(("x", 0), root_lang), (("y", 0), child_lang)],
         [(("x", 0), ("y", 0), machine)],
     )
-    tuples = MultiTrackAutomaton(forest).accepted_tuples(3)
+    tuples = accepted_tuples(MultiTrackAutomaton(forest), 3)
     expected = {
         (x, y)
         for x in nfa_enumerate(root_lang, 3)
@@ -434,7 +574,7 @@ def test_branching_forest_tuples_match_brute_force():
         [(("x", 0), root_lang), (("y", 0), copy_lang), (("z", 0), drop_lang)],
         [(("x", 0), ("y", 0), copy), (("x", 0), ("z", 0), drop)],
     )
-    tuples = MultiTrackAutomaton(forest).accepted_tuples(2)
+    tuples = accepted_tuples(MultiTrackAutomaton(forest), 2)
     expected = {
         (x, y, z)
         for x in nfa_enumerate(root_lang, 2)

@@ -27,22 +27,22 @@ import pytest
 from outcome_digest import corpora, corpus_lines, load_workloads
 
 PINNED = """\
-benchmark 132 status    8dc21865b3450f3ec434cdb06a14e9144a51ab793828e2a905155846f60b4988
-benchmark 132 model     fe27f316fa67dc024906f584e82be5d014585cfd2b95197b1597eb92215664d8
-benchmark 132 int_bound 7f6e5a06221892ae89d7b9d8967fdfdfc05ab9ac0588594cb9dee709b53a42b1
-benchmark 132 stats     a2bed7c31ab29783560945a089946ecc48c7a6d3f639b33949c5459e1bd528ce
+benchmark 132 status    2828758d41cb92bb2dc0a321a9441c6735f51f4df38f4bb482941c4dcd7b56be
+benchmark 132 model     e07d3e1df27999e2771d1a8c1f6e67196d71c32b5169b733a2af5829e304a6c7
+benchmark 132 int_bound b079b5843796f6a4dbb642db0c51fe5beaa3eddaefedb5e7433d38d2a3fd61db
+benchmark 132 stats     4edd9a9788c6c65c604cb75e857c6e56f0d63b44f1a01054d5e0332ef3a332fb
 string    500 status    7c16a933525396ae5bc21abd81c65c15c4a3808701b28c55c10c8f2c5589d759
 string    500 model     f31843135cf684ac47efd412c6c8e614c0a7cf3f2261b01cfc3f64b631ae771d
 string    500 int_bound dbe6aae6c7ac613d04c6bc7d77ab58a9635c14d70edf818f67b0c48c2af74381
 string    500 stats     af59c51e02bd0bfd7ec3b26d0986b4dd0a62389177b370d12a750db13b4e5a29
-extension 300 status    1c096748c6011abf4c2d8f5564bb24b18d811f3d03b5018337cd7a379d8005ce
-extension 300 model     9f7b55894f447864b0f869c2bc88ce46169d5757e3c5410bc8e576f10b307c06
-extension 300 int_bound d6f6b2363c1493b46ed6baae676db679947ad2020f3b81351c1910720c6c84b9
-extension 300 stats     09c7dc2c51286811325040f43fd5bae1ea22844d8fa27c0996c363dc78d4b83b
-ext-300   300 status    e1d3b086e9e09f853dee0f64e0c68fcadfd05edbcc79249993bb7f3567405eae
-ext-300   300 model     15f56119fd6f82c8edf11c4b45d5d05a227539b7540ce8715a122bf4ebdb2b4e
-ext-300   300 int_bound 3bec9ed1a37837e80c774ed29d3c2f7845bc309bdbac25759567fd267b8a0380
-ext-300   300 stats     4860a3b6706a89b11a3c43c4636793ab0d055913f49efadfc2ea5833470d5cef
+extension 300 status    f6a587ea0e20515d9629cbb3f0aa3698a22808c46130c1bc7d4ba5287631e773
+extension 300 model     3f0d6c3a4054623c8029f7482094479b29877fae850300cc30ac989680c2e12b
+extension 300 int_bound fee0f131f630acb296dd20740a5a0b5eb6a7db1d43ebc9dff211d09987fcdf8f
+extension 300 stats     e730936210a41ece388834493bca9a2062c36c74737b6a5b0ff0e09bab36ea3a
+ext-300   300 status    0206e214a7bef0a47a6af406f55f99711a691a3c71b34f768f48e2e7ec0cbb72
+ext-300   300 model     5d0d640f663befcad4669a53aecc1250146f1395e5be9e9ab2353b97904856fc
+ext-300   300 int_bound c4de13bc35a24254eeef6139283c2e2f1295b4bb7d0a3b460d0d7369b8852435
+ext-300   300 stats     87a1a7ec4bbe03a1313088c04e77e362ba70d91d05ec7387015271b7772acf9d
 """
 
 CORPORA = ("benchmark", "string", "extension", "ext-300")

@@ -21,8 +21,8 @@ every combination of free integers) still checked each walk: same
 result, same budget left.  The second set was recorded while walk
 states still held the nested product state; its two-term walks fail
 when the forks come out with the last term slowest, or frozen first.
-To re-record the pins, print ``walk_pin`` for each limit and paste the
-pair into ``WALKS``.
+To re-record the pins, run ``python3 tests/test_walk.py`` and paste the
+dict it prints into ``WALKS``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from outcome_digest import digest
 
 from slsolve import extensions
 from slsolve.extensions import Budget, LoweredProblem, WalkResult
+from slsolve.oracle import gen_random_problem
 from slsolve.parser import parse_problem
 from slsolve.solver import solve
 
@@ -55,7 +56,7 @@ def walk_pin(walks) -> tuple[int, str]:
 
 
 #: Per resource limit: walks made on the corpus, and their digest.
-WALKS = {10_000: (395, "4683cdac0c71a6f2"), 300: (403, "de29cc06af78992f")}
+WALKS = {10_000: (238, "984d4b42441da622"), 300: (243, "211485df08ebb222")}
 
 
 @pytest.mark.parametrize("limit", [10_000, 300])
@@ -189,3 +190,14 @@ def test_hand_made_walks_match_the_reference(
     assert (verdict.status, stats["budget-left"]) == (status, left)
     assert verdict.model == model
 
+
+if __name__ == "__main__":
+    problems = [gen_random_problem(seed, with_extensions=True) for seed in range(300)]
+    pins = {}
+    for limit in WALKS:
+        with pytest.MonkeyPatch.context() as patch:
+            walks = record_walks(patch)
+            for problem in problems:
+                solve(problem, resource_limit=limit)
+        pins[limit] = walk_pin(walks)
+    print(pins)
