@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "work budget: one unit per cut or boundary placement, per walk "
                 "state found and per free-integer combination an acceptance "
-                "check tries (at most the budget left plus one at once when no "
-                "constraint reads a free integer)"
+                "check tries; a check that needs more than is left spends the "
+                "budget (budget-left=-1 in --stats)"
             ),
         )
         p.add_argument(

@@ -50,7 +50,7 @@ the original problem before being reported.  A negative answer is
 definitive (``unsat``) only when no rejection depended on a capped
 counter or on the integer bound; otherwise it is reported as
 ``unsat-within-bounds``.  Exploration draws on the solve's work budget,
-and exhausting it yields ``resource-limit`` rather than an answer.
+and a spent budget ends the solve with ``resource-limit``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .constraints import (
     tree_eval,
     tree_leaves,
 )
-from .solver import AcForest, Budget, NodeId, Shape, _join_model
+from .solver import AcForest, Budget, BudgetExhausted, NodeId, Shape, _join_model
 from .transducer import Transducer
 
 
@@ -677,7 +677,7 @@ class LoweredProblem:
 
 @dataclass(frozen=True)
 class WalkResult:
-    status: str  # "sat" | "unsat" | "within" | "resource"
+    status: str  # "sat" | "unsat" | "within"
     node_words: Optional[dict[NodeId, str]] = None
     int_values: Optional[dict[str, int]] = None
 
@@ -765,9 +765,9 @@ def counter_walk_solve(
     its counters once and each combination of free integers adds only
     its own part, costing one unit each.  When no leaf reads a free
     integer, every combination has the same values: they are evaluated
-    once, and the budget is charged ``min(tries, max(remaining, 0) +
-    1)`` for the ``tries`` combinations the enumeration would have
-    tried.
+    once, and the budget is charged at once for the combinations the
+    enumeration would have tried.  A walk that needs more than is left
+    spends the budget and raises :class:`BudgetExhausted`.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
@@ -1039,16 +1039,14 @@ def counter_walk_solve(
                 if not accepted:
                     for r in ranges:
                         tries *= len(r)
-                if not budget.charge(min(tries, max(budget.remaining, 0) + 1)):
-                    return WalkResult("resource")
+                budget.charge(tries)
                 if accepted:
                     return sat([r.start for r in ranges])
                 if None in results:
                     touched = True
                 return None
             for combo in iter_product(*ranges):
-                if not budget.charge():
-                    return WalkResult("resource")
+                budget.charge()
                 for k in free_leaves:
                     shift = 0
                     for coeff, j in compiled[k][2]:
@@ -1138,7 +1136,7 @@ def counter_walk_solve(
                 if nxt not in parents:
                     budget.remaining -= 1
                     if budget.remaining < 0:
-                        return WalkResult("resource")
+                        raise BudgetExhausted
                     parents[nxt] = (state, track, ch)
                     queue.append(nxt)
 
@@ -1258,9 +1256,8 @@ class ScenarioWalks:
     ) -> Optional[Assignment]:
         """The first satisfying walk's model (unverified), else None.
 
-        Every scenario not :func:`refuted` is walked in turn, also after
-        one walk has spent the budget; the caller reads exhaustion off
-        ``budget.remaining``.
+        Every scenario not :func:`refuted` is walked in turn, until a
+        walk spends the budget and raises :class:`BudgetExhausted`.
         """
         mta = MultiTrackAutomaton(
             AcForest(forest.order, feasible, forest.children, forest.parent)

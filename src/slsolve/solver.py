@@ -104,28 +104,34 @@ class Verdict:
         return self.status == "sat"
 
 
+class BudgetExhausted(Exception):
+    """A charge needed more of the solve's budget than was left."""
+
+
 class Budget:
     """A mutable work meter shared by everything one solve call does.
 
     Cut and boundary placements and the counter walk draw on one limit;
     ``placements`` counts the former.  A walk charges one unit for each
     walk state it newly finds and one for each combination of free
-    integers its acceptance check tries (``min(tries, max(remaining, 0)
-    + 1)`` at once when no leaf reads a free integer).
+    integers its acceptance check tries.  A charge needing more than is
+    left leaves ``remaining`` at -1 and raises :class:`BudgetExhausted`.
     """
 
     def __init__(self, limit: int) -> None:
         self.remaining = limit
         self.placements = 0
 
-    def charge(self, amount: int = 1) -> bool:
+    def charge(self, amount: int = 1) -> None:
+        if amount > self.remaining:
+            self.remaining = -1
+            raise BudgetExhausted
         self.remaining -= amount
-        return self.remaining >= 0
 
-    def place(self) -> bool:
-        """Charge one cut or boundary placement."""
+    def place(self) -> None:
+        """Count and charge one cut or boundary placement."""
         self.placements += 1
-        return self.charge()
+        self.charge()
 
 
 @dataclass(frozen=True)
@@ -630,8 +636,8 @@ def _branch_forests(
     pairs that its boundary filter (``_boundary_filter``) leaves alive,
     unless the filter passes ``_FILTER_STATE_CAP`` and is abandoned;
     then its boundaries are placed blind.  Each placement
-    charges ``budget`` one unit; once it runs out the enumeration stops,
-    which the caller sees in ``budget.remaining``.
+    charges ``budget`` one unit; the placement that finds it spent
+    raises :class:`BudgetExhausted` out of the enumeration.
     """
     primary = primary_nodes(graph, shapes)
     universal = nfa_universal(problem.alphabet)
@@ -663,8 +669,8 @@ def _branch_forests(
                     undos.pop()()
                     cuts.pop()
                 continue
-            if cut is not None and not budget.place():
-                break
+            if cut is not None:
+                budget.place()
             undo = attach(len(cuts), cuts[-1] if cuts else first, cut)
             if undo is None:
                 continue
@@ -675,8 +681,6 @@ def _branch_forests(
             cuts.append(cut)
             undos.append(undo)
             pending.append(iter(options[len(cuts)]))
-        for undo in reversed(undos):
-            undo()
 
     def var_choice(var: str) -> Choice:
         """How to place a variable's cuts and attach its pieces."""
@@ -953,10 +957,10 @@ def solve(
     each cut or boundary placement costs one unit.  A bounded walk
     charges one unit for each walk state it newly finds and one for each
     combination of free integers its acceptance check tries; when no
-    leaf reads a free integer, a check charges ``min(tries,
-    max(remaining, 0) + 1)`` at once, where ``tries`` is the number of
-    combinations the enumeration would try.  The answer is
-    ``resource-limit`` once the budget runs out.  Membership
+    leaf reads a free integer, a check charges every combination the
+    enumeration would try at once.  A charge that needs more than is
+    left spends the budget, and the answer is ``resource-limit``; an
+    exhausted solve reports ``budget-left=-1``.  Membership
     normalization (complements included), segment building, propagation
     and extraction are not charged yet, so a solve can take long without
     spending the budget.
@@ -1007,15 +1011,11 @@ def solve(
                     if not evaluate(problem, model):
                         raise RuntimeError("internal error: model failed verification")
                     return Verdict("sat", model=model)
-                # A walk may have spent the budget; leaving now keeps the
-                # next placement from charging it (and counting) once more.
-                if budget.remaining < 0:
-                    break
-            if budget.remaining < 0:
-                return Verdict("resource-limit", int_bound=bound)
         if walker is not None and walker.within:
             return Verdict("unsat-within-bounds", int_bound=bound)
         return Verdict("unsat")
+    except BudgetExhausted:
+        return Verdict("resource-limit", int_bound=bound)
     finally:
         if stats is not None:
             stats["membership-branches"] = branches

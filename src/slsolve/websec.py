@@ -45,20 +45,22 @@ def _require(alphabet: Alphabet, needed: set[str], name: str) -> None:
         raise ValueError(f"{name} needs alphabet characters {missing!r}")
 
 
-def html_escape_transducer(alphabet: Alphabet) -> Transducer:
-    """Entity-escape ``& < > " '``; every other character copies through."""
-    escapes = {c: out for c, out in _HTML_ESCAPES.items() if c in alphabet}
-    _require(alphabet, set("".join(escapes.values())), "htmlEscape")
+def _escape_machine(alphabet: Alphabet, table: dict[str, str], name: str) -> Transducer:
+    """One state: each character of ``table`` escaped, the rest copied."""
+    escapes = {c: out for c, out in table.items() if c in alphabet}
+    _require(alphabet, set("".join(escapes.values())), name)
     rules = tuple((0, c, escapes.get(c, c), 0) for c in alphabet)
     return Transducer(alphabet, 1, rules, 0, frozenset({0}))
+
+
+def html_escape_transducer(alphabet: Alphabet) -> Transducer:
+    """Entity-escape ``& < > " '``; every other character copies through."""
+    return _escape_machine(alphabet, _HTML_ESCAPES, "htmlEscape")
 
 
 def escape_string_transducer(alphabet: Alphabet) -> Transducer:
     """Backslash-escape quotes and backslashes, as JS string embedding does."""
-    escapes = {c: out for c, out in _JS_ESCAPES.items() if c in alphabet}
-    _require(alphabet, set("".join(escapes.values())), "escapeString")
-    rules = tuple((0, c, escapes.get(c, c), 0) for c in alphabet)
-    return Transducer(alphabet, 1, rules, 0, frozenset({0}))
+    return _escape_machine(alphabet, _JS_ESCAPES, "escapeString")
 
 
 def innerhtml_decode_transducer(alphabet: Alphabet) -> Transducer:

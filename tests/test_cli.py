@@ -205,6 +205,13 @@ def test_bench_model_replays_an_attack(capsys):
     assert any(line.startswith("model ci = ") for line in lines)
 
 
+def test_bench_stops_at_the_resource_limit(capsys):
+    assert run(["bench", "ex_cacm", "--resource-limit", "1", "--stats"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "resource-limit"
+    assert "cut-placements=2" in lines
+
+
 def test_bench_unknown_name(capsys):
     assert run(["bench", "nope"]) == 2
     captured = capsys.readouterr()

@@ -47,7 +47,7 @@ from slsolve.extensions import (
 from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
 from slsolve.parser import parse_problem
 from slsolve.regex import regex_parse
-from slsolve.solver import AcForest, _checked_fold, solve
+from slsolve.solver import AcForest, BudgetExhausted, _checked_fold, solve
 from slsolve.transducer import (
     erase_transducer,
     identity_transducer,
@@ -456,8 +456,13 @@ def test_refuted_scenarios_have_no_accepting_walk(monkeypatch, extension_problem
         solve(problem, resource_limit=10_000)
         int_bound = default_int_bound(_checked_fold(problem)[0])
         for lowered in skipped:
-            result = extensions.counter_walk_solve(lowered, int_bound, Budget(10_000))
-            statuses[result.status] += 1
+            budget = Budget(10_000)
+            try:
+                result = extensions.counter_walk_solve(lowered, int_bound, budget)
+            except BudgetExhausted:
+                statuses["resource"] += 1
+            else:
+                statuses[result.status] += 1
     assert statuses["sat"] == 0
     # Some of these walks finish, so the check has teeth.
     assert statuses["unsat"] + statuses["within"] > 0

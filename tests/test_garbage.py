@@ -29,7 +29,24 @@ def test_solves_leave_no_cyclic_garbage(workloads):
         (gen_random_problem(seed, with_extensions=True), {"resource_limit": 10_000})
         for seed in range(20)
     ]
+    assert_no_cyclic_garbage(cases)
 
+
+def test_exhausted_solves_leave_no_cyclic_garbage():
+    """A spent budget raises out of the placement search or a walk."""
+    cases = [
+        (load_benchmark(name).problem, {"resource_limit": 1})
+        for name in ("ex_cacm", "ex_mxss1", "ex_iframe")
+    ]
+    cases.append(
+        (gen_random_problem(48, with_extensions=True), {"resource_limit": 300})
+    )
+    for problem, kwargs in cases:
+        assert solve(problem, **kwargs).status == "resource-limit"
+    assert_no_cyclic_garbage(cases)
+
+
+def assert_no_cyclic_garbage(cases) -> None:
     gc.collect()
     gc.disable()
     try:

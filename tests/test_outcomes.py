@@ -38,11 +38,11 @@ string    500 stats     af59c51e02bd0bfd7ec3b26d0986b4dd0a62389177b370d12a750db1
 extension 300 status    f6a587ea0e20515d9629cbb3f0aa3698a22808c46130c1bc7d4ba5287631e773
 extension 300 model     3f0d6c3a4054623c8029f7482094479b29877fae850300cc30ac989680c2e12b
 extension 300 int_bound fee0f131f630acb296dd20740a5a0b5eb6a7db1d43ebc9dff211d09987fcdf8f
-extension 300 stats     e730936210a41ece388834493bca9a2062c36c74737b6a5b0ff0e09bab36ea3a
+extension 300 stats     a09cba6bd27e3eab79bb24924721a538c9ad15de654d3b5fdff1a784c1a0952b
 ext-300   300 status    0206e214a7bef0a47a6af406f55f99711a691a3c71b34f768f48e2e7ec0cbb72
 ext-300   300 model     5d0d640f663befcad4669a53aecc1250146f1395e5be9e9ab2353b97904856fc
 ext-300   300 int_bound c4de13bc35a24254eeef6139283c2e2f1295b4bb7d0a3b460d0d7369b8852435
-ext-300   300 stats     87a1a7ec4bbe03a1313088c04e77e362ba70d91d05ec7387015271b7772acf9d
+ext-300   300 stats     37b3205ffece4c0790f684da00b3a8ba3a35c3079c38c07f2f89811d0b763d81
 """
 
 CORPORA = ("benchmark", "string", "extension", "ext-300")

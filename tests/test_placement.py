@@ -257,6 +257,16 @@ def test_string_only_solve_stops_at_the_resource_limit():
     assert stats["forests"] == 0
 
 
+@pytest.mark.parametrize("name", ["ex_cacm", "ex_mxss1", "ex_iframe"])
+def test_spent_budget_ends_the_search_at_once(name):
+    """At a resource limit of 1 the second placement spends the budget,
+    and no enclosing cut level places once more as the search ends."""
+    stats: dict = {}
+    verdict = solve(load_benchmark(name).problem, resource_limit=1, stats=stats)
+    assert verdict.status == "resource-limit"
+    assert stats["cut-placements"] == 2
+
+
 # ---------------------------------------------------------------------------
 # Cuts on reduced automata
 

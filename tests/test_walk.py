@@ -6,13 +6,14 @@ planned moves per id and compiles the acceptance check's leaves once
 per walk.  Every walk that ``solve`` makes on the seeded extension
 corpus, at resource limits 10,000 and 300, is pinned: the walk count,
 and one digest of ``(repr(result), budget left)`` per walk in call
-order.  This is a semantic pin, as the budget left decides where a
-solve stops with ``resource-limit``.  The seeded walks are backed by
-two sets of hand-made walks, each stating its status, budget left and
-model: walks whose acceptance check tries many combinations of free
-integers, where the budget runs out between two of them, and one walk
-per path of the successor loop (no freezable position term, one, two,
-a mandatory ceiling, a match tracker's first completion).
+order, a walk that spends the budget giving ``("resource", -1)``.  This
+is a semantic pin, as the budget left decides where a solve stops with
+``resource-limit``.  The seeded walks are backed by two sets of
+hand-made walks, each stating its status, budget left and model:
+walks whose acceptance check tries many combinations of free integers,
+where the budget runs out between two of them, and one walk per path
+of the successor loop (no freezable position term, one, two, a
+mandatory ceiling, a match tracker's first completion).
 
 The pins and the first set were recorded while a copy of an earlier
 walk (moves regenerated for every popped state, counter updates
@@ -21,11 +22,16 @@ every combination of free integers) still checked each walk: same
 result, same budget left.  The second set was recorded while walk
 states still held the nested product state; its two-term walks fail
 when the forks come out with the last term slowest, or frozen first.
-To re-record the pins, run ``python3 tests/test_walk.py`` and paste the
-dict it prints into ``WALKS``.
+The seeded pins were re-recorded when a spent budget began to end the
+solve: each solve's walks up to the first that spends the budget are
+those of the earlier walk, and no walk follows that one.  To re-record
+the pins, run ``python3 tests/test_walk.py`` and paste the dict it
+prints into ``WALKS``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import pytest
 from outcome_digest import digest
@@ -34,16 +40,25 @@ from slsolve import extensions
 from slsolve.extensions import Budget, LoweredProblem, WalkResult
 from slsolve.oracle import gen_random_problem
 from slsolve.parser import parse_problem
-from slsolve.solver import solve
+from slsolve.solver import BudgetExhausted, solve
+
+Walk = tuple[LoweredProblem, Optional[WalkResult], int]
 
 
-def record_walks(monkeypatch) -> list[tuple[LoweredProblem, WalkResult, int]]:
-    """Record each walk a solve makes, with the budget it leaves."""
+def record_walks(monkeypatch) -> list[Walk]:
+    """Record each walk a solve makes, with the budget it leaves.
+
+    A walk that spends the budget is recorded with no result (its
+    ``BudgetExhausted`` is raised again)."""
     walk = extensions.counter_walk_solve
-    walks: list[tuple[LoweredProblem, WalkResult, int]] = []
+    walks: list[Walk] = []
 
     def recorded(lowered: LoweredProblem, int_bound: int, budget: Budget) -> WalkResult:
-        result = walk(lowered, int_bound, budget)
+        try:
+            result = walk(lowered, int_bound, budget)
+        except BudgetExhausted:
+            walks.append((lowered, None, budget.remaining))
+            raise
         walks.append((lowered, result, budget.remaining))
         return result
 
@@ -52,11 +67,12 @@ def record_walks(monkeypatch) -> list[tuple[LoweredProblem, WalkResult, int]]:
 
 
 def walk_pin(walks) -> tuple[int, str]:
-    return len(walks), digest([(repr(result), left) for _l, result, left in walks])
+    pairs = [("resource" if r is None else repr(r), left) for _l, r, left in walks]
+    return len(walks), digest(pairs)
 
 
 #: Per resource limit: walks made on the corpus, and their digest.
-WALKS = {10_000: (238, "984d4b42441da622"), 300: (243, "211485df08ebb222")}
+WALKS = {10_000: (234, "953974f514d715b7"), 300: (231, "283da171ba62f283")}
 
 
 @pytest.mark.parametrize("limit", [10_000, 300])
@@ -65,7 +81,7 @@ def test_every_walk_matches_the_reference(monkeypatch, extension_problems, limit
     for problem in extension_problems:
         solve(problem, resource_limit=limit)
     assert walk_pin(walks) == WALKS[limit]
-    statuses = {result.status for _lowered, result, _left in walks}
+    statuses = {"resource" if r is None else r.status for _l, r, _left in walks}
     assert {"sat", "unsat", "resource"} <= statuses
     # The walks read every kind of counter, and some automata serve
     # several scenarios, so their memo is shared between walks.
@@ -75,6 +91,19 @@ def test_every_walk_matches_the_reference(monkeypatch, extension_problems, limit
     assert any(s.links for s in scenarios)
     automata = [lowered.automaton for lowered, _result, _left in walks]
     assert len({id(a) for a in automata}) < len(automata)
+
+
+@pytest.mark.parametrize("seed, walks", [(105, 2), (113, 1), (275, 1)])
+def test_no_walk_follows_the_one_that_spends_the_budget(
+    extension_problems, seed, walks
+):
+    """Each of these seeds has scenarios left when a walk spends the
+    budget at a resource limit of 10,000; none of them is walked."""
+    stats: dict = {}
+    verdict = solve(extension_problems[seed], resource_limit=10_000, stats=stats)
+    assert verdict.status == "resource-limit"
+    assert (stats["walks"], stats["budget-left"]) == (walks, -1)
+    assert stats["scenarios"] > walks
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +116,8 @@ HEADER = 'alphabet "ab"\nstr x\n'
 UNREAD = HEADER + "int u\nintc (<= (len x) -1)\n"
 #: ``len x <= 0``: the first combination satisfies, whatever ``u``.
 UNREAD_SAT = HEADER + "int u\nintc (<= (len x) 0)\n"
-#: Two scenarios (``u`` is 0 or 2), each walked as ``UNREAD`` walks; the
-#: second starts where the first has spent the whole budget.
+#: Two scenarios (``u`` is 0 or 2), each walked as ``UNREAD`` walks; once
+#: the first has spent the whole budget, the second is not walked.
 TWO_SCENARIOS = (
     HEADER + 'int u v\nintc (<= (len x) -1)\nu = indexof("a", "aba", anywhere)\n'
 )
@@ -142,7 +171,7 @@ FIRST_MATCH = HEADER + 'int u\nu = indexof("ab", x, first)\nintc (<= (* -1 u) -2
         (UNREAD, 5, 6, "unsat", 0, None),
         (UNREAD, 5, 5, "resource-limit", -1, None),
         (UNREAD_SAT, 5, 100, "sat", 99, {"x": "", "u": 0}),
-        (TWO_SCENARIOS, 5, 3, "resource-limit", -2, None),
+        (TWO_SCENARIOS, 5, 3, "resource-limit", -1, None),
         (SATURATED, 1, 100, "unsat-within-bounds", 92, None),
         (READ, 5, 100, "unsat-within-bounds", 94, None),
         (READ, 5, 3, "resource-limit", -1, None),
@@ -186,7 +215,7 @@ def test_hand_made_walks_match_the_reference(
     verdict = solve(
         parse_problem(text), int_bound=int_bound, resource_limit=limit, stats=stats
     )
-    assert len(walks) == (2 if text is TWO_SCENARIOS else 1)
+    assert len(walks) == 1
     assert (verdict.status, stats["budget-left"]) == (status, left)
     assert verdict.model == model
 
