@@ -9,28 +9,23 @@ machine depends only on its inputs, never on hash order.  The
 transitions in any order, with repeats — so equal machines compare and
 hash equal however they were built.
 
-Each machine keeps one per-state arc table, :attr:`Nfa.arcs_by_symbol`,
-and words are read through one move, :meth:`Nfa.step`.  Searches run on
-two kernels: :func:`explore`, a breadth-first search that numbers states
-in discovery order and records the arcs between them, builds every
-product and subset construction; :func:`reachable`, a plain
-reachability set, computes epsilon closures and the co-reachable half of
-:func:`live_states`, through which every trim goes.  Products trim
-in the one construction that builds them (:func:`trimmed_nfa`).
-:func:`nfa_is_empty` keeps its own search: it stops at the first final
-state it meets, where :func:`reachable` would finish the whole set, and
-a version on :func:`reachable` measured slower on square-chain cut
-placement, which asks it most.  :func:`nfa_nonempty_shortest` tries
-the letters on the current states' rows at each position of a witness,
-so it reads the table inline rather than through :meth:`Nfa.step`.
+Each machine keeps one per-state arc table, :attr:`Nfa.arcs_by_symbol`.
+Searches run on two kernels: :func:`explore`, a breadth-first search
+that numbers states in discovery order and records the arcs between
+them, builds every product and subset construction; :func:`reachable`,
+a plain reachability set, computes epsilon closures and the
+co-reachable half of :func:`live_states`, through which every trim
+goes.  Products trim in the one construction that builds them
+(:func:`trimmed_nfa`).  :func:`nfa_is_empty` keeps its own search: it
+stops at the first final state it meets, where :func:`reachable` would
+finish the whole set, and a version on :func:`reachable` measured
+slower on square-chain cut placement, which asks it most.
 
-Machines with epsilon arcs are read through :func:`closed_rows`: each
-state's row and finality as :func:`nfa_eps_eliminate` would give them.
-:func:`nfa_intersect` and :func:`nfa_determinize` (so
-:func:`nfa_complement`) build those rows only for the states their
-search reaches, instead of first building an eliminated copy; a regex
-leaf is such a machine.  :func:`nfa_eps_eliminate` builds its machine
-from the same rows.
+Epsilon arcs are read in one place, once per machine:
+:func:`nfa_eps_eliminate` builds a machine's epsilon-free copy on first
+use and keeps it, and every search (products, subset construction,
+membership, witnesses, enumeration) runs on that copy; a regex leaf is
+such a machine.
 """
 
 from __future__ import annotations
@@ -40,11 +35,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
     Callable,
-    Container,
     Hashable,
     Iterable,
     Iterator,
-    Mapping,
     Optional,
     Sequence,
 )
@@ -241,27 +234,42 @@ class Nfa:
     def has_epsilon(self) -> bool:
         return any(sym == EPSILON for _, sym, _ in self.transitions)
 
-    def eps_closure(self, states: Iterable[int]) -> frozenset[int]:
+    @cached_property
+    def _eps_free(self) -> "Nfa":
+        # Not cached on an epsilon-free machine: a machine holding itself
+        # is a reference cycle, left for the cyclic collector.  Each state
+        # inherits the letter arcs and finality of its epsilon-closure.
         by_sym = self.arcs_by_symbol
-        return frozenset(reachable(states, lambda q: by_sym[q].get(EPSILON, ())))
+        transitions: list[tuple[int, str, int]] = []
+        finals = set()
+        for q in range(self.n_states):
+            closure = reachable((q,), lambda p: by_sym[p].get(EPSILON, ()))
+            if not closure.isdisjoint(self.finals):
+                finals.add(q)
+            transitions += [
+                (q, sym, r)
+                for p in closure
+                for sym, rs in by_sym[p].items()
+                if sym != EPSILON
+                for r in rs
+            ]
+        return Nfa(
+            self.alphabet, self.n_states, transitions, self.initial, frozenset(finals)
+        )
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        """One closed move: epsilon-closure after reading ``symbol``."""
+        """The states reached from ``states`` by one ``symbol`` arc."""
         by_sym = self.arcs_by_symbol
-        nxt = frozenset(r for q in states for r in by_sym[q].get(symbol, ()))
-        return self.eps_closure(nxt) if self.has_epsilon else nxt
+        return frozenset(r for q in states for r in by_sym[q].get(symbol, ()))
 
     def read(self, states: frozenset[int], word: str) -> frozenset[int]:
-        """The states reached from the epsilon-closed ``states`` by reading
-        ``word``, one :meth:`step` per letter."""
+        """The states reached from ``states`` by reading ``word``, one
+        :meth:`step` per letter; the machine must be epsilon-free."""
         for ch in word:
             states = self.step(states, ch)
             if not states:
                 break
         return states
-
-    def run(self, word: str) -> frozenset[int]:
-        return self.read(self.eps_closure({self.initial}), word)
 
 
 def nfa_from_word(word: str, alphabet: Alphabet) -> Nfa:
@@ -283,73 +291,18 @@ def nfa_universal(alphabet: Alphabet) -> Nfa:
 
 
 def nfa_membership(nfa: Nfa, word: str) -> bool:
-    return bool(nfa.run(word) & nfa.finals)
-
-
-class _ClosedRows(dict):
-    """State -> letter row of ``nfa_eps_eliminate(nfa)``, built on first read.
-
-    A row maps each letter, in alphabet order, to its targets in
-    ascending order: the non-epsilon arcs of the state's epsilon-closure.
-    :attr:`finals` collects the states read so far whose closure meets
-    the machine's finals.
-    """
-
-    def __init__(self, nfa: Nfa) -> None:
-        super().__init__()
-        self.nfa = nfa
-        self.finals: set[int] = set()
-
-    def __missing__(self, q: int) -> dict[str, tuple[int, ...]]:
-        by_sym = self.nfa.arcs_by_symbol
-        closure = self.nfa.eps_closure((q,))
-        if not closure.isdisjoint(self.nfa.finals):
-            self.finals.add(q)
-        merged: dict[str, set[int]] = {}
-        for p in closure:
-            for sym, rs in by_sym[p].items():
-                if sym != EPSILON:
-                    merged.setdefault(sym, set()).update(rs)
-        letters = sorted(merged, key=self.nfa.alphabet._index.__getitem__)
-        row = self[q] = {sym: tuple(sorted(merged[sym])) for sym in letters}
-        return row
-
-
-def closed_rows(
-    nfa: Nfa,
-) -> tuple[Mapping[int, dict[str, tuple[int, ...]]], Container[int]]:
-    """Each state's letter row and finality as in ``nfa_eps_eliminate(nfa)``.
-
-    An epsilon-free machine gives its own :attr:`Nfa.arcs_by_symbol` and
-    finals.  Otherwise rows are built only for the states a search
-    reads, and the finals returned hold the final states among those
-    read, so a caller reads a state's row before asking whether it is
-    final.
-    """
-    if not nfa.has_epsilon:
-        return nfa.arcs_by_symbol, nfa.finals
-    rows = _ClosedRows(nfa)
-    return rows, rows.finals
+    flat = nfa_eps_eliminate(nfa)
+    return not flat.read(frozenset({flat.initial}), word).isdisjoint(flat.finals)
 
 
 def nfa_eps_eliminate(nfa: Nfa) -> Nfa:
     """A language-equivalent automaton with no epsilon transitions.
 
     States are preserved; each state inherits the non-epsilon arcs and
-    finality of its epsilon-closure (its :func:`closed_rows`).
+    finality of its epsilon-closure.  The copy is built once per machine
+    and kept; an epsilon-free machine is its own copy.
     """
-    if not nfa.has_epsilon:
-        return nfa
-    rows, finals = closed_rows(nfa)
-    transitions = [
-        (q, sym, r)
-        for q in range(nfa.n_states)
-        for sym, rs in rows[q].items()
-        for r in rs
-    ]
-    return Nfa(
-        nfa.alphabet, nfa.n_states, transitions, nfa.initial, frozenset(finals)
-    )
+    return nfa._eps_free if nfa.has_epsilon else nfa
 
 
 def trimmed_nfa(
@@ -417,9 +370,7 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
     that differ in history but not in future behaviour; folding them
     keeps the sizes from compounding across a pipeline.
     """
-    if nfa.has_epsilon:
-        nfa = nfa_eps_eliminate(nfa)
-    nfa = nfa_trim(nfa)
+    nfa = nfa_trim(nfa_eps_eliminate(nfa))
     n = nfa.n_states
     if n <= 1:
         return nfa
@@ -462,8 +413,8 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    a_by_sym, a_finals = closed_rows(a)
-    b_by_sym, b_finals = closed_rows(b)
+    a, b = nfa_eps_eliminate(a), nfa_eps_eliminate(b)
+    a_by_sym, b_by_sym = a.arcs_by_symbol, b.arcs_by_symbol
 
     def successors(pair: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
         # Both tables are in alphabet order, so walking the smaller one
@@ -487,7 +438,7 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
 
     order, arcs = explore((a.initial, b.initial), successors)
     finals = frozenset(
-        i for i, (qa, qb) in enumerate(order) if qa in a_finals and qb in b_finals
+        i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
     )
     return trimmed_nfa(a.alphabet, len(order), arcs, 0, finals)
 
@@ -540,7 +491,8 @@ def nfa_union(a: Nfa, b: Nfa) -> Nfa:
 
 def nfa_determinize(nfa: Nfa) -> Nfa:
     """Complete subset-construction DFA (includes the sink subset)."""
-    rows, nfa_finals = closed_rows(nfa)
+    nfa = nfa_eps_eliminate(nfa)
+    rows = nfa.arcs_by_symbol
 
     def successors(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for sym in nfa.alphabet:
@@ -548,7 +500,7 @@ def nfa_determinize(nfa: Nfa) -> Nfa:
 
     order, arcs = explore(frozenset({nfa.initial}), successors)
     finals = frozenset(
-        i for i, subset in enumerate(order) if not subset.isdisjoint(nfa_finals)
+        i for i, subset in enumerate(order) if not subset.isdisjoint(nfa.finals)
     )
     return Nfa(nfa.alphabet, len(order), arcs, 0, finals)
 

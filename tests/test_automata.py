@@ -203,12 +203,17 @@ def test_live_states_and_emptiness_on_random_graphs():
 
 
 def test_eps_eliminate_removes_epsilons_and_preserves_language():
+    """The copy is built once per machine and is its own copy."""
     rng = random.Random(7)
-    for _ in range(40):
-        nfa = random_nfa(rng, AB)
+    machines = [random_nfa(rng, AB) for _ in range(40)] + epsilon_machines(18)
+    for nfa in machines:
         flat = nfa_eps_eliminate(nfa)
         assert not flat.has_epsilon
         assert language(flat, 6) == language(nfa, 6)
+        assert nfa_eps_eliminate(nfa) is flat
+        assert nfa_eps_eliminate(flat) is flat
+        for word in words_up_to(nfa.alphabet, 5):
+            assert nfa_membership(nfa, word) == nfa_membership(flat, word)
 
 
 def test_eps_free_input_passes_through():
@@ -283,7 +288,7 @@ def test_intersect_rejects_alphabet_mismatch():
 
 
 def test_searches_on_epsilon_machines_equal_their_eliminated_runs():
-    """Closed rows read on demand build the machines an eliminated copy gives."""
+    """Searches on a machine with epsilon arcs equal those on its copy."""
     machines = epsilon_machines(18)
     assert len(machines) >= 12
     plain = machines[:4] + [nfa_from_word("ab", ABC), nfa_universal(ABC)]
