@@ -15,8 +15,10 @@ Solving runs in three stages:
    problem's dimension, not its size.  Boundaries are placed one at a
    time; each piece is sliced (once per branch) and intersected onto
    its node as soon as both its boundaries are fixed, so a dead prefix
-   prunes every tuple extending it.  Each placement costs one unit of
-   the solve's work budget.
+   prunes every tuple extending it.  A piece that needs no cut is the
+   variable's automaton itself, and a variable that accepts every word
+   attaches nothing.  Each placement costs one unit of the solve's work
+   budget.
 
 3. *Forest solving*: under fixed choices the remaining problem is a
    forest whose nodes are value pieces and whose edges are transducer
@@ -42,6 +44,7 @@ from .automata import (
     EPSILON,
     Nfa,
     explore,
+    live_states,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -74,7 +77,6 @@ from .transducer import (
     apply_function,
     post_image,
     pre_image_within,
-    trimmed_transducer,
 )
 
 #: A piece of some variable's value: (variable name, piece index).
@@ -232,7 +234,10 @@ def normalize_regular(
     and it feeds the pre-images of propagation, which grow when it is
     reduced: on ``ex_mxss1`` the first pre-image has 84 states instead
     of 52.  Every yielded automaton is a product, a reduction or the
-    universal automaton, so none has epsilon arcs.
+    universal automaton, so none has epsilon arcs and each is trimmed.
+    The split stage relies on that: a cut-free piece is the automaton
+    itself (``_pieces_for``), and a variable whose automaton is the
+    one-state universal one attaches nothing.
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
@@ -327,8 +332,14 @@ def _pieces_for(
     The piece runs from ``start`` (the previous cut, or the initial
     state), past the literal gap ``literal``, which is consumed inside
     the slice as several entry states, into ``finals``.  ``nfa`` must be
-    epsilon-free; the slice is built trimmed in one construction.
+    epsilon-free and trimmed, as every branch automaton is.  A cut-free
+    piece, from the initial state past no literal into all of the
+    finals, is the machine itself: it is returned as it is, or None when
+    it has no finals.  Any other piece is sliced, trimmed in one
+    construction.
     """
+    if not literal and start == nfa.initial and finals == nfa.finals:
+        return nfa if finals else None
     starts = nfa.read(frozenset({start}), literal)
     if not starts or not finals:
         return None
@@ -359,9 +370,11 @@ def _segment_machine(
     input moves are real only in the piece zone, and a literal letter
     read invisibly advances the row; those invisible moves are folded
     into per-state closures, so the result needs no epsilon pass.  Live
-    states are numbered in ``row * n + state`` order: the explored states,
-    renamed by the rank of that id (most of the ``rows * n`` are never
-    reached), are trimmed in one construction.
+    states are numbered in ``row * n + state`` order: the live states are
+    found on the explored ids first (most of the ``rows * n`` are never
+    reached), and only the arcs between them are renamed, by the rank of
+    that id.  The start state is kept even when dead, as a trim keeps
+    it.
     """
     assert t.is_normalized
     n = t.n_states
@@ -395,14 +408,24 @@ def _segment_machine(
         return out
 
     order, arcs = explore(from_state, successors)
-    rank = {sid: k for k, sid in enumerate(sorted(order))}
-    ids = [rank[sid] for sid in order]
-    return trimmed_transducer(
-        t.alphabet,
+    keep = live_states(
         len(order),
-        [(ids[i], ins, outs, ids[j]) for i, (ins, outs), j in arcs],
-        rank[from_state],
-        frozenset(rank[sid] for sid in accepting),
+        [(i, j) for i, _, j in arcs],
+        0,
+        [i for i, sid in enumerate(order) if sid in accepting],
+    )
+    keep.add(0)
+    rank = {i: k for k, i in enumerate(sorted(keep, key=order.__getitem__))}
+    return Transducer(
+        t.alphabet,
+        len(rank),
+        [
+            (rank[i], ins, outs, rank[j])
+            for i, (ins, outs), j in arcs
+            if i in rank and j in rank
+        ],
+        rank[0],
+        frozenset(rank[i] for i in keep if order[i] in accepting),
     )
 
 
@@ -622,7 +645,13 @@ def _branch_forests(
 
     Choice points (variables whose automata need real cuts, transducer
     applications over split arguments) are explored depth-first; forced
-    choices (boundary 0 throughout) are attached up front.  A choice
+    choices (boundary 0 throughout) are attached up front.  Cut-free
+    pieces are attached as they are: the piece of a one-piece variable
+    with no literal gap is its branch automaton itself
+    (``_pieces_for``), so that is the node of a source variable or an
+    unsplit image unless another piece or a range lands on it; and a
+    variable whose automaton is the one-state universal one attaches
+    nothing, as its pieces would only copy their nodes.  A choice
     point's boundaries — automaton or transducer states — are placed one
     at a time, states ascending, so tuples come out in lexicographic
     order.  Piece ``j`` depends only on boundaries ``j - 1`` and ``j``,
@@ -791,10 +820,10 @@ def _branch_forests(
         m = len(shapes[var].slots)
         if m >= 2 and var_nfas[var].n_states > 1:
             levels.append((var, var_choice(var)))
-        else:
-            chosen[var] = (0,) * (m - 1)
-            if not forced(m, var_choice(var)):
-                return
+            continue
+        chosen[var] = (0,) * (m - 1)
+        if var_nfas[var] != universal and not forced(m, var_choice(var)):
+            return
 
     for rel in problem.relations:
         if not isinstance(rel, TransducerEq):

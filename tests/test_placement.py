@@ -21,11 +21,13 @@ paste it into the table of the test.
 import pytest
 from outcome_digest import digest
 
+from slsolve import solver
 from slsolve.automata import (
     Nfa,
     explore,
     nfa_determinize,
     nfa_intersect,
+    nfa_is_empty,
     nfa_reduce,
     nfa_universal,
 )
@@ -34,6 +36,7 @@ from slsolve.parser import parse_problem
 from slsolve.solver import (
     Budget,
     _branch_forests,
+    _pieces_for,
     fold_constant_relations,
     normalize_regular,
     solve,
@@ -311,3 +314,58 @@ def test_square_chain_benchmark_places_at_most_270_cuts(workloads):
         assert workloads.check(inst, verdict) is None
         total += stats["cut-placements"]
     assert total <= 270
+
+
+# ---------------------------------------------------------------------------
+# Cut-free pieces
+
+
+def test_a_cut_free_piece_is_the_branch_automaton_itself(extension_problems):
+    """From the initial state, past no literal, into every final state.
+
+    Every branch automaton is trimmed, so the machine itself is the
+    piece, and an empty one has no finals and no piece.
+    """
+    problems = [load_benchmark("ex_cacm").problem, *extension_problems[:20]]
+    kept = 0
+    for problem in problems:
+        for _values, var_nfas in normalize_regular(fold_constant_relations(problem)):
+            for nfa in var_nfas.values():
+                piece = _pieces_for(nfa, "", nfa.initial, nfa.finals)
+                if nfa_is_empty(nfa):
+                    assert piece is None
+                else:
+                    assert piece is nfa
+                    kept += 1
+    assert kept
+
+
+def test_extension_seeds_slice_no_automaton(monkeypatch, extension_problems):
+    """Every piece of extension seeds 0..19 is cut-free or universal."""
+    calls = []
+
+    def counting(*args, real=solver.nfa_multi_slice):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "nfa_multi_slice", counting)
+    for problem in extension_problems[:20]:
+        solve(problem, resource_limit=10_000)
+    assert len(calls) == 0
+
+
+def test_pieces_under_a_universal_variable_keep_the_source_automaton():
+    """``x = y . y`` with only ``y`` constrained: ``x`` attaches nothing,
+    so the one node is ``y``'s branch automaton, not a copy of it."""
+    problem = parse_problem(
+        'alphabet "ab"\nstr y x\nx = y . y\nregc (in y /a(ba)*/)\n'
+    )
+    graph = check_straightline(problem)
+    shapes = split_concat(graph)
+    ((_values, var_nfas),) = normalize_regular(problem)
+    assert var_nfas["x"] == nfa_universal(problem.alphabet)
+    forests = list(
+        _branch_forests(problem, graph, shapes, var_nfas, {}, Budget(10**6))
+    )
+    assert len(forests) == 1
+    assert forests[0].nfas[("y", 0)] is var_nfas["y"]
