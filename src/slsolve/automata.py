@@ -360,6 +360,11 @@ def nfa_trim(nfa: Nfa) -> Nfa:
     return _renumbered(nfa.alphabet, remap, nfa.transitions, nfa.initial, nfa.finals)
 
 
+#: Machines up to this many states are refined in full rounds; larger
+#: ones re-sign only the states next to a split (see :func:`nfa_reduce`).
+_FULL_ROUND_STATES = 32
+
+
 def nfa_reduce(nfa: Nfa) -> Nfa:
     """Shrink the machine without changing its language.
 
@@ -369,6 +374,16 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
     images, intersections of intersections) leave many states behind
     that differ in history but not in future behaviour; folding them
     keeps the sizes from compounding across a pipeline.
+
+    A state's signature is the set of its ``(symbol, successor class)``
+    pairs, each encoded as ``symbol index * (n + 1) + class``; no class
+    id exceeds ``n``.  A small machine settles in a few rounds, and
+    re-signing every state in each (:func:`_refine_in_rounds`) costs
+    least there; a long chain needs about as many rounds as states, so a
+    larger machine re-signs only the states whose signature may have
+    moved (:func:`_refine_by_splits`).  The coarsest stable partition is
+    unique, so both give the same classes; they are numbered by their
+    least state.
     """
     nfa = nfa_trim(nfa_eps_eliminate(nfa))
     n = nfa.n_states
@@ -377,23 +392,13 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
     idx = nfa.alphabet._index
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for q, sym, r in nfa.transitions:
-        succ[q].append((idx[sym], r))
-    block = [1 if q in nfa.finals else 0 for q in range(n)]
-    n_blocks = len(set(block))
-    while True:
-        sigs: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q], frozenset((s, block[r]) for s, r in succ[q]))
-            bid = sigs.get(sig)
-            if bid is None:
-                bid = sigs[sig] = len(sigs)
-            new_block[q] = bid
-        stable = len(sigs) == n_blocks
-        block = new_block
-        n_blocks = len(sigs)
-        if stable:
-            break
+        succ[q].append((idx[sym] * (n + 1), r))
+    block = [int(q in nfa.finals) for q in range(n)]
+    if n <= _FULL_ROUND_STATES:
+        block = _refine_in_rounds(succ, block)
+    else:
+        block = _refine_by_splits(succ, block)
+    n_blocks = max(block) + 1
     if n_blocks == n:
         return nfa
     return Nfa(
@@ -403,6 +408,72 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
         block[nfa.initial],
         frozenset(block[f] for f in nfa.finals),
     )
+
+
+def _refine_in_rounds(
+    succ: list[list[tuple[int, int]]], block: list[int]
+) -> list[int]:
+    """Re-sign every state each round until no class splits; classes are
+    numbered by their least state."""
+    n_blocks = len(set(block))
+    while True:
+        sigs: dict[tuple[int, frozenset[int]], int] = {}
+        block = [
+            sigs.setdefault(
+                (block[q], frozenset([s + block[r] for s, r in arcs])), len(sigs)
+            )
+            for q, arcs in enumerate(succ)
+        ]
+        if len(sigs) == n_blocks:
+            return block
+        n_blocks = len(sigs)
+
+
+def _refine_by_splits(
+    succ: list[list[tuple[int, int]]], block: list[int]
+) -> list[int]:
+    """Re-sign only the predecessors of states whose class just changed.
+
+    Every state of a class that is not re-signed still has the signature
+    recorded for that class.  So a round signs the predecessors of the
+    states whose class changed in the round before, and splits each
+    class they lie in: the part with the recorded signature keeps the
+    class, or, when every member was re-signed, the largest part does;
+    each other part gets a new class.  Classes are renumbered by their
+    least state at the end.
+    """
+    n = len(succ)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for q, arcs in enumerate(succ):
+        for _s, r in arcs:
+            preds[r].append(q)
+    size = [block.count(0), block.count(1)]
+    signature: list[Optional[frozenset[int]]] = [None, None]
+    dirty: Iterable[int] = range(n)
+    while dirty:
+        # Sign every dirty state against the classes as the round starts.
+        by_block: dict[int, dict[frozenset[int], list[int]]] = {}
+        for q in dirty:
+            sig = frozenset([s + block[r] for s, r in succ[q]])
+            by_block.setdefault(block[q], {}).setdefault(sig, []).append(q)
+        changed: list[int] = []
+        for b, groups in by_block.items():
+            if sum(map(len, groups.values())) < size[b]:
+                keep = signature[b]
+            else:
+                keep = signature[b] = max(groups, key=lambda sig: len(groups[sig]))
+            for sig, group in groups.items():
+                if sig == keep:
+                    continue
+                size[b] -= len(group)
+                for q in group:
+                    block[q] = len(size)
+                size.append(len(group))
+                signature.append(sig)
+                changed += group
+        dirty = {p for q in changed for p in preds[q]}
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in block]
 
 
 def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:

@@ -63,8 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "work budget: one unit per cut or boundary placement, per walk "
                 "state found and per free-integer combination an acceptance "
-                "check tries; a check that needs more than is left spends the "
-                "budget (budget-left=-1 in --stats)"
+                "check tries; a sharing-free string-only problem, solved by "
+                "forward ranges, is charged one unit per state of each range "
+                "product and pre-image it builds; a charge that needs more "
+                "than is left spends the budget (budget-left=-1 in the "
+                "--stats of an extension problem)"
             ),
         )
         p.add_argument(

@@ -25,6 +25,15 @@ Solving runs in three stages:
    segments; emptiness propagates bottom-up through pre-images, and a
    concrete model is read back top-down through shortest witnesses.
 
+A string-only problem that is *sharing-free* (:func:`sharing_free`: no
+variable occurs twice on the right-hand sides of its relations) needs
+no cut, so stages 2 and 3 give way to forward ranges
+(:mod:`slsolve.forward`): per branch, each variable's possible values
+are computed as one automaton in graph order, an empty one refutes the
+branch, and the model is read top-down from them.  Problems with
+sharing, and every problem with extension constraints, take the three
+stages.
+
 String-only problems are decided completely within the solve's work
 budget (``resource_limit``): an answer of ``sat`` or ``unsat`` is
 definitive, and a search that spends the budget first answers
@@ -65,6 +74,7 @@ from .constraints import (
     Lit,
     Problem,
     RegAtom,
+    RelAtom,
     TransducerEq,
     Var,
     evaluate,
@@ -113,11 +123,13 @@ class BudgetExhausted(Exception):
 class Budget:
     """A mutable work meter shared by everything one solve call does.
 
-    Cut and boundary placements and the counter walk draw on one limit;
-    ``placements`` counts the former.  A walk charges one unit for each
-    walk state it newly finds and one for each combination of free
-    integers its acceptance check tries.  A charge needing more than is
-    left leaves ``remaining`` at -1 and raises :class:`BudgetExhausted`.
+    Cut and boundary placements, forward ranges and the counter walk
+    draw on one limit; ``placements`` counts the first.  A walk charges
+    one unit for each walk state it newly finds and one for each
+    combination of free integers its acceptance check tries.  Forward
+    ranges charge each range product and each pre-image they build its
+    state count, after it is built.  A charge needing more than is left
+    leaves ``remaining`` at -1 and raises :class:`BudgetExhausted`.
     """
 
     def __init__(self, limit: int) -> None:
@@ -438,6 +450,42 @@ _RANGE_STATE_CAP = 400
 _FILTER_STATE_CAP = 400_000
 
 
+def _range_step(
+    problem: Problem,
+    rel: RelAtom,
+    var_nfa: Optional[Nfa],
+    ranges: dict[str, Nfa],
+    budget: Optional[Budget] = None,
+) -> Nfa:
+    """The forward range of ``rel``'s left-hand side, given its arguments'.
+
+    For ``x = T(y)`` this is ``var_nfa ∩ T(ranges[y])``; for a
+    concatenation, ``var_nfa`` intersected with the concatenation of its
+    items (variables by their ranges).  A ``var_nfa`` of None constrains
+    nothing, and the image is returned as built.  The result is not
+    reduced.  With a ``budget``, each product built is charged its state
+    count.
+    """
+    if isinstance(rel, TransducerEq):
+        built = post_image(rel.transducer, ranges[rel.arg])
+    else:
+        parts = [
+            ranges[item.name]
+            if isinstance(item, Var)
+            else nfa_from_word(item.text, problem.alphabet)
+            for item in rel.items
+        ]
+        built = nfa_concat(parts or [nfa_from_word("", problem.alphabet)])
+    if budget is not None:
+        budget.charge(built.n_states)
+    if var_nfa is None:
+        return built
+    cur = nfa_intersect(var_nfa, built)
+    if budget is not None:
+        budget.charge(cur.n_states)
+    return cur
+
+
 def _var_ranges(
     problem: Problem,
     graph: DependencyGraph,
@@ -472,20 +520,7 @@ def _var_ranges(
         if rel is None:
             ranges[var] = var_nfas[var]
             continue
-        if isinstance(rel, TransducerEq):
-            image = post_image(rel.transducer, ranges[rel.arg])
-            cur = nfa_intersect(var_nfas[var], image)
-        else:
-            parts = [
-                ranges[item.name]
-                if isinstance(item, Var)
-                else nfa_from_word(item.text, problem.alphabet)
-                for item in rel.items
-            ]
-            if not parts:
-                parts = [nfa_from_word("", problem.alphabet)]
-            cur = nfa_intersect(var_nfas[var], nfa_concat(parts))
-        cur = nfa_reduce(cur)
+        cur = nfa_reduce(_range_step(problem, rel, var_nfas[var], ranges))
         ranges[var] = var_nfas[var] if cur.n_states > _RANGE_STATE_CAP else cur
     return ranges
 
@@ -965,6 +1000,29 @@ def _checked_fold(problem: Problem) -> tuple[Problem, DependencyGraph]:
     return folded, graph
 
 
+def _verified(problem: Problem, model: Assignment) -> Verdict:
+    """``sat`` with ``model``, once it is checked against ``problem``."""
+    if not evaluate(problem, model):
+        raise RuntimeError("internal error: model failed verification")
+    return Verdict("sat", model=model)
+
+
+def sharing_free(problem: Problem) -> bool:
+    """Whether every variable occurs at most once on the right-hand sides
+    of all relations, counting repeats within one concatenation."""
+    seen: set[str] = set()
+    for rel in problem.relations:
+        if isinstance(rel, TransducerEq):
+            names = [rel.arg]
+        else:
+            names = [item.name for item in rel.items if isinstance(item, Var)]
+        for name in names:
+            if name in seen:
+                return False
+            seen.add(name)
+    return True
+
+
 def solve(
     problem: Problem,
     *,
@@ -987,16 +1045,21 @@ def solve(
     charges one unit for each walk state it newly finds and one for each
     combination of free integers its acceptance check tries; when no
     leaf reads a free integer, a check charges every combination the
-    enumeration would try at once.  A charge that needs more than is
-    left spends the budget, and the answer is ``resource-limit``; an
-    exhausted solve reports ``budget-left=-1``.  Membership
-    normalization (complements included), segment building, propagation
-    and extraction are not charged yet, so a solve can take long without
-    spending the budget.
+    enumeration would try at once.  Forward ranges charge the state
+    count of each range product and each pre-image they build.  A charge
+    that needs more than is left spends the budget, and the answer is
+    ``resource-limit``; an exhausted extension solve reports
+    ``budget-left=-1``.  Membership normalization (complements
+    included), segment building, propagation and extraction are not
+    charged yet, so a solve can take long without spending the budget.
 
-    Both kinds of problem run the same three stages; only the step taken
-    on a feasible forest differs.  A string-only solve extracts a model
-    from the first one; an extension solve walks every scenario of each
+    A string-only problem that is sharing-free (:func:`sharing_free`)
+    is decided by forward ranges (:class:`slsolve.forward.ForwardRanges`)
+    branch by branch, with no cut, forest or propagation; its ``stats``
+    count the ``ranges`` built, and zero forests and cut placements.
+    Every other problem runs the three stages; only the step taken on a
+    feasible forest differs.  A string-only solve extracts a model from
+    the first one; an extension solve walks every scenario of each
     (:class:`slsolve.extensions.ScenarioWalks`) until one walk succeeds.
 
     Models returned are always verified against the original problem
@@ -1020,10 +1083,20 @@ def solve(
 
         walker = ScenarioWalks(folded, shapes, int_bound, budget)
     bound = None if walker is None else walker.int_bound
+    forward = None
+    if walker is None and sharing_free(folded):
+        from .forward import ForwardRanges
+
+        forward = ForwardRanges(folded, graph, budget)
     branches = forests = feasible_forests = 0
     try:
         for _values, var_nfas in normalize_regular(folded):
             branches += 1
+            if forward is not None:
+                model = forward.model(var_nfas)
+                if model is not None:
+                    return _verified(problem, model)
+                continue
             for forest in _branch_forests(
                 folded, graph, shapes, var_nfas, seg_cache, budget
             ):
@@ -1037,9 +1110,7 @@ def solve(
                 else:
                     model = walker.model(forest, feasible)
                 if model is not None:
-                    if not evaluate(problem, model):
-                        raise RuntimeError("internal error: model failed verification")
-                    return Verdict("sat", model=model)
+                    return _verified(problem, model)
         if walker is not None and walker.within:
             return Verdict("unsat-within-bounds", int_bound=bound)
         return Verdict("unsat")
@@ -1051,6 +1122,8 @@ def solve(
             stats["forests"] = forests
             stats["feasible-forests"] = feasible_forests
             stats["cut-placements"] = budget.placements
+            if forward is not None:
+                stats["ranges"] = forward.built
             if walker is not None:
                 walker.note(stats)
 
@@ -1062,13 +1135,17 @@ def solve(
 def max_model_bound(problem: Problem) -> int:
     """A length every satisfiable instance has a model within.
 
-    Mirrors the solver's own extraction: bounds the automaton sizes a
+    Follows the cut path's extraction: bounds the automaton sizes a
     feasible forest can reach (piece intersections, segment pre-images)
     and converts them to word lengths through the shortest-witness rule
     (an automaton with *n* states accepts a word shorter than *n* if it
-    accepts anything).  The result is usually loose but always sound for
-    models this solver reports, which makes it usable as an enumeration
-    cap.  Integer variables are not covered.
+    accepts anything).  The result is usually loose but sound for the
+    models the cut path extracts, which makes it usable as an
+    enumeration cap.  Sharing-free string problems take their models
+    from forward ranges instead (:mod:`slsolve.forward`), which this
+    bound does not follow; ``tests/test_forward.py`` checks those models
+    against it on every sharing-free problem of the seeded corpus and
+    the pipelines.  Integer variables are not covered.
     """
     folded, graph = _checked_fold(problem)
     shapes = split_concat(graph)

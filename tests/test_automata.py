@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from slsolve import automata
 from slsolve.automata import (
     EPSILON,
     Alphabet,
@@ -249,6 +250,61 @@ def test_reduce_merges_duplicate_tails():
         frozenset({3}),
     )
     assert nfa_reduce(nfa).n_states == 3
+
+
+def full_round_reduce(nfa: Nfa) -> Nfa:
+    """The refinement ``nfa_reduce`` replaced: every round re-signs every
+    state, classes numbered by their least state, until none splits."""
+    nfa = nfa_trim(nfa_eps_eliminate(nfa))
+    n = nfa.n_states
+    arcs = [[(s, r) for p, s, r in nfa.transitions if p == q] for q in range(n)]
+    block = [int(q in nfa.finals) for q in range(n)]
+    while True:
+        sigs: dict = {}
+        new_block = [
+            sigs.setdefault(
+                (block[q], frozenset((s, block[r]) for s, r in arcs[q])), len(sigs)
+            )
+            for q in range(n)
+        ]
+        if len(sigs) == len(set(block)):
+            break
+        block = new_block
+    block = new_block
+    if len(sigs) == n:
+        return nfa
+    return Nfa(
+        nfa.alphabet,
+        len(sigs),
+        [(block[q], s, block[r]) for q, s, r in nfa.transitions],
+        block[nfa.initial],
+        frozenset(block[f] for f in nfa.finals),
+    )
+
+
+@pytest.mark.parametrize("full_round_states", [0, automata._FULL_ROUND_STATES])
+def test_reduce_equals_full_round_refinement(monkeypatch, full_round_states):
+    """Re-signing only the states next to a split gives the same machine,
+    arc for arc, on random machines with and without long chains; at the
+    default threshold, machines of up to 32 states are refined in full
+    rounds and larger ones by splits."""
+    monkeypatch.setattr(automata, "_FULL_ROUND_STATES", full_round_states)
+    rng = random.Random(10)
+    merged = 0
+    for _ in range(1500):
+        n = rng.randint(1, 60)
+        arcs = [
+            (rng.randrange(n), rng.choice("abc"), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        if rng.random() < 0.5:
+            arcs += [(q, rng.choice("ab"), q + 1) for q in range(n - 1)]
+        finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+        nfa = Nfa(ABC, n, arcs, rng.randrange(n), finals)
+        reduced = nfa_reduce(nfa)
+        assert reduced == full_round_reduce(nfa)
+        merged += reduced.n_states < nfa_trim(nfa).n_states
+    assert merged > 50
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ sha256 digest per field over all its instances, in order.
   placements, say) moves it, and such a change may re-record it, saying
   why.
 
+The ``benchmark`` and ``string`` stats lines were re-recorded when
+sharing-free string problems began to be decided by forward ranges
+(``ex_iframe`` and 474 string seeds): those solves build no forest,
+place no cut, and report the ranges they build.
+
 The pins were recorded while copies of the earlier string-only and
 extension solve loops still checked every solve of these corpora
 (same verdict, same model, same ``stats``).  To re-record, run the
@@ -30,11 +35,11 @@ PINNED = """\
 benchmark 132 status    2828758d41cb92bb2dc0a321a9441c6735f51f4df38f4bb482941c4dcd7b56be
 benchmark 132 model     e07d3e1df27999e2771d1a8c1f6e67196d71c32b5169b733a2af5829e304a6c7
 benchmark 132 int_bound b079b5843796f6a4dbb642db0c51fe5beaa3eddaefedb5e7433d38d2a3fd61db
-benchmark 132 stats     4edd9a9788c6c65c604cb75e857c6e56f0d63b44f1a01054d5e0332ef3a332fb
+benchmark 132 stats     f5f5b59f2baf37e0c997df9d0ec4d739ee9a400e1afc144452be9934796ad330
 string    500 status    7c16a933525396ae5bc21abd81c65c15c4a3808701b28c55c10c8f2c5589d759
 string    500 model     f31843135cf684ac47efd412c6c8e614c0a7cf3f2261b01cfc3f64b631ae771d
 string    500 int_bound dbe6aae6c7ac613d04c6bc7d77ab58a9635c14d70edf818f67b0c48c2af74381
-string    500 stats     af59c51e02bd0bfd7ec3b26d0986b4dd0a62389177b370d12a750db13b4e5a29
+string    500 stats     01a2044d1a5876d3bf8d088c2f365ddd74d79794e56d4ed7d302ef1f037897ca
 extension 300 status    f6a587ea0e20515d9629cbb3f0aa3698a22808c46130c1bc7d4ba5287631e773
 extension 300 model     3f0d6c3a4054623c8029f7482094479b29877fae850300cc30ac989680c2e12b
 extension 300 int_bound fee0f131f630acb296dd20740a5a0b5eb6a7db1d43ebc9dff211d09987fcdf8f

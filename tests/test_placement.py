@@ -19,6 +19,7 @@ paste it into the table of the test.
 """
 
 import pytest
+from cut_path import cut_solve
 from outcome_digest import digest
 
 from slsolve import solver
@@ -39,6 +40,7 @@ from slsolve.solver import (
     _pieces_for,
     fold_constant_relations,
     normalize_regular,
+    sharing_free,
     solve,
     split_concat,
 )
@@ -263,9 +265,15 @@ def test_string_only_solve_stops_at_the_resource_limit():
 @pytest.mark.parametrize("name", ["ex_cacm", "ex_mxss1", "ex_iframe"])
 def test_spent_budget_ends_the_search_at_once(name):
     """At a resource limit of 1 the second placement spends the budget,
-    and no enclosing cut level places once more as the search ends."""
+    and no enclosing cut level places once more as the search ends.
+
+    ``ex_iframe`` is sharing-free, which ``solve`` decides by forward
+    ranges, so the cut path runs on it directly.
+    """
+    problem = load_benchmark(name).problem
+    run = cut_solve if sharing_free(problem) else solve
     stats: dict = {}
-    verdict = solve(load_benchmark(name).problem, resource_limit=1, stats=stats)
+    verdict = run(problem, resource_limit=1, stats=stats)
     assert verdict.status == "resource-limit"
     assert stats["cut-placements"] == 2
 

@@ -16,6 +16,7 @@ re-records the digests with the same helpers, and says so.
 
 import random
 
+from cut_path import cut_solve
 from outcome_digest import digest
 
 from slsolve import solver
@@ -31,7 +32,7 @@ from slsolve.automata import (
     trimmed_nfa,
 )
 from slsolve.regex import regex_parse
-from slsolve.solver import Shape, _boundary_filter, _segment_machine, solve
+from slsolve.solver import Shape, _boundary_filter, _segment_machine
 from slsolve.transducer import (
     Transducer,
     post_image,
@@ -197,7 +198,8 @@ def random_intersections(seed: int, count: int) -> list[Nfa]:
 
 
 def sanitizer_filter_args(monkeypatch, name: str) -> list[tuple]:
-    """The arguments of each boundary filter while solving one benchmark."""
+    """The arguments of each boundary filter while the cut path solves
+    one benchmark."""
     calls: list[tuple] = []
 
     def recording(*args, real=solver._boundary_filter):
@@ -206,7 +208,7 @@ def sanitizer_filter_args(monkeypatch, name: str) -> list[tuple]:
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_boundary_filter", recording)
-        solve(load_benchmark(name).problem)
+        cut_solve(load_benchmark(name).problem)
     return calls
 
 
@@ -232,7 +234,9 @@ def filter_searches(monkeypatch, calls: list[tuple]) -> list:
 
 
 def sanitizer_calls(monkeypatch, name: str, *funcs: str) -> list[list]:
-    """The results of each named ``solver`` function while solving one benchmark."""
+    """The results of each named ``solver`` function while the cut path
+    solves one benchmark (``ex_iframe`` is sharing-free, so ``solve``
+    would decide it by forward ranges)."""
     calls = []
     for func in funcs:
         results: list = []
@@ -243,7 +247,7 @@ def sanitizer_calls(monkeypatch, name: str, *funcs: str) -> list[list]:
 
         monkeypatch.setattr(solver, func, recording)
         calls.append(results)
-    solve(load_benchmark(name).problem)
+    cut_solve(load_benchmark(name).problem)
     monkeypatch.undo()
     return calls
 

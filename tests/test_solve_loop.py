@@ -1,11 +1,16 @@
 """The one solve loop on the four sanitizer benchmarks, pinned per case.
 
 ``solve`` runs membership normalization, splitting and forest
-propagation once for string-only and extension problems.  Each sanitizer
+propagation once for string-only and extension problems, and forward
+ranges in place of the last two for sharing-free string-only ones.  Each
+sanitizer
 benchmark's verdict, model, integer bound and ``stats`` are pinned here
 as one sha256 digest, recorded while a copy of the earlier string-only
 solve loop still checked every one of these solves (same verdict, same
-model, same ``stats``).  The whole benchmark corpus is also pinned, as a
+model, same ``stats``).  ``ex_iframe`` was re-recorded when sharing-free
+problems began to be decided by forward ranges: its verdict and model
+stayed, and its ``stats`` now count ranges instead of forests and cut
+placements.  The whole benchmark corpus is also pinned, as a
 corpus, in ``tests/test_outcomes.py``; this module names the case that
 moved.
 
@@ -27,7 +32,7 @@ PINNED = {
     "ex_cacm": "067550ac4cfa954680d7a0960b934845c109aa29eae24ef0fce7e641c6b77cab",
     "ex_corrected": "db616c3eb4ca690af43bec698b99c9a3d7b512ff5af5cc1855099335c06be4c0",
     "ex_mxss1": "b30fea9ff8d31304c21c6254751557195603c964b94cfc1921705a5ec9af68d2",
-    "ex_iframe": "cbe88d3f64299606811305f9bec02e3ad98cd289fa85dd300b2563b161b9fe0a",
+    "ex_iframe": "bfa1fde8c1fd6bef4b59463339d70c24696a0dd958bbe545beb3468b85f1ceb2",
 }
 
 

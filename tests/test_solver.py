@@ -9,6 +9,7 @@ complete.
 import time
 
 import pytest
+from cut_path import cut_solve
 
 import slsolve.solver
 from slsolve.automata import (
@@ -265,6 +266,8 @@ def test_capped_boundary_filter_falls_back_to_blind_placement(
     monkeypatch, pattern, machine
 ):
     # y = T(x) with x cut into three pieces, so the boundary filter runs.
+    # The problem is sharing-free, so ``solve`` would take forward ranges;
+    # the cut path runs directly.
     problem = Problem(
         alphabet=AB,
         str_vars=("u", "v", "w", "x", "y"),
@@ -275,7 +278,8 @@ def test_capped_boundary_filter_falls_back_to_blind_placement(
         regular=And((reg("y", pattern), reg("u", "a*b*"))),
     )
     filtered_stats: dict = {}
-    filtered = solve(problem, stats=filtered_stats)
+    filtered = cut_solve(problem, stats=filtered_stats)
+    assert solve(problem).status == filtered.status
 
     results = []
     real = slsolve.solver._boundary_filter
@@ -287,7 +291,7 @@ def test_capped_boundary_filter_falls_back_to_blind_placement(
     monkeypatch.setattr(slsolve.solver, "_boundary_filter", recording)
     monkeypatch.setattr(slsolve.solver, "_FILTER_STATE_CAP", 0)
     blind_stats: dict = {}
-    blind = solve(problem, stats=blind_stats)
+    blind = cut_solve(problem, stats=blind_stats)
     assert results and all(r is None for r in results)
     assert blind == filtered
     assert blind_stats["cut-placements"] > filtered_stats["cut-placements"]
@@ -318,7 +322,8 @@ y = sw(x)
 def test_small_split_application_is_filtered(monkeypatch, pattern, expected):
     # Two pieces under a two-state transducer: few enough raw boundary
     # combinations that placing them blind would be cheap, yet the filter
-    # runs, and it only ever drops placements.
+    # runs, and it only ever drops placements.  The problem is
+    # sharing-free, so the cut path runs directly.
     problem = parse_problem(
         SWAP + f"regc (and (in u /a+/) (in y /{pattern}/))\n"
     )
@@ -331,13 +336,14 @@ def test_small_split_application_is_filtered(monkeypatch, pattern, expected):
 
     monkeypatch.setattr(slsolve.solver, "_boundary_filter", recording)
     filtered_stats: dict = {}
-    filtered = solve(problem, stats=filtered_stats)
+    filtered = cut_solve(problem, stats=filtered_stats)
     assert calls
     assert filtered.status == expected
+    assert solve(problem).status == expected
 
     monkeypatch.setattr(slsolve.solver, "_boundary_filter", lambda *args: None)
     blind_stats: dict = {}
-    blind = solve(problem, stats=blind_stats)
+    blind = cut_solve(problem, stats=blind_stats)
     assert blind == filtered
     assert filtered_stats["cut-placements"] <= blind_stats["cut-placements"]
 

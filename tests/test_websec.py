@@ -10,6 +10,8 @@ dimension.
 import itertools
 import random
 
+from cut_path import cut_solve
+
 from slsolve.automata import nfa_enumerate, nfa_membership
 from slsolve.constraints import (
     ConcatEq,
@@ -289,6 +291,16 @@ def pipeline_family(name: str, depth: int, *extra: str):
     return parse_problem("\n".join([*lines, *extra]) + "\n")
 
 
+#: ``stats`` of each pipeline at depth 2: ``solve`` decides both by
+#: forward ranges, as they are sharing-free, and the cut path builds one
+#: forest.
+FORWARD_RANGES = {
+    "cut-placements": 0,
+    "feasible-forests": 0,
+    "forests": 0,
+    "membership-branches": 1,
+    "ranges": 4,
+}
 ONE_FOREST = {
     "cut-placements": 0,
     "feasible-forests": 1,
@@ -296,12 +308,15 @@ ONE_FOREST = {
     "membership-branches": 1,
 }
 
-#: Verdict, model and ``stats`` of each pipeline at depth 2.
+#: Verdict and model of each pipeline at depth 2, from ``solve`` and from
+#: the cut path.  ``solve`` reads the model top-down from the last value,
+#: which takes its shortest word first, so ``pipe`` starts from ``&#39;``
+#: where the cut path, shortest source first, starts from a quote.
 PIPELINES = {
     "pipe": (
         "sat",
+        {"x0": "&#39;", "x1": "'", "x2": "\\'", "y0": "&#39;", "y1": "\\'"},
         {"x0": "'", "x1": "\\'", "x2": "\\\\\\'", "y0": "\\'", "y1": "\\\\\\'"},
-        ONE_FOREST,
     ),
     "wrap": (
         "sat",
@@ -312,18 +327,32 @@ PIPELINES = {
             "y0": "",
             "y1": "<a title=''>",
         },
-        ONE_FOREST,
+        {
+            "x0": "",
+            "x1": "<a title=''>",
+            "x2": "<a title='<a title=''>'>",
+            "y0": "",
+            "y1": "<a title=''>",
+        },
     ),
 }
 
 
 def test_depth_two_pipelines_are_pinned_and_replay():
-    for name, (status, model, expected_stats) in PIPELINES.items():
+    for name, (status, model, cut_model) in PIPELINES.items():
         problem = pipeline_family(name, 2)
-        stats: dict = {}
-        verdict = solve(problem, stats=stats)
-        assert (verdict.status, verdict.model, stats) == (status, model, expected_stats)
-        assert pipeline_replay(problem, verdict.model) == model, name
+        for run, expected, expected_stats in (
+            (solve, model, FORWARD_RANGES),
+            (cut_solve, cut_model, ONE_FOREST),
+        ):
+            stats: dict = {}
+            verdict = run(problem, stats=stats)
+            assert (verdict.status, verdict.model, stats) == (
+                status,
+                expected,
+                expected_stats,
+            )
+            assert pipeline_replay(problem, verdict.model) == expected, name
 
 
 def test_unsat_splice_builds_each_segment_once(monkeypatch):
