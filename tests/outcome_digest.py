@@ -12,11 +12,15 @@ keep behaviour prints the same lines before and after;
 - ``extension``: extension generator seeds 0..299 at
   ``resource_limit=10_000``;
 - ``ext-300``: the same extension seeds at ``resource_limit=300``, where
-  many solves stop inside a walk.
+  many solves stop inside a walk;
+- ``pipelines``: the ``pipe``, ``wrap`` and ``splice`` chains
+  (:func:`pipeline_family`) at depths 1..5, one ``verdict`` line over
+  status and model.  ``splice`` doubles its model at each depth, so
+  these are the longest words a witness is read through.
 
 The module also holds the digest helpers the pinned tests share
-(:func:`canonical`, :func:`digest`) and the loader of the benchmark's
-workload module (:func:`load_workloads`).  Pytest does not collect this
+(:func:`canonical`, :func:`digest`), the loader of the benchmark's
+workload module (:func:`load_workloads`) and the pipeline builder.  Pytest does not collect this
 file (its name has no ``test_`` prefix).
 """
 
@@ -31,7 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from slsolve.oracle import gen_random_problem  # noqa: E402
+from slsolve.parser import parse_problem  # noqa: E402
 from slsolve.solver import solve  # noqa: E402
+from slsolve.websec import load_benchmark  # noqa: E402
 
 FIELDS = ("status", "model", "int_bound", "stats")
 
@@ -77,6 +83,57 @@ def load_workloads():
     return module
 
 
+def pipeline_family(name: str, depth: int, *extra: str):
+    """A chain of sanitizer stages over the ``ex_mxss1`` alphabet.
+
+    ``pipe``: ``y_i = escapeString(x_i)``, ``x_{i+1} = innerHTMLDecode(y_i)``.
+    ``wrap``: ``y_i = innerHTMLDecode(x_i)``,
+    ``x_{i+1} = "<a title='" . y_i . "'>"``.
+    ``splice``: ``y_i = htmlEscape(x_i)``,
+    ``x_{i+1} = "<p>" . y_i . "</p>" . x_i``.
+    The last value ``x_depth`` must contain a quote; the ``extra`` lines
+    are appended to the source.
+    """
+    alphabet = next(
+        line
+        for line in load_benchmark("ex_mxss1").source.splitlines()
+        if line.startswith("alphabet")
+    )
+    names = [v for i in range(depth) for v in (f"x{i}", f"y{i}")]
+    lines = [alphabet, "str " + " ".join(names + [f"x{depth}"])]
+    for i in range(depth):
+        if name == "pipe":
+            lines.append(f"y{i} = escapeString(x{i})")
+            lines.append(f"x{i + 1} = innerHTMLDecode(y{i})")
+        elif name == "wrap":
+            lines.append(f"y{i} = innerHTMLDecode(x{i})")
+            lines.append(f'x{i + 1} = "<a title=\'" . y{i} . "\'>"')
+        else:
+            lines.append(f"y{i} = htmlEscape(x{i})")
+            lines.append(f'x{i + 1} = "<p>" . y{i} . "</p>" . x{i}')
+    lines.append(f"regc (in x{depth} /.*'.*/)")
+    return parse_problem("\n".join([*lines, *extra]) + "\n")
+
+
+#: The chains of :func:`pipeline_family` in the ``pipelines`` line.
+PIPELINES = [
+    (f"{name}{depth}", name, depth)
+    for name in ("pipe", "wrap", "splice")
+    for depth in range(1, 6)
+]
+
+
+def pipelines_line() -> str:
+    """The ``pipelines`` line: one digest over each chain's status and model."""
+    lines = []
+    for label, name, depth in PIPELINES:
+        text = outcome(pipeline_family(name, depth), {})
+        lines.append(f"{label}\t{text['status']}\t{text['model']}")
+    return f"{'pipelines':<9} {len(lines):>3} {'verdict':<9} " + hashlib.sha256(
+        "\n".join(lines).encode()
+    ).hexdigest()
+
+
 def corpora(workloads, string_problems, extension_problems):
     """(corpus name, [(label, problem, solve kwargs)]) in a fixed order."""
     yield "benchmark", [
@@ -120,6 +177,7 @@ def main() -> None:
     extensions = [gen_random_problem(seed, with_extensions=True) for seed in range(300)]
     for corpus, cases in corpora(load_workloads(), strings, extensions):
         print("\n".join(corpus_lines(corpus, cases)))
+    print(pipelines_line())
 
 
 if __name__ == "__main__":

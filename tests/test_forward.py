@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import pytest
 from cut_path import cut_solve
-from test_websec import pipeline_family, pipeline_replay
+from outcome_digest import pipeline_family
+from test_websec import pipeline_replay
 
 from slsolve.automata import Alphabet
 from slsolve.constraints import ConcatEq, Lit, Problem, TransducerEq, Var, evaluate

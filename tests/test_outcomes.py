@@ -12,6 +12,11 @@ sha256 digest per field over all its instances, in order.
   placements, say) moves it, and such a change may re-record it, saying
   why.
 
+The ``pipelines`` line pins the status and model of the ``pipe``,
+``wrap`` and ``splice`` chains at depths 1..5; it was recorded before
+witnesses were read by a word-driven search instead of being taken from
+a built image automaton, and that change kept it.
+
 The ``benchmark`` and ``string`` stats lines were re-recorded when
 sharing-free string problems began to be decided by forward ranges
 (``ex_iframe`` and 474 string seeds): those solves build no forest,
@@ -29,7 +34,7 @@ import functools
 import sys
 
 import pytest
-from outcome_digest import corpora, corpus_lines, load_workloads
+from outcome_digest import corpora, corpus_lines, load_workloads, pipelines_line
 
 PINNED = """\
 benchmark 132 status    2828758d41cb92bb2dc0a321a9441c6735f51f4df38f4bb482941c4dcd7b56be
@@ -48,6 +53,7 @@ ext-300   300 status    0206e214a7bef0a47a6af406f55f99711a691a3c71b34f768f48e2e7
 ext-300   300 model     5d0d640f663befcad4669a53aecc1250146f1395e5be9e9ab2353b97904856fc
 ext-300   300 int_bound c4de13bc35a24254eeef6139283c2e2f1295b4bb7d0a3b460d0d7369b8852435
 ext-300   300 stats     37b3205ffece4c0790f684da00b3a8ba3a35c3079c38c07f2f89811d0b763d81
+pipelines  15 verdict   de362805318972f5a9d992b4a312a97a98ffa356cd2fd0533b0b8f907dd078b5
 """
 
 CORPORA = ("benchmark", "string", "extension", "ext-300")
@@ -81,3 +87,7 @@ def test_verdicts_and_models_are_pinned(printed, corpus):
 def test_stats_are_pinned(printed, corpus):
     got = select(printed(corpus), corpus, ("stats",))
     assert got == select(PINNED.splitlines(), corpus, ("stats",))
+
+
+def test_pipeline_models_are_pinned():
+    assert pipelines_line() == PINNED.splitlines()[-1]

@@ -11,6 +11,7 @@ import itertools
 import random
 
 from cut_path import cut_solve
+from outcome_digest import pipeline_family
 
 from slsolve.automata import nfa_enumerate, nfa_membership
 from slsolve.constraints import (
@@ -22,7 +23,6 @@ from slsolve.constraints import (
     evaluate,
     tree_leaves,
 )
-from slsolve.parser import parse_problem
 from slsolve import solver
 from slsolve.solver import solve
 from slsolve.straightline import check_straightline, dimension
@@ -257,38 +257,6 @@ def test_corrected_pipeline_never_matches_the_attack_shape_on_fuzz():
 
 # ---------------------------------------------------------------------------
 # Deep pipelines
-
-
-def pipeline_family(name: str, depth: int, *extra: str):
-    """A chain of sanitizer stages over the ``ex_mxss1`` alphabet.
-
-    ``pipe``: ``y_i = escapeString(x_i)``, ``x_{i+1} = innerHTMLDecode(y_i)``.
-    ``wrap``: ``y_i = innerHTMLDecode(x_i)``,
-    ``x_{i+1} = "<a title='" . y_i . "'>"``.
-    ``splice``: ``y_i = htmlEscape(x_i)``,
-    ``x_{i+1} = "<p>" . y_i . "</p>" . x_i``.
-    The last value ``x_depth`` must contain a quote; the ``extra`` lines
-    are appended to the source.
-    """
-    alphabet = next(
-        line
-        for line in load_benchmark("ex_mxss1").source.splitlines()
-        if line.startswith("alphabet")
-    )
-    names = [v for i in range(depth) for v in (f"x{i}", f"y{i}")]
-    lines = [alphabet, "str " + " ".join(names + [f"x{depth}"])]
-    for i in range(depth):
-        if name == "pipe":
-            lines.append(f"y{i} = escapeString(x{i})")
-            lines.append(f"x{i + 1} = innerHTMLDecode(y{i})")
-        elif name == "wrap":
-            lines.append(f"y{i} = innerHTMLDecode(x{i})")
-            lines.append(f'x{i + 1} = "<a title=\'" . y{i} . "\'>"')
-        else:
-            lines.append(f"y{i} = htmlEscape(x{i})")
-            lines.append(f'x{i + 1} = "<p>" . y{i} . "</p>" . x{i}')
-    lines.append(f"regc (in x{depth} /.*'.*/)")
-    return parse_problem("\n".join([*lines, *extra]) + "\n")
 
 
 #: ``stats`` of each pipeline at depth 2: ``solve`` decides both by
