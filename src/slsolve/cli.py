@@ -65,9 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "state found and per free-integer combination an acceptance "
                 "check tries; a sharing-free string-only problem, solved by "
                 "forward ranges, is charged one unit per state of each range "
-                "product and pre-image it builds; a charge that needs more "
-                "than is left spends the budget (budget-left=-1 in the "
-                "--stats of an extension problem)"
+                "product it builds; reading a model through a transducer "
+                "costs one unit per product state the search visits; a charge "
+                "that needs more than is left spends the budget "
+                "(budget-left=-1 in the --stats of an extension problem)"
             ),
         )
         p.add_argument(

@@ -22,10 +22,12 @@ only searched for its shortest word, so it is not.
 
 The model is read top-down, in reverse graph order.  A sink takes the
 shortest word of its range.  A variable whose word is known passes it
-down: an image gives its argument the shortest word of the word's
-pre-image within the argument's range, and a concatenation is split by a
-dynamic program over its items' ranges (:func:`_split`).  Spliced
-concatenations are joined back from their items last.
+down: an image gives its argument the shortest word of the argument's
+range that the transducer maps to the known word, found by
+:func:`~slsolve.transducer.shortest_related` without building the
+word's pre-image, and a concatenation is split by a dynamic program over
+its items' ranges (:func:`_split`).  Spliced concatenations are joined
+back from their items last.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Optional
 from .automata import (
     Nfa,
     nfa_eps_eliminate,
-    nfa_from_word,
     nfa_is_empty,
     nfa_nonempty_shortest,
     nfa_reduce,
@@ -45,15 +46,15 @@ from .automata import (
 from .constraints import Assignment, ConcatEq, ConcatItem, Lit, Problem, Var
 from .solver import Budget, _range_step
 from .straightline import DependencyGraph
-from .transducer import pre_image_within
+from .transducer import shortest_related
 
 
 class ForwardRanges:
     """Decides one sharing-free, string-only problem branch by branch.
 
     ``built`` counts the ranges computed so far.  Each product a range
-    needs, and each pre-image the model needs, charges ``budget`` its
-    state count.
+    needs charges ``budget`` its state count, and each search the model
+    needs one unit per product state it visits.
     """
 
     def __init__(
@@ -127,13 +128,19 @@ class ForwardRanges:
     def _words(
         self, ranges: dict[str, Nfa], items: dict[str, list[ConcatItem]]
     ) -> dict[str, str]:
-        """One word per variable with a range, read top-down."""
+        """One word per variable with a range, read top-down.
+
+        An image's argument takes the least word of its range that the
+        transducer relates to the image's word, by a search over word
+        positions and states (:func:`shortest_related`); the search
+        charges the budget one unit per product state it visits.
+        """
         word: dict[str, str] = {}
         for var in reversed(self.graph.order):
             if var not in ranges:
                 continue
             if var not in word:
-                word[var] = _shortest(ranges[var])
+                word[var] = _witness(nfa_nonempty_shortest(ranges[var]))
             rel = self.graph.defining.get(var)
             if isinstance(rel, ConcatEq):
                 pieces = _split(word[var], items[var], ranges)
@@ -141,15 +148,19 @@ class ForwardRanges:
                     if isinstance(item, Var):
                         word[item.name] = piece
             elif rel is not None:
-                exact = nfa_from_word(word[var], self.problem.alphabet)
-                pre = pre_image_within(rel.transducer, exact, ranges[rel.arg])
-                self.budget.charge(pre.n_states)
-                word[rel.arg] = _shortest(pre)
+                word[rel.arg] = _witness(
+                    shortest_related(
+                        rel.transducer,
+                        word[var],
+                        ranges[rel.arg],
+                        False,
+                        self.budget.charge,
+                    )
+                )
         return word
 
 
-def _shortest(nfa: Nfa) -> str:
-    word = nfa_nonempty_shortest(nfa)
+def _witness(word: Optional[str]) -> str:
     if word is None:
         raise RuntimeError("internal error: a forward range lost its witness")
     return word

@@ -84,9 +84,9 @@ from .constraints import (
 from .straightline import DependencyGraph, check_straightline
 from .transducer import (
     Transducer,
-    apply_function,
     post_image,
     pre_image_within,
+    shortest_related,
 )
 
 #: A piece of some variable's value: (variable name, piece index).
@@ -123,13 +123,15 @@ class BudgetExhausted(Exception):
 class Budget:
     """A mutable work meter shared by everything one solve call does.
 
-    Cut and boundary placements, forward ranges and the counter walk
-    draw on one limit; ``placements`` counts the first.  A walk charges
-    one unit for each walk state it newly finds and one for each
-    combination of free integers its acceptance check tries.  Forward
-    ranges charge each range product and each pre-image they build its
-    state count, after it is built.  A charge needing more than is left
-    leaves ``remaining`` at -1 and raises :class:`BudgetExhausted`.
+    Cut and boundary placements, forward ranges, model extraction and
+    the counter walk draw on one limit; ``placements`` counts the first.
+    A walk charges one unit for each walk state it newly finds and one
+    for each combination of free integers its acceptance check tries.
+    Forward ranges charge each range product its state count, after it
+    is built.  Extraction, on either path, charges one unit per product
+    state its searches visit (:func:`~slsolve.transducer.shortest_related`).
+    A charge needing more than is left leaves ``remaining`` at -1 and
+    raises :class:`BudgetExhausted`.
     """
 
     def __init__(self, limit: int) -> None:
@@ -500,7 +502,8 @@ def _var_ranges(
     node refinement, which is what lets propagation refute boundary
     choices early instead of deep in a pre-image chain.  Oversized
     results fall back to the membership automaton to keep later products
-    small.
+    small.  A universal membership is not intersected in, as the
+    product would only copy the image.
     """
     needed = reachable(
         (
@@ -512,6 +515,7 @@ def _var_ranges(
         lambda var: graph.uses.get(var, ()),
     )
 
+    universal = nfa_universal(problem.alphabet)
     ranges: dict[str, Nfa] = {}
     for var in graph.order:
         if var not in needed:
@@ -520,7 +524,8 @@ def _var_ranges(
         if rel is None:
             ranges[var] = var_nfas[var]
             continue
-        cur = nfa_reduce(_range_step(problem, rel, var_nfas[var], ranges))
+        within = None if var_nfas[var] == universal else var_nfas[var]
+        cur = nfa_reduce(_range_step(problem, rel, within, ranges))
         ranges[var] = var_nfas[var] if cur.n_states > _RANGE_STATE_CAP else cur
     return ranges
 
@@ -947,20 +952,26 @@ def _propagate(forest: AcForest) -> Optional[dict[NodeId, Nfa]]:
     return feasible
 
 
-def _extract(forest: AcForest, feasible: dict[NodeId, Nfa]) -> dict[NodeId, str]:
+def _extract(
+    forest: AcForest, feasible: dict[NodeId, Nfa], budget: Budget
+) -> dict[NodeId, str]:
     """Read one concrete value per node out of a feasible forest.
 
-    Parentless nodes take the shortest word of their language; a
-    transducer-image node takes the shortest word compatible with both
-    its language and the image of its parent's already-chosen value.
-    Propagation guarantees these sets are non-empty.
+    Parentless nodes take the shortest word of their language.  A
+    transducer-image node takes the shortest word of its language that
+    its segment relates to the parent's chosen value, found by
+    :func:`~slsolve.transducer.shortest_related`, a search over word
+    positions and states that builds no automaton; each product state it
+    visits charges ``budget`` one unit.  Propagation guarantees these
+    sets are non-empty.
     """
     value: dict[NodeId, str] = {}
     for node in forest.order:
         if node in forest.parent:
             pnode, machine = forest.parent[node]
-            lang = nfa_intersect(apply_function(machine, value[pnode]), feasible[node])
-            word = nfa_nonempty_shortest(lang)
+            word = shortest_related(
+                machine, value[pnode], feasible[node], True, budget.charge
+            )
         else:
             word = nfa_nonempty_shortest(feasible[node])
         if word is None:
@@ -1046,12 +1057,14 @@ def solve(
     combination of free integers its acceptance check tries; when no
     leaf reads a free integer, a check charges every combination the
     enumeration would try at once.  Forward ranges charge the state
-    count of each range product and each pre-image they build.  A charge
-    that needs more than is left spends the budget, and the answer is
-    ``resource-limit``; an exhausted extension solve reports
+    count of each range product they build.  Reading a model through a
+    transducer, on either path, charges one unit per product state the
+    search visits; a problem with no transducer runs no search.  A
+    charge that needs more than is left spends the budget, and the
+    answer is ``resource-limit``; an exhausted extension solve reports
     ``budget-left=-1``.  Membership normalization (complements
-    included), segment building, propagation and extraction are not
-    charged yet, so a solve can take long without spending the budget.
+    included), segment building and propagation are not charged yet, so
+    a solve can take long without spending the budget.
 
     A string-only problem that is sharing-free (:func:`sharing_free`)
     is decided by forward ranges (:class:`slsolve.forward.ForwardRanges`)
@@ -1106,7 +1119,9 @@ def solve(
                     continue
                 feasible_forests += 1
                 if walker is None:
-                    model = _join_model(folded, shapes, _extract(forest, feasible))
+                    model = _join_model(
+                        folded, shapes, _extract(forest, feasible, budget)
+                    )
                 else:
                     model = walker.model(forest, feasible)
                 if model is not None:

@@ -15,14 +15,21 @@ builds the image products, ``reachable`` closes the empty moves of
 The silent closure inside :func:`_image` stays hand-written: it runs for
 every (transducer state, bound state) pair of every image, joining two
 arc tables at each step, where a ``reachable`` callback would build a
-generator for every pair it pops.
+generator for every pair it pops.  It reuses the closures it has
+already memoised and skips targets that a bit-mask test shows dead;
+neither changes an image (see :func:`_image`).
+
+A witness through a transducer needs no image automaton:
+:func:`shortest_related` finds the least word related to one given word
+by a breadth-first search over word positions and states, and the
+solver reads every model through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .automata import (
     EPSILON,
@@ -107,6 +114,18 @@ class Transducer:
     def emitting(self) -> list[dict[str, tuple[int, ...]]]:
         """Per state of a normalized machine: emitted letter -> targets."""
         return self._targets_by_letter(2)
+
+    @cached_property
+    def sources(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Per state of a normalized machine, the sources of the consuming
+        arcs into it and of the emitting arcs into it."""
+        into: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(self.n_states)],
+            [[] for _ in range(self.n_states)],
+        )
+        for q, ins, _outs, r in self.transitions:
+            into[0 if ins else 1][r].append(q)
+        return tuple([tuple(qs) for qs in side] for side in into)
 
     def _targets_by_letter(self, side: int) -> list[dict[str, tuple[int, ...]]]:
         """Targets of the arcs with a letter on ``side``, in (letter, target) order."""
@@ -287,6 +306,20 @@ def _image(
     Each state yields one arc per (letter, target) pair, and the result
     is built and trimmed in one construction from the explored arcs.
 
+    Two shortcuts save walking, and neither changes a key, so every
+    result is the machine it was without them:
+
+    - The closure walk does not enter a pair whose closure is already
+      memoised; it takes that closure's key whole, which is exactly the
+      part of the pair's closure that would have entered the key.
+    - Most dead targets are seen before their closure is looked up: a
+      target ``(tr, s)`` whose ``tr`` neither emits nor accepts, and
+      whose silent arcs read none of the letters ``a`` has at ``s``,
+      is its own whole closure, with an empty key.  The test is one
+      bit mask per transducer state against one per ``a`` state.  This
+      catches the echo states of the copy rules above, which would
+      otherwise be probed once per (letter, bound state).
+
     ``within``, when given, is intersected in on the fly: its states
     ride along on the free side, and moves it cannot follow are never
     expanded.  A small bounding automaton therefore prunes the whole
@@ -313,6 +346,22 @@ def _image(
     emit_arcs = [tuple(row.items()) for row in emitting]
     silent_arcs = [tuple(row.items()) for row in silent]
     t_finals, a_finals = t.finals, a.finals
+    # Bit masks over letter indices, for the dead-target test: the
+    # letters each ``a`` state reads, and the bound letters of the silent
+    # arcs of each transducer state that neither emits nor accepts.  The
+    # top bit is set in every ``a`` mask and stands for every other
+    # transducer state, which is never skipped.
+    idx = t.alphabet._index
+    top = 1 << len(t.alphabet)
+    a_letters = [
+        top | sum(1 << idx[c] for c in a_by_sym[s]) for s in range(a.n_states)
+    ]
+    probe = [
+        top
+        if emit_arcs[q] or q in t_finals
+        else sum(1 << idx[c] for c, _ in silent_arcs[q])
+        for q in range(t.n_states)
+    ]
     # Closures are interned: a product state is (closure id, within
     # state), and ``keys[cid]`` is the closure itself.
     keys: list[tuple[tuple[int, int], ...]] = []
@@ -325,6 +374,7 @@ def _image(
         can emit or accept; -1 when there are none."""
         seen = {start}
         stack = [start]
+        reused: set[tuple[int, int]] = set()
         while stack:
             q, s = stack.pop()
             a_row = a_by_sym[s]
@@ -334,14 +384,17 @@ def _image(
                         pair = (tr, s2)
                         if pair not in seen:
                             seen.add(pair)
-                            stack.append(pair)
-        key = tuple(
-            sorted(
-                (q, s)
-                for q, s in seen
-                if emit_arcs[q] or (q in t_finals and s in a_finals)
-            )
+                            sub = closures.get(pair)
+                            if sub is None:
+                                stack.append(pair)
+                            elif sub >= 0:
+                                reused.update(keys[sub])
+        reused.update(
+            (q, s)
+            for q, s in seen
+            if emit_arcs[q] or (q in t_finals and s in a_finals)
         )
+        key = tuple(sorted(reused))
         if not key:
             cid = -1
         else:
@@ -362,6 +415,8 @@ def _image(
                 if not w_targets:
                     continue
                 for tr in trs:
+                    if not probe[tr] & a_letters[s]:
+                        continue
                     target = closures.get((tr, s))
                     if target is None:
                         target = closure_of((tr, s))
@@ -412,6 +467,154 @@ def pre_image_within(t: Transducer, a: Nfa, within: Nfa) -> Nfa:
 def apply_function(t: Transducer, word: str) -> Nfa:
     """NFA of all outputs the transducer can produce on the given input."""
     return post_image(t, nfa_from_word(word, t.alphabet))
+
+
+def shortest_related(
+    t: Transducer,
+    word: str,
+    within: Nfa,
+    forward: bool,
+    charge: Optional[Callable[[int], None]] = None,
+) -> Optional[str]:
+    """The length-then-lex least word of ``within`` that ``t`` relates to
+    ``word``, or None when there is none.
+
+    ``forward=True`` reads ``word`` as the input and returns an output:
+    the shortest word of ``nfa_intersect(apply_function(t, word),
+    within)``.  ``forward=False`` reads it as the output and returns an
+    input: the shortest word of ``pre_image_within(t, nfa_from_word(word),
+    within)``.  Both are found without building either automaton.
+
+    The search is breadth-first over product states (position in
+    ``word``, state of ``t.normalized``, state of ``within``).  Arcs on
+    the bound side read ``word`` and cost nothing; arcs on the free side
+    read a letter of the result, which ``within`` must follow.  States
+    are entered in *groups*: a group holds the states first reached by
+    one word, closed under bound arcs, and it is expanded letter by
+    letter in alphabet order into the groups of its one-letter
+    extensions.  Groups are thus made in length-then-lex order of their
+    words, and the first that holds an accepting state (the whole of
+    ``word`` read, ``t`` and ``within`` final) gives the least related
+    word.  A state already in a group is never entered again, so the
+    search visits each product state at most once.
+
+    One backward pass over ``word`` first finds, per position, the
+    states of ``t`` from which ``t`` can still read the rest of
+    ``word`` and stop in a final state; no other pair is entered.  Every
+    state on an accepting path is such a pair, so the answer is the
+    same.  ``charge``, when given, is called with the size of each group
+    as it is made: one unit per product state visited.
+    """
+    if within.alphabet != t.alphabet:
+        raise ValueError("alphabet mismatch")
+    t.alphabet.check_word(word)
+    t = t.normalized
+    w = nfa_eps_eliminate(within)
+    if forward:
+        free, bound, free_sources = t.emitting, t.consuming, t.sources[1]
+    else:
+        free, bound, free_sources = t.consuming, t.emitting, t.sources[0]
+    live = _finishing(word, t.finals, bound, free_sources)
+    if t.initial not in live[0]:
+        return None
+    n = len(word)
+    w_rows = w.arcs_by_symbol
+    idx = t.alphabet._index
+    t_finals, w_finals = t.finals, w.finals
+    seen: set[tuple[int, int, int]] = set()
+
+    def enter(states: list[tuple[int, int, int]]) -> bool:
+        """Close the new ``states`` (already in ``seen``) under bound arcs,
+        in place; whether one of them accepts."""
+        stack = list(states)
+        while stack:
+            i, q, s = stack.pop()
+            if i == n:
+                continue
+            rs = bound[q].get(word[i])
+            if not rs:
+                continue
+            ahead = live[i + 1]
+            for r in rs:
+                state = (i + 1, r, s)
+                if r in ahead and state not in seen:
+                    seen.add(state)
+                    states.append(state)
+                    stack.append(state)
+        if charge is not None:
+            charge(len(states))
+        return any(
+            i == n and q in t_finals and s in w_finals for i, q, s in states
+        )
+
+    def spelled(g: int) -> str:
+        letters = []
+        while g:
+            g, c = parents[g]
+            letters.append(c)
+        return "".join(reversed(letters))
+
+    start = (0, t.initial, w.initial)
+    seen.add(start)
+    groups = [[start]]
+    parents: list[tuple[int, str]] = [(0, EPSILON)]
+    if enter(groups[0]):
+        return EPSILON
+    for g, states in enumerate(groups):
+        by_letter: dict[str, list[tuple[int, int, int]]] = {}
+        for i, q, s in states:
+            w_row = w_rows[s]
+            here = live[i]
+            for c, rs in free[q].items():
+                ss = w_row.get(c)
+                if not ss:
+                    continue
+                targets = by_letter.setdefault(c, [])
+                for r in rs:
+                    if r in here:
+                        targets.extend((i, r, s2) for s2 in ss)
+        for c in sorted(by_letter, key=idx.__getitem__):
+            new = []
+            for state in by_letter[c]:
+                if state not in seen:
+                    seen.add(state)
+                    new.append(state)
+            if not new:
+                continue
+            groups.append(new)
+            parents.append((g, c))
+            if enter(new):
+                return spelled(len(groups) - 1)
+    return None
+
+
+def _finishing(
+    word: str,
+    finals: frozenset[int],
+    bound: list[dict[str, tuple[int, ...]]],
+    free_sources: list[tuple[int, ...]],
+) -> list[frozenset[int]]:
+    """Per position ``i`` of ``word``, the states of a normalized machine
+    from which its ``bound`` arcs can read ``word[i:]`` and stop in one
+    of ``finals``, taking free arcs (reversed in ``free_sources``)
+    anywhere on the way.  Each position's set follows from its letter
+    and the next position's set alone, so repeats are looked up."""
+    live = [frozenset()] * (len(word) + 1)
+    cur = live[len(word)] = frozenset(reachable(finals, free_sources.__getitem__))
+    known: dict[tuple[str, frozenset[int]], frozenset[int]] = {}
+    for i in range(len(word) - 1, -1, -1):
+        key = (word[i], cur)
+        cur = known.get(key)
+        if cur is None:
+            c, ahead = key
+            seeds = [
+                q for q, row in enumerate(bound) if not ahead.isdisjoint(row.get(c, ()))
+            ]
+            cur = known[key] = frozenset(reachable(seeds, free_sources.__getitem__))
+        if not cur:
+            break
+        live[i] = cur
+    return live
 
 
 def transducer_membership(t: Transducer, x: str, y: str) -> bool:

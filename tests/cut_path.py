@@ -48,7 +48,7 @@ def cut_solve(
                 if feasible is None:
                     continue
                 feasible_forests += 1
-                value = solver._extract(forest, feasible)
+                value = solver._extract(forest, feasible, budget)
                 model = solver._join_model(folded, shapes, value)
                 assert evaluate(problem, model)
                 return Verdict("sat", model=model)

@@ -212,6 +212,20 @@ def test_bench_stops_at_the_resource_limit(capsys):
     assert "cut-placements=2" in lines
 
 
+@pytest.mark.parametrize(
+    "name, limit, reached",
+    [("ex_cacm", 112, "feasible-forests=1"), ("ex_iframe", 1218, "ranges=4")],
+)
+def test_bench_stops_inside_the_extraction_search(capsys, name, limit, reached):
+    """One unit short of the model, each path stops in its last search:
+    ``ex_cacm`` on the cut path, ``ex_iframe`` on the forward path."""
+    assert run(["bench", name, "--resource-limit", str(limit), "--stats"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "resource-limit"
+    assert reached in lines
+    assert run(["bench", name, "--resource-limit", str(limit + 1)]) == 0
+
+
 def test_bench_unknown_name(capsys):
     assert run(["bench", "nope"]) == 2
     captured = capsys.readouterr()

@@ -278,6 +278,33 @@ def test_spent_budget_ends_the_search_at_once(name):
     assert stats["cut-placements"] == 2
 
 
+#: Per path, a bundled case's budget up to its model: the units spent
+#: before the first extraction search (cut placements on the cut path,
+#: range products on the forward path) and the units the searches
+#: charge, one per product state they visit.
+EXTRACTION_CHARGES = {"ex_cacm": (2, 111), "ex_iframe": (489, 730)}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACTION_CHARGES))
+def test_extraction_search_is_charged(name):
+    """A budget that ends inside the extraction search answers
+    ``resource-limit`` after the forest or ranges were built in full.
+
+    ``ex_cacm`` takes the cut path and ``ex_iframe`` the forward path.
+    """
+    problem = load_benchmark(name).problem
+    before, searched = EXTRACTION_CHARGES[name]
+    for limit in (before, before + searched - 1):
+        stats: dict = {}
+        verdict = solve(problem, resource_limit=limit, stats=stats)
+        assert verdict.status == "resource-limit", limit
+        if sharing_free(problem):
+            assert stats["ranges"] == 4
+        else:
+            assert stats["feasible-forests"] == 1
+    assert solve(problem, resource_limit=before + searched).is_sat
+
+
 # ---------------------------------------------------------------------------
 # Cuts on reduced automata
 

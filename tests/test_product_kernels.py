@@ -17,16 +17,18 @@ re-records the digests with the same helpers, and says so.
 import random
 
 from cut_path import cut_solve
-from outcome_digest import digest
+from outcome_digest import digest, pipeline_family
 
-from slsolve import solver
+from slsolve import forward, solver
 from slsolve.automata import (
     EPSILON,
     Alphabet,
     Nfa,
     nfa_eps_eliminate,
+    nfa_from_word,
     nfa_intersect,
     nfa_multi_slice,
+    nfa_nonempty_shortest,
     nfa_trim,
     nfa_universal,
     trimmed_nfa,
@@ -35,9 +37,11 @@ from slsolve.regex import regex_parse
 from slsolve.solver import Shape, _boundary_filter, _segment_machine
 from slsolve.transducer import (
     Transducer,
+    apply_function,
     post_image,
     pre_image,
     pre_image_within,
+    shortest_related,
     transducer_normalize,
 )
 from slsolve.websec import benchmark_names, load_benchmark
@@ -101,21 +105,24 @@ def random_segments(seed: int, count: int) -> list[Transducer]:
     return out
 
 
+#: The image targets and bounding languages of :func:`random_images`.
+TARGETS = [
+    regex_parse(p, ABC)
+    for p in ("ab", "", "a*b", "(ab|c)*", "(a|b|c)*b(a|c)*", "[^c]*c[^c]*")
+]
+WITHINS = [regex_parse(p, ABC) for p in ("(a|b|c)*", "[^b]*b[^b]*", "(ab|c)*", "(a|b)*")]
+
+
 def random_images(seed: int, count: int) -> list[Nfa]:
     """Post-, pre- and bounded pre-images of random machines and targets."""
     rng = random.Random(seed)
-    targets = [
-        regex_parse(p, ABC)
-        for p in ("ab", "", "a*b", "(ab|c)*", "(a|b|c)*b(a|c)*", "[^c]*c[^c]*")
-    ]
-    withins = [regex_parse(p, ABC) for p in ("(a|b|c)*", "[^b]*b[^b]*", "(ab|c)*", "(a|b)*")]
     out = []
     for _ in range(count):
         t = random_normalized(rng, ABC)
-        a = rng.choice(targets)
+        a = rng.choice(TARGETS)
         out.append(post_image(t, a))
         out.append(pre_image(t, a))
-        out.append(pre_image_within(t, a, rng.choice(withins)))
+        out.append(pre_image_within(t, a, rng.choice(WITHINS)))
     return out
 
 
@@ -342,6 +349,59 @@ def test_filter_state_cap_is_exact(monkeypatch):
         pairs = _boundary_filter(*args)
         monkeypatch.undo()
         assert digest([pairs]) == SANITIZER_FILTERS[name][1], name
+
+
+def composed_related(t: Transducer, word: str, within: Nfa, forward: bool):
+    """What ``shortest_related`` returns, by the image compositions it
+    replaced: the least word of a built image automaton."""
+    if forward:
+        return nfa_nonempty_shortest(nfa_intersect(apply_function(t, word), within))
+    exact = nfa_from_word(word, t.alphabet)
+    return nfa_nonempty_shortest(pre_image_within(t, exact, within))
+
+
+def test_shortest_related_is_the_least_word_of_the_image():
+    rng = random.Random(26)
+    found = 0
+    for _ in range(600):
+        t = random_normalized(rng, ABC)
+        word = random_word(rng, "abc", 6)
+        within = rng.choice(TARGETS + WITHINS)
+        for direction in (True, False):
+            expected = composed_related(t, word, within, direction)
+            assert shortest_related(t, word, within, direction) == expected
+            found += expected is not None
+    assert found > 100  # both outcomes are exercised
+
+
+def test_shortest_related_matches_every_extraction_of_the_pipelines(monkeypatch):
+    """Every search made while solving the bundled cases and the
+    ``pipe``, ``wrap`` and ``splice`` chains at depths 1-4 returns the
+    image composition's word.  Sharing-free problems are solved on both
+    paths: by ``solve`` (forward ranges) and by the cut path."""
+    calls = []
+
+    def recording(t, word, within, direction, charge):
+        got = shortest_related(t, word, within, direction, charge)
+        calls.append((t, word, within, direction, got))
+        return got
+
+    monkeypatch.setattr(solver, "shortest_related", recording)
+    monkeypatch.setattr(forward, "shortest_related", recording)
+    problems = [load_benchmark(name).problem for name in benchmark_names()]
+    problems += [
+        pipeline_family(name, depth)
+        for name in ("pipe", "wrap", "splice")
+        for depth in range(1, 5)
+    ]
+    for problem in problems:
+        solver.solve(problem)
+        if solver.sharing_free(problem):
+            cut_solve(problem)
+    assert len(calls) == 102
+    assert {direction for *_, direction, _ in calls} == {True, False}
+    for t, word, within, direction, got in calls:
+        assert got == composed_related(t, word, within, direction)
 
 
 def test_random_intersections_are_pinned():
