@@ -526,10 +526,12 @@ def shortest_related(
     def enter(states: list[tuple[int, int, int]]) -> bool:
         """Close the new ``states`` (already in ``seen``) under bound arcs,
         in place; whether one of them accepts."""
+        accepts = False
         stack = list(states)
         while stack:
             i, q, s = stack.pop()
             if i == n:
+                accepts = accepts or (q in t_finals and s in w_finals)
                 continue
             rs = bound[q].get(word[i])
             if not rs:
@@ -543,9 +545,7 @@ def shortest_related(
                     stack.append(state)
         if charge is not None:
             charge(len(states))
-        return any(
-            i == n and q in t_finals and s in w_finals for i, q, s in states
-        )
+        return accepts
 
     def spelled(g: int) -> str:
         letters = []
