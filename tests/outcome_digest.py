@@ -20,8 +20,9 @@ keep behaviour prints the same lines before and after;
 
 The module also holds the digest helpers the pinned tests share
 (:func:`canonical`, :func:`digest`), the loader of the benchmark's
-workload module (:func:`load_workloads`) and the pipeline builder.  Pytest does not collect this
-file (its name has no ``test_`` prefix).
+workload module (:func:`load_workloads`) and the pipeline builder
+(:func:`pipeline_family`).  Pytest does not collect this file (its name
+has no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -129,9 +130,8 @@ def pipelines_line() -> str:
     for label, name, depth in PIPELINES:
         text = outcome(pipeline_family(name, depth), {})
         lines.append(f"{label}\t{text['status']}\t{text['model']}")
-    return f"{'pipelines':<9} {len(lines):>3} {'verdict':<9} " + hashlib.sha256(
-        "\n".join(lines).encode()
-    ).hexdigest()
+    sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return f"{'pipelines':<9} {len(lines):>3} {'verdict':<9} {sha}"
 
 
 def corpora(workloads, string_problems, extension_problems):

@@ -110,7 +110,9 @@ TARGETS = [
     regex_parse(p, ABC)
     for p in ("ab", "", "a*b", "(ab|c)*", "(a|b|c)*b(a|c)*", "[^c]*c[^c]*")
 ]
-WITHINS = [regex_parse(p, ABC) for p in ("(a|b|c)*", "[^b]*b[^b]*", "(ab|c)*", "(a|b)*")]
+WITHINS = [
+    regex_parse(p, ABC) for p in ("(a|b|c)*", "[^b]*b[^b]*", "(ab|c)*", "(a|b)*")
+]
 
 
 def random_images(seed: int, count: int) -> list[Nfa]:
