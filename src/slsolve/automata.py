@@ -15,11 +15,10 @@ that numbers states in discovery order and records the arcs between
 them, builds every product and subset construction; :func:`reachable`,
 a plain reachability set, computes epsilon closures and the
 co-reachable half of :func:`live_states`, through which every trim
-goes.  Products trim in the one construction that builds them
-(:func:`trimmed_nfa`).  :func:`nfa_is_empty` keeps its own search: it
-stops at the first final state it meets, where :func:`reachable` would
-finish the whole set, and a version on :func:`reachable` measured
-slower on square-chain cut placement, which asks it most.
+goes.  Every product is trimmed where it is built, in the one
+construction that builds it (:func:`trimmed_nfa`), so it is empty
+exactly when it has no final state; :func:`nfa_is_empty` answers for a
+machine of any other origin.
 
 Epsilon arcs are read in one place, once per machine:
 :func:`nfa_eps_eliminate` builds a machine's epsilon-free copy on first
@@ -585,22 +584,12 @@ def nfa_complement(nfa: Nfa) -> Nfa:
 
 
 def nfa_is_empty(nfa: Nfa) -> bool:
-    if not nfa.finals:
-        return True
-    if nfa.initial in nfa.finals:
-        return False
-    reach = {nfa.initial}
-    queue = deque(reach)
-    while queue:
-        q = queue.popleft()
-        if q in nfa.finals:
-            return False
-        for rs in nfa.arcs_by_symbol[q].values():
-            for r in rs:
-                if r not in reach:
-                    reach.add(r)
-                    queue.append(r)
-    return True
+    """Whether ``nfa`` accepts no word.
+
+    Accepts any machine, trimmed or not, with or without epsilon arcs: a
+    trim keeps a final state exactly when some final state is reachable.
+    """
+    return not nfa_trim(nfa).finals
 
 
 def _distances_to_finals(nfa: Nfa) -> list[int]:

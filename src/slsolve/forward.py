@@ -38,7 +38,6 @@ from typing import Optional
 from .automata import (
     Nfa,
     nfa_eps_eliminate,
-    nfa_is_empty,
     nfa_nonempty_shortest,
     nfa_reduce,
     nfa_universal,
@@ -97,7 +96,7 @@ class ForwardRanges:
                 self.built += 1
                 if var in self.user:
                     rng = nfa_reduce(rng)
-            if nfa_is_empty(rng):
+            if not rng.finals:
                 return None
             ranges[var] = rng
         word = self._words(ranges, items)

@@ -59,7 +59,6 @@ from .automata import (
     nfa_eps_eliminate,
     nfa_from_word,
     nfa_intersect,
-    nfa_is_empty,
     nfa_multi_slice,
     nfa_nonempty_shortest,
     nfa_reduce,
@@ -358,7 +357,7 @@ def _pieces_for(
     if not starts or not finals:
         return None
     piece = nfa_multi_slice(nfa, starts, finals)
-    return None if nfa_is_empty(piece) else piece
+    return piece if piece.finals else None
 
 
 def _segment_machine(
@@ -447,8 +446,8 @@ def _segment_machine(
 _RANGE_STATE_CAP = 400
 
 #: Every split transducer application is filtered (``_boundary_filter``);
-#: a filter whose live pairs plus product states grow past this is
-#: abandoned, and only then are the boundaries placed blind.
+#: a filter whose product states grow past this is abandoned, and only
+#: then are the boundaries placed blind.
 _FILTER_STATE_CAP = 400_000
 
 
@@ -553,57 +552,16 @@ def _boundary_filter(
     at inner boundary ``j`` on at least one accepting run; cut choices
     outside these sets cannot possibly yield a solution.
 
-    Before the product, one backward search finds the live pairs: those
-    ``(q, s)`` from which ``t.finals × a_img.finals`` can be reached when
-    a consuming arc moves ``q`` alone, on any letter, and an emitting arc
-    moves ``q`` and ``s`` together.  Every product move (a consumed
-    literal or zone letter, an emission, a zone boundary) projects onto
-    such a move, so a product state with a dead pair never reaches
-    acceptance, and neither does anything after it.  Skipping those
-    states therefore drops no accepting run, and the result is the same
-    set as without the skip.
-
     A sound filter only: zone languages are refinements known so far,
     so surviving pairs may still fail full propagation.  Returns None
-    when the live pairs plus the product states found exceed the state
-    cap (caller falls back to blind enumeration).
+    when the product states found exceed the state cap (caller falls
+    back to blind enumeration).
     """
     assert t.is_normalized
     a_img = nfa_eps_eliminate(a_img)
     zones = [nfa_eps_eliminate(z) for z in zone_langs]
     m = len(arg_shape.slots)
-
     consuming = t.consuming
-    consumed_from: list[set[int]] = [set() for _ in range(t.n_states)]
-    for q, row in enumerate(consuming):
-        for q2s in row.values():
-            for q2 in q2s:
-                consumed_from[q2].add(q)
-    emitted_from: list[list[tuple[int, str]]] = [[] for _ in range(t.n_states)]
-    for q, row in enumerate(t.emitting):
-        for b, q2s in row.items():
-            for q2 in q2s:
-                emitted_from[q2].append((q, b))
-    image_from: list[dict[str, list[int]]] = [{} for _ in range(a_img.n_states)]
-    for s, b, s2 in a_img.transitions:
-        image_from[s2].setdefault(b, []).append(s)
-
-    def pair_preds(pair: tuple[int, int]) -> Iterator[tuple[int, int]]:
-        q2, s2 = pair
-        for q in consumed_from[q2]:
-            yield q, s2
-        into = image_from[s2]
-        for q, b in emitted_from[q2]:
-            for s in into.get(b, ()):
-                yield q, s
-
-    live = reachable(
-        ((q, s) for q in t.finals for s in a_img.finals), pair_preds
-    )
-    if len(live) > _FILTER_STATE_CAP:
-        return None
-    if (t.initial, a_img.initial) not in live:
-        return [set() for _ in range(m - 1)]
 
     # The layout, built back to front from the end (position 0): each
     # position's letter moves and silent moves.
@@ -631,23 +589,19 @@ def _boundary_filter(
         for ch, q2s in consuming[q].items():
             for p2 in moves.get(ch, ()):
                 for q2 in q2s:
-                    if (q2, s) in live:
-                        yield None, (p2, q2, s)
+                    yield None, (p2, q2, s)
         if p not in boundary_at:
             image_arcs = a_img.arcs_by_symbol[s]
             for b, q2s in t.emitting[q].items():
                 s2s = image_arcs.get(b, ())
                 for q2 in q2s:
                     for s2 in s2s:
-                        if (q2, s2) in live:
-                            yield None, (p, q2, s2)
+                        yield None, (p, q2, s2)
         for p2 in after:
             yield None, (p2, q, s)
 
     explored = explore(
-        (entry, t.initial, a_img.initial),
-        successors,
-        cap=_FILTER_STATE_CAP + 1 - len(live),
+        (entry, t.initial, a_img.initial), successors, cap=_FILTER_STATE_CAP
     )
     if explored is None:
         return None
@@ -779,7 +733,7 @@ def _branch_forests(
                 new = meets.get((old, piece))
                 if new is None:
                     new = meets[old, piece] = nfa_intersect(old, piece)
-            if nfa_is_empty(new):
+            if not new.finals:
                 return None
             nodes[node] = new
             if old is None:
@@ -844,7 +798,7 @@ def _branch_forests(
         if isinstance(rel, TransducerEq) and len(shapes[var].slots) == 1:
             rng = ranges.get(var)
             if rng is not None and rng is not var_nfas[var]:
-                if nfa_is_empty(rng):
+                if not rng.finals:
                     return
                 nodes[(var, 0)] = rng
 
@@ -942,11 +896,11 @@ def _propagate(forest: AcForest) -> Optional[dict[NodeId, Nfa]]:
         cur = forest.nfas[node]
         for child, machine in forest.children[node]:
             cur = nfa_reduce(pre_image_within(machine, feasible[child], cur))
-            if nfa_is_empty(cur):
+            if not cur.finals:
                 return None
         if not forest.children[node]:
             cur = nfa_reduce(cur)
-            if nfa_is_empty(cur):
+            if not cur.finals:
                 return None
         feasible[node] = cur
     return feasible

@@ -18,17 +18,21 @@ import random
 
 from cut_path import cut_solve
 from outcome_digest import digest, pipeline_family
+from test_automata import epsilon_machines
 
 from slsolve import forward, solver
 from slsolve.automata import (
     EPSILON,
     Alphabet,
     Nfa,
+    nfa_concat,
+    nfa_enumerate,
     nfa_eps_eliminate,
     nfa_from_word,
     nfa_intersect,
     nfa_multi_slice,
     nfa_nonempty_shortest,
+    nfa_reduce,
     nfa_trim,
     nfa_universal,
     trimmed_nfa,
@@ -222,22 +226,18 @@ def sanitizer_filter_args(monkeypatch, name: str) -> list[tuple]:
 
 
 def filter_searches(monkeypatch, calls: list[tuple]) -> list:
-    """Per filter call, its product search as ``(states found, cap)``.
-
-    The states found are None when the search stopped at its cap; the
-    whole entry is None when the filter decided without a search.
-    """
+    """Per filter call, its product search as ``(states found, cap)``;
+    the states found are None when the search stopped at its cap."""
     searches: list = []
 
     def counting(start, successors, cap=None, real=solver.explore):
         result = real(start, successors, cap)
-        searches[-1] = (None if result is None else len(result[0]), cap)
+        searches.append((None if result is None else len(result[0]), cap))
         return result
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "explore", counting)
         for args in calls:
-            searches.append(None)
             _boundary_filter(*args)
     return searches
 
@@ -275,7 +275,7 @@ SANITIZER = {
     "ex_mxss1": (5, "95c08d9321692178", 5, "5ab7e5e244034bb2"),
 }
 
-#: Digests of the boundary filter's results before it skipped dead pairs.
+#: Digests of the boundary filter's results.
 RANDOM_FILTERS = "112477bfc87530c9"
 SANITIZER_FILTERS = {
     "ex_cacm": (1, "1965a109f7465dce"),
@@ -284,13 +284,14 @@ SANITIZER_FILTERS = {
     "ex_mxss1": (1, "1965a109f7465dce"),
 }
 
-#: Product states each boundary filter explored before it walked one layout.
-RANDOM_FILTER_STATES = "b5ac53c4921dda42"
+#: Product states each boundary filter explores, those that cannot reach
+#: acceptance included.
+RANDOM_FILTER_STATES = "005e87c33a8bfee8"
 SANITIZER_FILTER_STATES = {
-    "ex_cacm": 1008,
-    "ex_corrected": 383,
-    "ex_iframe": 3591,
-    "ex_mxss1": 1329,
+    "ex_cacm": 2158,
+    "ex_corrected": 573,
+    "ex_iframe": 17379,
+    "ex_mxss1": 3506,
 }
 
 #: Digest of the products before ``nfa_intersect`` walked the smaller table.
@@ -327,27 +328,25 @@ def test_sanitizer_filters_are_pinned(monkeypatch):
 
 def test_random_filter_product_sizes_are_pinned(monkeypatch):
     searches = filter_searches(monkeypatch, random_filter_args(13, 500))
-    states = [None if found is None else found[0] for found in searches]
-    assert digest(states) == RANDOM_FILTER_STATES
+    assert digest([states for states, _cap in searches]) == RANDOM_FILTER_STATES
 
 
 def test_filter_state_cap_is_exact(monkeypatch):
     """The filter gives up one state below what its search needs, not at it.
 
-    The filter hands ``explore`` the cap left after its live pairs, so a
-    search of ``n`` states under cap ``c`` needs a state cap of
-    ``n + _FILTER_STATE_CAP - c``.  One below that, the search itself
-    stops (not the live-pair check), and the filter returns None.
+    The filter hands ``explore`` ``_FILTER_STATE_CAP`` as it is, so a
+    search of ``n`` states completes under a state cap of ``n``; under
+    ``n - 1`` the search stops and the filter returns None.
     """
     for name in benchmark_names():
         (args,) = sanitizer_filter_args(monkeypatch, name)
         ((states, cap),) = filter_searches(monkeypatch, [args])
         assert states == SANITIZER_FILTER_STATES[name], name
-        need = states + solver._FILTER_STATE_CAP - cap
-        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", need - 1)
+        assert cap == solver._FILTER_STATE_CAP
+        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", states - 1)
         assert filter_searches(monkeypatch, [args]) == [(None, states - 1)], name
         assert _boundary_filter(*args) is None
-        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", need)
+        monkeypatch.setattr(solver, "_FILTER_STATE_CAP", states)
         pairs = _boundary_filter(*args)
         monkeypatch.undo()
         assert digest([pairs]) == SANITIZER_FILTERS[name][1], name
@@ -460,3 +459,45 @@ def test_multi_slice_is_the_trimmed_epsilon_slice():
         old = Nfa(ABC, fresh + 1, arcs, fresh, frozenset(targets))
         assert nfa_multi_slice(nfa, sources, targets) == nfa_trim(nfa_eps_eliminate(old))
     assert all(seen.values()), seen
+
+
+def test_every_kernel_builds_trimmed_epsilon_free_machines(string_problems):
+    """The split stage and the forward ranges read a product's emptiness
+    off its final states, which holds only because every kernel trims
+    what it builds.  So each output here must be epsilon-free, trimmed,
+    and without a final state exactly when it accepts no word of length
+    up to its state count (by ``nfa_enumerate``, which shares no code
+    with trimming).  A kernel that skipped its trim would otherwise show
+    only as an internal error in extraction."""
+    rng = random.Random(27)
+    pool = epsilon_machines(27) + TARGETS + WITHINS
+    outputs = []
+    for _ in range(300):
+        a, b = (
+            rng.choice(pool) if rng.random() < 0.5 else random_nfa(rng, ABC)
+            for _ in range(2)
+        )
+        t = random_normalized(rng, ABC)
+        flat = nfa_eps_eliminate(a)
+        sources, targets = (
+            [q for q in range(flat.n_states) if rng.random() < 0.3] for _ in range(2)
+        )
+        outputs += [
+            nfa_intersect(a, b),
+            pre_image(t, a),
+            post_image(t, a),
+            pre_image_within(t, a, b),
+            nfa_multi_slice(flat, sources, targets),
+            nfa_concat([a, b]),
+            nfa_reduce(a),
+        ]
+    for problem in string_problems:
+        for _values, var_nfas in solver.normalize_regular(problem):
+            outputs += var_nfas.values()
+    empty = 0
+    for m in outputs:
+        assert not m.has_epsilon
+        assert nfa_trim(m) is m
+        assert (not m.finals) == (nfa_enumerate(m, m.n_states, limit=1) == [])
+        empty += not m.finals
+    assert 0 < empty < len(outputs)  # both outcomes are exercised
