@@ -9,18 +9,19 @@ disequalities — is decided here by a bounded search:
 1. The extension constraints are *lowered* onto the same piece
    decomposition the core solver uses.  Lengths become sums of
    per-piece length counters, character positions become per-piece
-   position counters plus linear linking equations, index-of becomes a
-   run of character equalities (plus, for first-occurrence, a
-   match-tracking monitor), and a disequality becomes a choice between
-   "lengths differ" and "some shared position differs".  Choices that
-   cannot be expressed as counters — which piece a position lands on,
-   which character sits there, how a disequality is discharged — are
-   enumerated up front as *scenarios*.  Each unit — a character-leaf
-   occurrence under one truth vector, a disequality, an index-of
-   binding — is lowered once into its alternatives, and a scenario is
-   one pick per unit.  Where a position can land is read off one walk
-   over a variable's layout (:func:`_layout`), which character sides
-   and index-of placements share.
+   position trackers plus linear linking equations, index-of becomes a
+   run of character equalities (plus, for first-occurrence, one match
+   tracker per piece before the match), and a disequality becomes a
+   choice between "lengths differ" and "some shared position differs".
+   Choices that cannot be expressed as counters — which piece a
+   position lands on, which character sits there, how a disequality is
+   discharged — are enumerated up front as *scenarios*.  Each unit — a
+   character-leaf occurrence under one truth vector, a disequality, an
+   index-of binding — is lowered once into its alternatives, and a
+   scenario is one pick per unit, their obligations concatenated: each
+   obligation holds the tracker objects it reads.  Where a position can
+   land is read off one walk over a variable's layout (:func:`_layout`),
+   which character sides and index-of placements share.
 
 2. :func:`slsolve.solver.solve` runs its usual search and hands each
    feasible forest of piece automata and segment transducers to
@@ -36,9 +37,10 @@ disequalities — is decided here by a bounded search:
    state is one flat tuple of ints: in slot 0 the product state's id
    (each product state is interned to an id once per walk), then one
    counter vector for piece lengths and letter counts, then the
-   position trackers and the match trackers.  Each id's moves are
-   joined once per walk with their planned counter updates into one
-   step table, which the id indexes.  Whenever the walk stands on an
+   position trackers in link order and the match trackers in
+   monitor-piece order.  Each id's moves are joined once per walk with
+   their planned counter updates into one step table, which the id
+   indexes.  Whenever the walk stands on an
    accepting product state it tries to discharge the lowered
    constraints from the counters; integer variables not pinned by a
    linking equation are enumerated up to the bound.  The constraint
@@ -56,8 +58,8 @@ and a spent budget ends the solve with ``resource-limit``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import product as iter_product
+from dataclasses import dataclass, fields, replace
+from itertools import chain, product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
 from .automata import Alphabet, Nfa, nfa_eps_eliminate
@@ -118,6 +120,24 @@ class LoweredLinear:
     bound: int
 
 
+# Trackers compare by identity: two with equal fields are two counters.
+@dataclass(frozen=True, eq=False)
+class PositionTerm:
+    """A position tracker: a counter on ``node`` that freezes on ``char``."""
+
+    node: NodeId
+    char: str
+
+
+@dataclass(frozen=True, eq=False)
+class MatchTracker:
+    """``needle``'s KMP state on ``node`` from ``entry``, and its first match."""
+
+    node: NodeId
+    needle: str
+    entry: int
+
+
 @dataclass(frozen=True)
 class LinkEq:
     """``value(index) + shift == const + sum(len(node)) + position(term)``.
@@ -125,15 +145,14 @@ class LinkEq:
     The right-hand side is a position inside some variable's value,
     assembled from literal offsets (``const``), the lengths of the
     pieces that precede the landing segment (``nodes``, kept with
-    multiplicity), and — when the position lands inside a piece — that
-    piece's frozen position counter (``term`` indexes the scenario's
-    term list; None means the position inside a literal is already part
-    of ``const``).
+    multiplicity), and — when the position lands inside a piece — the
+    frozen value of that piece's position tracker ``term`` (None means
+    the position inside a literal is already part of ``const``).
     """
 
     index: Union[str, int]
     shift: int
-    term: Optional[int]
+    term: Optional[PositionTerm]
     const: int
     nodes: tuple[NodeId, ...]
 
@@ -149,83 +168,55 @@ class PastEnd:
 
 @dataclass(frozen=True)
 class MonitorPiece:
-    """One piece-zone obligation of a first-occurrence monitor.
+    """One piece-zone obligation of a first-occurrence binding.
 
-    ``comp`` indexes the scenario's match-tracker list.  A pre-landing
-    zone must finish in ``exit_state`` without ever completing a match;
-    the landing zone instead requires its first completion to sit
-    exactly where the bound character term froze (``landing_term``).
+    ``comp`` is the match tracker run over the zone's piece.  A
+    pre-landing zone must finish in ``exit_state`` without ever
+    completing a match; the landing zone instead requires its first
+    completion to sit exactly where the position tracker
+    ``landing_term`` froze.
     """
 
-    comp: int
+    comp: MatchTracker
     exit_state: Optional[int]
-    landing_term: Optional[int]
-
-
-@dataclass(frozen=True)
-class Monitor:
-    """First-occurrence obligations that need runtime tracking."""
-
-    pieces: tuple[MonitorPiece, ...]
+    landing_term: Optional[PositionTerm]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One fully guessed way of discharging the non-regular constraints.
 
-    ``terms`` lists the character-position trackers the walk must run:
-    each is a (node, guessed character) pair whose counter freezes at a
-    position holding that character.  ``comps`` lists match trackers
-    (node, needle, entry state) for first-occurrence monitors.  The
-    remaining fields are checked when the walk stands on an accepting
-    state: linking equations, forced-zero indices, past-the-end
-    requirements, and extra lowered linear trees (conjoined with the
-    problem's own).
+    Every field is checked when the walk stands on an accepting state:
+    linking equations, forced-zero indices, past-the-end requirements,
+    extra lowered linear trees (conjoined with the problem's own), and
+    the pieces of first-occurrence bindings.  Links and monitor pieces
+    hold the trackers they read, so scenarios merge by concatenation.
     """
 
-    terms: tuple[tuple[NodeId, str], ...] = ()
     links: tuple[LinkEq, ...] = ()
     zeros: tuple[Union[str, int], ...] = ()
     past_ends: tuple[PastEnd, ...] = ()
     extra: tuple[BoolTree, ...] = ()
-    comps: tuple[tuple[NodeId, str, int], ...] = ()
-    monitors: tuple[Monitor, ...] = ()
+    monitors: tuple[MonitorPiece, ...] = ()
+
+    @property
+    def terms(self) -> tuple[PositionTerm, ...]:
+        """The position trackers the walk runs, in link order."""
+        return tuple(link.term for link in self.links if link.term is not None)
+
+    @property
+    def comps(self) -> tuple[MatchTracker, ...]:
+        """The match trackers the walk runs, in monitor-piece order."""
+        return tuple(mp.comp for mp in self.monitors)
 
 
 def _merge_scenarios(parts: Sequence[Scenario]) -> Scenario:
-    """Concatenate scenario pieces, re-indexing term and comp references."""
-    terms: list[tuple[NodeId, str]] = []
-    links: list[LinkEq] = []
-    zeros: list[Union[str, int]] = []
-    past_ends: list[PastEnd] = []
-    extra: list[BoolTree] = []
-    comps: list[tuple[NodeId, str, int]] = []
-    monitors: list[Monitor] = []
-    for part in parts:
-        t_off = len(terms)
-        c_off = len(comps)
-        terms.extend(part.terms)
-        zeros.extend(part.zeros)
-        past_ends.extend(part.past_ends)
-        extra.extend(part.extra)
-        comps.extend(part.comps)
-        for link in part.links:
-            term = None if link.term is None else link.term + t_off
-            links.append(LinkEq(link.index, link.shift, term, link.const, link.nodes))
-        for mon in part.monitors:
-            pieces = []
-            for mp in mon.pieces:
-                landing = None if mp.landing_term is None else mp.landing_term + t_off
-                pieces.append(MonitorPiece(mp.comp + c_off, mp.exit_state, landing))
-            monitors.append(Monitor(tuple(pieces)))
+    """Concatenate scenario pieces field by field."""
     return Scenario(
-        tuple(terms),
-        tuple(links),
-        tuple(zeros),
-        tuple(past_ends),
-        tuple(extra),
-        tuple(comps),
-        tuple(monitors),
+        *(
+            tuple(chain.from_iterable(getattr(part, f.name) for part in parts))
+            for f in fields(Scenario)
+        )
     )
 
 
@@ -305,8 +296,8 @@ def _layout(
     Zone ``2i`` is literal ``i``, one item per character with its 1-based
     position ``k`` in the literal; zone ``2i+1`` is piece ``i``, one item
     with ``k`` None.  Each item's :class:`LinkEq` reads ``value(index) +
-    shift == that position``; a piece's position counter is term 0, local
-    to the fragment until :func:`_merge_scenarios` re-indexes it.
+    shift == that position``; a piece's link has no ``term`` yet, and
+    its caller gives it the piece's position tracker.
     """
     const = 0
     for i, lit in enumerate(shape.literals):
@@ -315,7 +306,7 @@ def _layout(
             yield 2 * i, k, LinkEq(index, shift, None, const + k, nodes)
         const += len(lit)
         if i < len(shape.slots):
-            yield 2 * i + 1, None, LinkEq(index, shift, 0, const, nodes)
+            yield 2 * i + 1, None, LinkEq(index, shift, None, const, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +319,8 @@ def _side_choices(
     """Every in-range resolution of one side, as its (character, fragment) choices.
 
     A constant, or a position landing in a literal, reads one known
-    character; a position landing in a piece becomes a walk term, with
-    one choice per guessed letter.
+    character; a position landing in a piece gets a position tracker,
+    with one choice per guessed letter.
     """
     if isinstance(side, CharConst):
         yield [(side.char, Scenario())]
@@ -337,10 +328,13 @@ def _side_choices(
     shape = shapes[side.var]
     for zone, k, link in _layout(shape, side.index):
         if k is not None:
-            yield [(shape.literals[zone // 2][k - 1], Scenario(links=(link,)))]
+            yield [(shape.literals[zone // 2][k - 1], Scenario((link,)))]
         else:
             node = shape.slots[zone // 2]
-            yield [(ch, Scenario(((node, ch),), (link,))) for ch in alphabet.symbols]
+            yield [
+                (ch, Scenario((replace(link, term=PositionTerm(node, ch)),)))
+                for ch in alphabet.symbols
+            ]
 
 
 def _char_leaf_scenarios(
@@ -424,10 +418,10 @@ def _indexof_scenarios(
     """All ways one index-of binding can hold.
 
     A constant haystack resolves statically.  Otherwise an anywhere
-    binding becomes one character term per needle letter at consecutive
-    positions; a first-occurrence binding additionally requires the
-    prefix before the match to be occurrence-free, tracked per piece
-    zone.
+    binding becomes one character placement per needle letter at
+    consecutive positions; a first-occurrence binding additionally
+    requires the prefix before the match to be occurrence-free, with one
+    match tracker per piece zone.
     """
     if isinstance(atom.haystack, Lit):
         positions = _occurrences(atom.needle, atom.haystack.text)
@@ -446,10 +440,10 @@ def _indexof_scenarios(
         out = []
         for zone, k, link in _layout(shape, atom.result, i):
             if k is None:
-                term = (shape.slots[zone // 2], needle[i])
-                out.append((zone, k, Scenario((term,), (link,))))
+                term = PositionTerm(shape.slots[zone // 2], needle[i])
+                out.append((zone, k, Scenario((replace(link, term=term),))))
             elif shape.literals[zone // 2][k - 1] == needle[i]:
-                out.append((zone, k, Scenario(links=(link,))))
+                out.append((zone, k, Scenario((link,))))
         return out
 
     delta = _kmp_delta(needle, alphabet)
@@ -468,39 +462,28 @@ def _indexof_scenarios(
         # enumerated so the chain stays statically known.
         landing_z, landing_k, _frag = placement[-1]
 
-        def monitored(comps: list, pieces: list) -> Scenario:
-            return Scenario(
-                base.terms,
-                base.links,
-                comps=tuple(comps),
-                monitors=(Monitor(tuple(pieces)),),
-            )
-
-        # Depth-first, exit states ascending: (zone, entry state, comps,
-        # pieces) prefixes still to extend, the next one on top.
-        stack: list[tuple[int, int, list, list]] = [(0, 0, [], [])]
+        # Depth-first, exit states ascending: (zone, entry state, pieces)
+        # prefixes still to extend, the next one on top.
+        stack: list[tuple[int, int, tuple[MonitorPiece, ...]]] = [(0, 0, ())]
         while stack:
-            z, entry, comps, pieces = stack.pop()
+            z, entry, pieces = stack.pop()
             if z % 2 == 0:
                 nxt, first = _run_literal(delta, p, entry, shape.literals[z // 2])
                 if z == landing_z:
                     if first == landing_k:
-                        yield monitored(comps, pieces)
+                        yield Scenario(base.links, monitors=pieces)
                 elif first is None:
-                    stack.append((z + 1, nxt, comps, pieces))
+                    stack.append((z + 1, nxt, pieces))
                 continue
-            comp = (shape.slots[z // 2], needle, entry)
+            comp = MatchTracker(shape.slots[z // 2], needle, entry)
             if z == landing_z:
-                landing = MonitorPiece(len(comps), None, len(base.terms) - 1)
-                yield monitored(comps + [comp], pieces + [landing])
+                # The landing link is the last, and holds a position tracker.
+                landing = MonitorPiece(comp, None, base.links[-1].term)
+                yield Scenario(base.links, monitors=pieces + (landing,))
                 continue
             for exit_state in reversed(range(p + 1)):
-                stack.append((
-                    z + 1,
-                    exit_state,
-                    comps + [comp],
-                    pieces + [MonitorPiece(len(comps), exit_state, None)],
-                ))
+                piece = MonitorPiece(comp, exit_state, None)
+                stack.append((z + 1, exit_state, pieces + (piece,)))
 
 
 # ---------------------------------------------------------------------------
@@ -749,15 +732,17 @@ def counter_walk_solve(
     A walk state is one flat tuple of ints: in slot 0 the id of its
     product state, interned once per walk, then the counter vector (one
     slot per :class:`PieceLen` or :class:`PieceCount` term that some
-    check reads), then ``(position, frozen)`` per position term, then
-    ``(KMP state, first completion)`` per match tracker.  A move bumps
-    only counters of its own track and letter, so its updates are
-    planned once per ``(track, letter)`` with every slot already a state
-    index; each id's moves are joined with their plans, successors as
-    ids, into one step table per id, built the first time a walk state
-    on that id is popped.  A move that can freeze no position term
-    yields one successor, one that can freeze one term yields two
-    (unfrozen first), and each further freezable term doubles them.
+    check reads), then ``(position, frozen)`` per position tracker
+    (:attr:`Scenario.terms`), then ``(KMP state, first completion)`` per
+    match tracker (:attr:`Scenario.comps`); one map per walk gives each
+    tracker object its state index.  A move bumps only counters of its
+    own track and letter, so its updates are planned once per ``(track,
+    letter)`` with every slot already a state index; each id's moves are
+    joined with their plans, successors as ids, into one step table per
+    id, built the first time a walk state on that id is popped.  A move
+    that can freeze no position tracker yields one successor, one that
+    can freeze one yields two (unfrozen first), and each further
+    freezable tracker doubles them.
 
     Each newly found walk state costs one unit of ``budget``.  The
     mandatory trees' leaves are compiled once per walk into counter,
@@ -797,23 +782,23 @@ def counter_walk_solve(
     # Forced zeros bind last, as the links ``value(index) + 0 == 0``.
     links += [(LinkEq(index, 0, None, 0, ()), ()) for index in scenario.zeros]
     past_ends = [(pe, len_slots(pe.nodes)) for pe in scenario.past_ends]
+    terms, comps = scenario.terms, scenario.comps
     deltas: dict[str, list[dict[str, int]]] = {}
-    for node, needle, _entry in scenario.comps:
-        slot.setdefault(PieceLen(node), len(slot) + 1)
-        if needle not in deltas:
-            deltas[needle] = _kmp_delta(needle, lowered.alphabet)
-    term_at = 1 + len(slot)  # term t's position, then its frozen flag
-    comp_at = term_at + 2 * len(scenario.terms)  # comp c's KMP state, first
+    for comp in comps:
+        slot.setdefault(PieceLen(comp.node), len(slot) + 1)
+        if comp.needle not in deltas:
+            deltas[comp.needle] = _kmp_delta(comp.needle, lowered.alphabet)
+    # ``at`` maps each tracker to its state index: a position tracker's
+    # position, then its frozen flag; a match tracker's KMP state, then
+    # its first completion.
+    terms_from = 1 + len(slot)
+    comps_from = terms_from + 2 * len(terms)
+    at = {tracker: terms_from + 2 * i for i, tracker in enumerate(terms + comps)}
 
     # Monitor pieces as (KMP state index, exit state, landing position index).
     monitor_pieces = [
-        (
-            comp_at + 2 * mp.comp,
-            mp.exit_state,
-            None if mp.landing_term is None else term_at + 2 * mp.landing_term,
-        )
-        for mon in scenario.monitors
-        for mp in mon.pieces
+        (at[mp.comp], mp.exit_state, at[mp.landing_term] if mp.landing_term else None)
+        for mp in scenario.monitors
     ]
 
     def plan_for(track: int, ch: str) -> tuple:
@@ -835,19 +820,15 @@ def counter_walk_solve(
             ),
             tuple(
                 (
-                    comp_at + 2 * c,
-                    [row[ch] for row in deltas[needle]],
-                    len(needle),
+                    at[comp],
+                    [row[ch] for row in deltas[comp.needle]],
+                    len(comp.needle),
                     slot[length],
                 )
-                for c, (n2, needle, _e) in enumerate(scenario.comps)
-                if n2 == node
+                for comp in comps
+                if comp.node == node
             ),
-            tuple(
-                (term_at + 2 * t, guess == ch)
-                for t, (n2, guess) in enumerate(scenario.terms)
-                if n2 == node
-            ),
+            tuple((at[term], term.char == ch) for term in terms if term.node == node),
         )
 
     plans: dict[tuple[int, str], tuple] = {}
@@ -917,8 +898,8 @@ def counter_walk_solve(
     init = (
         (intern(mta.initial()),)
         + (0,) * len(slot)
-        + (0, 0) * len(scenario.terms)
-        + tuple(x for _n, _needle, entry in scenario.comps for x in (entry, -1))
+        + (0, 0) * len(terms)
+        + tuple(x for comp in comps for x in (comp.entry, -1))
     )
     parents: dict[tuple, Optional[tuple]] = {init: None}
     queue = deque([init])
@@ -936,10 +917,10 @@ def counter_walk_solve(
     def try_accept(state: tuple) -> Optional[WalkResult]:
         """Discharge the scenario's checks on a state of a final product state."""
         nonlocal touched
-        if 0 in state[term_at + 1 : comp_at : 2]:
-            return None  # some position term never froze
+        if 0 in state[terms_from + 1 : comps_from : 2]:
+            return None  # some position tracker never froze
         try:
-            for y in state[term_at:comp_at:2]:
+            for y in state[terms_from:comps_from:2]:
                 if y >= top:
                     raise _Saturated
 
@@ -974,7 +955,7 @@ def counter_walk_solve(
             for link, slots in links:
                 pos = link.const + lens_sum(slots, state)
                 if link.term is not None:
-                    pos += state[term_at + 2 * link.term]
+                    pos += state[at[link.term]]
                 if not bind(link.index, pos - link.shift):
                     return None
 
@@ -1175,11 +1156,11 @@ def refuted(lowered: LoweredProblem) -> bool:
     - a mandatory tree (the scenario's ``extra`` or ``int_tree``) is
       false once every leaf without terms is evaluated, the others left
       unknown;
-    - a term's letter is on no arc of its node's automaton, so the term
-      never freezes;
-    - two links pin the terms of one node, guessing different letters,
-      to one position: same index, shift, constant and multiset of
-      preceding pieces.
+    - a position tracker's letter is on no arc of its node's automaton,
+      so the tracker never freezes;
+    - two links pin position trackers of one node, guessing different
+      letters, to one position: same index, shift, constant and
+      multiset of preceding pieces.
     """
     scenario = lowered.scenario
     trees = scenario.extra
@@ -1188,15 +1169,16 @@ def refuted(lowered: LoweredProblem) -> bool:
     if any(tree_eval(tree, _constant_truth) is False for tree in trees):
         return True
     letters = lowered.automaton.letters
-    if any(ch not in letters[node] for node, ch in scenario.terms):
-        return True
     guesses: dict[tuple, str] = {}
     for link in scenario.links:
-        if link.term is not None:
-            node, ch = scenario.terms[link.term]
-            key = (link.index, link.shift, link.const, tuple(sorted(link.nodes)), node)
-            if guesses.setdefault(key, ch) != ch:
-                return True
+        term = link.term
+        if term is None:
+            continue
+        if term.char not in letters[term.node]:
+            return True
+        key = (link.index, link.shift, link.const, tuple(sorted(link.nodes)), term.node)
+        if guesses.setdefault(key, term.char) != term.char:
+            return True
     return False
 
 

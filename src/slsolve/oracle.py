@@ -428,16 +428,22 @@ def _feasible(problem: Problem, with_extensions: bool) -> bool:
     return True
 
 
+_ATTEMPTS = 1_024  # per seed, before ``gen_random_problem`` gives up
+
+
 def gen_random_problem(seed: int, with_extensions: bool = False) -> Problem:
     """A deterministic small instance for the given seed.
 
     Instances are resampled (still deterministically) until they are
     cheap for the oracle: a static model-length bound within the search
-    depth and a bounded product of source-candidate counts.
+    depth and a bounded product of source-candidate counts.  The first
+    cheap attempt is returned.
     """
-    for attempt in range(256):
+    for attempt in range(_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
         problem = _gen_once(rng, with_extensions)
         if _feasible(problem, with_extensions):
             return problem
-    raise RuntimeError(f"no feasible instance for seed {seed} after 256 attempts")
+    raise RuntimeError(
+        f"no feasible instance for seed {seed} after {_ATTEMPTS} attempts"
+    )

@@ -244,7 +244,7 @@ def generator_attempts(seed: int, with_extensions: bool) -> list[Problem]:
     The seeding of each attempt is the one ``gen_random_problem`` uses.
     """
     attempts = []
-    for attempt in range(256):
+    for attempt in range(oracle._ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
         attempts.append(_gen_once(rng, with_extensions))
         if _feasible(attempts[-1], with_extensions):
@@ -289,12 +289,26 @@ def test_lower_bound_is_sound_on_every_generator_attempt(
     assert hashlib.sha256(repr(bounds).encode()).hexdigest()[:16] == REPLAYED_BOUNDS
 
 
-def test_generator_gives_up_after_256_attempts(monkeypatch):
+def test_generator_gives_up_after_its_attempt_limit(monkeypatch):
+    assert oracle._ATTEMPTS == 1_024
     monkeypatch.setattr(oracle, "_feasible", lambda problem, with_extensions: False)
     with pytest.raises(
-        RuntimeError, match="no feasible instance for seed 3 after 256 attempts"
+        RuntimeError, match="no feasible instance for seed 3 after 1024 attempts"
     ):
         gen_random_problem(3, with_extensions=True)
+
+
+@pytest.mark.parametrize(
+    "seed, with_extensions, tries", [(622, False, 332), (895, True, 361)]
+)
+def test_seeds_that_need_over_256_attempts_generate(seed, with_extensions, tries):
+    """The only seeds in 0..1,499 of either kind that need over 256 attempts."""
+    problem = gen_random_problem(seed, with_extensions)
+    attempts = generator_attempts(seed, with_extensions)
+    assert len(attempts) == tries and attempts[-1] == problem
+    assert problem_wellformed(problem) == []
+    check_straightline(problem)  # must not raise
+    assert problem.has_extensions == with_extensions
 
 
 def test_generated_instances_are_wellformed_and_straightline(string_problems):
