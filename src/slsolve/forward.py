@@ -109,19 +109,25 @@ class ForwardRanges:
         return {var: word[var] for var in self.problem.str_vars}
 
     def _spliced_items(self, rel: ConcatEq, spliced: set[str]) -> list[ConcatItem]:
-        """``rel``'s items with spliced concatenations expanded, recursively,
-        and adjacent literals merged."""
+        """``rel``'s items with spliced concatenations expanded, nested
+        ones too, and adjacent literals merged.
+
+        The expansion keeps a stack of item iterators, one per open
+        concatenation, so a chain of any length fits.  A spliced
+        concatenation has one user, so it is expanded once, in place.
+        """
         out: list[ConcatItem] = []
-        for item in rel.items:
-            if isinstance(item, Var) and item.name in spliced:
-                inner = self._spliced_items(self.graph.defining[item.name], spliced)
+        stack = [iter(rel.items)]
+        while stack:
+            item = next(stack[-1], None)
+            if item is None:
+                stack.pop()
+            elif isinstance(item, Var) and item.name in spliced:
+                stack.append(iter(self.graph.defining[item.name].items))
+            elif isinstance(item, Lit) and out and isinstance(out[-1], Lit):
+                out[-1] = Lit(out[-1].text + item.text)
             else:
-                inner = [item]
-            for sub in inner:
-                if isinstance(sub, Lit) and out and isinstance(out[-1], Lit):
-                    out[-1] = Lit(out[-1].text + sub.text)
-                else:
-                    out.append(sub)
+                out.append(item)
         return out
 
     def _words(

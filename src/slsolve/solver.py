@@ -53,7 +53,6 @@ from .automata import (
     EPSILON,
     Nfa,
     explore,
-    live_states,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -86,6 +85,7 @@ from .transducer import (
     post_image,
     pre_image_within,
     shortest_related,
+    trimmed_transducer,
 )
 
 #: A piece of some variable's value: (variable name, piece index).
@@ -382,12 +382,10 @@ def _segment_machine(
     track progress through ``post_lit``.  Output moves stay in their row,
     input moves are real only in the piece zone, and a literal letter
     read invisibly advances the row; those invisible moves are folded
-    into per-state closures, so the result needs no epsilon pass.  Live
-    states are numbered in ``row * n + state`` order: the live states are
-    found on the explored ids first (most of the ``rows * n`` are never
-    reached), and only the arcs between them are renamed, by the rank of
-    that id.  The start state is kept even when dead, as a trim keeps
-    it.
+    into per-state closures, so the result needs no epsilon pass.  The
+    explored machine is trimmed by
+    :func:`~slsolve.transducer.trimmed_transducer`, its states ranked by
+    ``(row, state)``.
     """
     assert t.is_normalized
     n = t.n_states
@@ -421,29 +419,17 @@ def _segment_machine(
         return out
 
     order, arcs = explore(from_state, successors)
-    keep = live_states(
-        len(order),
-        [(i, j) for i, _, j in arcs],
-        0,
-        [i for i, sid in enumerate(order) if sid in accepting],
-    )
-    keep.add(0)
-    rank = {i: k for k, i in enumerate(sorted(keep, key=order.__getitem__))}
-    return Transducer(
+    rank = [0] * len(order)
+    for k, i in enumerate(sorted(range(len(order)), key=order.__getitem__)):
+        rank[i] = k
+    return trimmed_transducer(
         t.alphabet,
-        len(rank),
-        [
-            (rank[i], ins, outs, rank[j])
-            for i, (ins, outs), j in arcs
-            if i in rank and j in rank
-        ],
+        len(order),
+        [(rank[i], ins, outs, rank[j]) for i, (ins, outs), j in arcs],
         rank[0],
-        frozenset(rank[i] for i in keep if order[i] in accepting),
+        frozenset(rank[i] for i, sid in enumerate(order) if sid in accepting),
     )
 
-
-#: Ranges larger than this fall back to the plain membership automaton.
-_RANGE_STATE_CAP = 400
 
 #: Every split transducer application is filtered (``_boundary_filter``);
 #: a filter whose product states grow past this is abandoned, and only
@@ -493,26 +479,22 @@ def _var_ranges(
     shapes: dict[str, Shape],
     var_nfas: dict[str, Nfa],
 ) -> dict[str, Nfa]:
-    """Forward value overapproximations along the definition chain.
+    """The forward range of each unsplit transducer image, by variable.
 
-    ``ranges[v]`` accepts every value ``v`` can take in a solution of
-    this branch (usually more).  Only variables that feed an unsplit
-    transducer image are computed — those images use their range as a
-    node refinement, which is what lets propagation refute boundary
-    choices early instead of deep in a pre-image chain.  Oversized
-    results fall back to the membership automaton to keep later products
-    small.  A universal membership is not intersected in, as the
-    product would only copy the image.
+    A range accepts every value its variable can take in a solution of
+    this branch (usually more).  The images use their range as a node
+    refinement, which is what lets propagation refute boundary choices
+    early instead of deep in a pre-image chain; only the variables they
+    depend on are computed.  A universal membership is not intersected
+    in, as the product would only copy the image.
     """
-    needed = reachable(
-        (
-            var
-            for var in graph.order
-            if isinstance(graph.defining.get(var), TransducerEq)
-            and len(shapes[var].slots) == 1
-        ),
-        lambda var: graph.uses.get(var, ()),
-    )
+    images = [
+        var
+        for var in graph.order
+        if isinstance(graph.defining.get(var), TransducerEq)
+        and len(shapes[var].slots) == 1
+    ]
+    needed = reachable(images, lambda var: graph.uses.get(var, ()))
 
     universal = nfa_universal(problem.alphabet)
     ranges: dict[str, Nfa] = {}
@@ -524,9 +506,8 @@ def _var_ranges(
             ranges[var] = var_nfas[var]
             continue
         within = None if var_nfas[var] == universal else var_nfas[var]
-        cur = nfa_reduce(_range_step(problem, rel, within, ranges))
-        ranges[var] = var_nfas[var] if cur.n_states > _RANGE_STATE_CAP else cur
-    return ranges
+        ranges[var] = nfa_reduce(_range_step(problem, rel, within, ranges))
+    return {var: ranges[var] for var in images}
 
 
 def _boundary_filter(
@@ -642,25 +623,25 @@ def _branch_forests(
     choices (boundary 0 throughout) are attached up front.  Cut-free
     pieces are attached as they are: the piece of a one-piece variable
     with no literal gap is its branch automaton itself
-    (``_pieces_for``), so that is the node of a source variable or an
-    unsplit image unless another piece or a range lands on it; and a
-    variable whose automaton is the one-state universal one attaches
-    nothing, as its pieces would only copy their nodes.  A choice
-    point's boundaries — automaton or transducer states — are placed one
-    at a time, states ascending, so tuples come out in lexicographic
-    order.  Piece ``j`` depends only on boundaries ``j - 1`` and ``j``,
-    so it is attached as soon as boundary ``j`` is fixed (sliced once
-    per branch through a memo, and intersected onto its node through a
-    memo keyed by both automata; segments through ``seg_cache``) and
-    detached on backtrack; an empty piece, segment relation or node
-    intersection drops every tuple extending the prefix.  Unsplit
-    transducer images are pinned to the forward range of their
-    definition chain.  Every split application places only the boundary
-    pairs that its boundary filter (``_boundary_filter``) leaves alive,
-    unless the filter passes ``_FILTER_STATE_CAP`` and is abandoned;
-    then its boundaries are placed blind.  Each placement
-    charges ``budget`` one unit; the placement that finds it spent
-    raises :class:`BudgetExhausted` out of the enumeration.
+    (``_pieces_for``), so that is the node of a source variable unless
+    another piece lands on it; and a variable whose automaton is the
+    one-state universal one attaches nothing, as its pieces would only
+    copy their nodes.  The node of an unsplit transducer image starts as
+    its forward range (``_var_ranges``), and an empty range drops the
+    branch.  A choice point's boundaries — automaton or transducer
+    states — are placed one at a time, states ascending, so tuples come
+    out in lexicographic order.  Piece ``j`` depends only on boundaries
+    ``j - 1`` and ``j``, so it is attached as soon as boundary ``j`` is
+    fixed (sliced once per branch through a memo, and intersected onto
+    its node through a memo keyed by both automata; segments through
+    ``seg_cache``) and detached on backtrack; an empty piece, segment
+    relation or node intersection drops every tuple extending the
+    prefix.  Every split application places only the boundary pairs
+    that its boundary filter (``_boundary_filter``) leaves alive, unless
+    the filter passes ``_FILTER_STATE_CAP`` and is abandoned; then its
+    boundaries are placed blind.  Each placement charges ``budget`` one
+    unit; the placement that finds it spent raises
+    :class:`BudgetExhausted` out of the enumeration.
     """
     primary = primary_nodes(graph, shapes)
     universal = nfa_universal(problem.alphabet)
@@ -792,15 +773,10 @@ def _branch_forests(
         return True
 
     # Pin unsplit transducer images to their forward range.
-    ranges = _var_ranges(problem, graph, shapes, var_nfas)
-    for var in graph.order:
-        rel = graph.defining.get(var)
-        if isinstance(rel, TransducerEq) and len(shapes[var].slots) == 1:
-            rng = ranges.get(var)
-            if rng is not None and rng is not var_nfas[var]:
-                if not rng.finals:
-                    return
-                nodes[(var, 0)] = rng
+    for var, rng in _var_ranges(problem, graph, shapes, var_nfas).items():
+        if not rng.finals:
+            return
+        nodes[(var, 0)] = rng
 
     # Forced choices next; any emptiness kills the whole branch.  A level
     # is a choice point with the variable whose cuts it places (None for

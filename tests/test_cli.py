@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_forward import spliced_chain
 
 import slsolve
 from slsolve.cli import main, run
@@ -120,6 +121,11 @@ def test_output_is_byte_stable_across_runs(slp, capsys):
     assert first.err == second.err == ""
     lines = first.out.splitlines()
     assert "walks=1" in lines and "scenarios-refuted=0" in lines
+
+
+def test_solve_long_spliced_chain(slp, capsys):
+    assert run(["solve", slp(spliced_chain(2_000))]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "sat"
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,22 @@ def test_spliced_concatenations_get_no_range():
         assert stats["ranges"] == ranges
 
 
+def spliced_chain(n: int) -> str:
+    """``x{i+1} = x{i} . "a"`` for ``i < n``, with ``x{n}`` in ``b*a*``:
+    every concatenation but the last is spliced into its user."""
+    names = " ".join(f"x{i}" for i in range(n + 1))
+    steps = "".join(f'x{i + 1} = x{i} . "a"\n' for i in range(n))
+    return f'alphabet "ab"\nstr {names}\n{steps}regc (in x{n} /b*a*/)\n'
+
+
+def test_long_spliced_chains_expand_without_recursion():
+    """Each spliced concatenation is expanded once, off an explicit
+    stack; one call per link overflowed Python's stack at 1,200 links."""
+    verdict = forward_solve(parse_problem(spliced_chain(2_000)))
+    assert verdict.status == "sat"
+    assert verdict.model["x2000"] == "a" * 2_000
+
+
 def test_concatenations_split_late_items_longest():
     problem = parse_problem(
         'alphabet "ab"\nstr u v x\nx = u . v\n'

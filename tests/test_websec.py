@@ -367,45 +367,3 @@ def test_wrap_chain_ending_in_a_split_is_pruned_by_concatenation_ranges():
         stats: dict = {}
         assert solve(problem, stats=stats).status == "unsat", sink
         assert (stats["forests"], stats["cut-placements"]) == (forests, placements)
-
-
-def solve_noting_pins(monkeypatch, problem):
-    """``solve``'s verdict, and the unsplit transducer images whose node,
-    in any forest, is not their membership automaton."""
-    pinned = []
-
-    def recording(problem, graph, shapes, var_nfas, *rest, real=solver._branch_forests):
-        for forest in real(problem, graph, shapes, var_nfas, *rest):
-            pinned.extend(
-                var
-                for var, rel in graph.defining.items()
-                if isinstance(rel, TransducerEq)
-                and len(shapes[var].slots) == 1
-                and forest.nfas[(var, 0)] != var_nfas[var]
-            )
-            yield forest
-
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_branch_forests", recording)
-        verdict = solve(problem)
-    return verdict, pinned
-
-
-def test_ranges_past_the_cap_fall_back_to_membership(monkeypatch):
-    """A range past ``_RANGE_STATE_CAP`` is its variable's membership
-    automaton, so no unsplit image is pinned, and the verdict and model
-    stay those of the pinned solve.
-
-    No benchmark instance reaches the fallback, so the cap is lowered to
-    0.  Nothing but a pin lands on these cases' unsplit image nodes.
-    ``ex_corrected`` is left out: without pins it takes seconds.
-    """
-    for name in ("ex_cacm", "ex_mxss1"):
-        problem = load_benchmark(name).problem
-        pinned_verdict, pinned = solve_noting_pins(monkeypatch, problem)
-        assert pinned, name
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_RANGE_STATE_CAP", 0)
-            verdict, still_pinned = solve_noting_pins(monkeypatch, problem)
-        assert still_pinned == [], name
-        assert verdict == pinned_verdict, name
