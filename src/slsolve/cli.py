@@ -18,7 +18,9 @@ Five subcommands, all reading the ``.slp`` problem format:
 Exit codes: 0 satisfiable (or a successful check/dimension report),
 1 unsatisfiable, 2 usage, parse, or fragment errors, 3 bound-limited
 negatives (``unsat-within-bounds``, ``resource-limit``, oracle
-``exhausted``).
+``exhausted``), 4 internal errors (any other exception, reported as
+``internal error: <type>: <message>`` on stderr), so that a crash never
+reads as ``unsat``.
 
 Output is byte-stable for fixed inputs and flags: model strings are
 quoted with backslash escapes for ``"`` and ``\\`` only (alphabets are
@@ -191,7 +193,11 @@ def _cmd_oracle(args: argparse.Namespace, problem: Problem) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Execute one command line; never raises on bad input."""
+    """Execute one command line; never raises on bad input.
+
+    Only ``KeyboardInterrupt`` and ``SystemExit`` escape: any other
+    exception is a fault of the solver, and returns 4.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -239,6 +245,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> int:

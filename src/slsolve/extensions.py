@@ -35,13 +35,13 @@ disequalities — is decided here by a bounded search:
    other scenario, a breadth-first walk explores (product state,
    counter state) pairs, counters capped at the integer bound.  A walk
    state is one flat tuple of ints: in slot 0 the product state's id
-   (each product state is interned to an id once per walk), then one
-   counter vector for piece lengths and letter counts, then the
-   position trackers in link order and the match trackers in
-   monitor-piece order.  Each id's moves are joined once per walk with
-   their planned counter updates into one step table, which the id
-   indexes.  Whenever the walk stands on an
-   accepting product state it tries to discharge the lowered
+   (the product numbers its states once per forest, and every walk
+   over that forest shares the numbering), then one counter vector for
+   piece lengths and letter counts, then the position trackers in link
+   order and the match trackers in monitor-piece order.  Each id's
+   moves are joined once per walk with their planned counter updates
+   into one step table, which the id indexes.  Whenever the walk stands
+   on an accepting product state it tries to discharge the lowered
    constraints from the counters; integer variables not pinned by a
    linking equation are enumerated up to the bound.  The constraint
    leaves are compiled once per walk, so each combination of free
@@ -58,7 +58,7 @@ and a spent budget ends the solve with ``resource-limit``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
@@ -131,11 +131,15 @@ class PositionTerm:
 
 @dataclass(frozen=True, eq=False)
 class MatchTracker:
-    """``needle``'s KMP state on ``node`` from ``entry``, and its first match."""
+    """``needle``'s KMP state on ``node`` from ``entry``, and its first match.
+
+    ``delta`` is the needle's match automaton, one per index-of atom.
+    """
 
     node: NodeId
     needle: str
     entry: int
+    delta: list[dict[str, int]] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -475,7 +479,7 @@ def _indexof_scenarios(
                 elif first is None:
                     stack.append((z + 1, nxt, pieces))
                 continue
-            comp = MatchTracker(shape.slots[z // 2], needle, entry)
+            comp = MatchTracker(shape.slots[z // 2], needle, entry, delta)
             if z == landing_z:
                 # The landing link is the last, and holds a position tracker.
                 landing = MonitorPiece(comp, None, base.links[-1].term)
@@ -542,9 +546,9 @@ class MultiTrackAutomaton:
     accepted runs onto tracks are therefore exactly the forest's
     solution tuples.
 
-    Moves and finality are memoised per product state: a forest has few
-    product states, and one automaton serves every scenario walked over
-    that forest.
+    Product states get ids in discovery order, 0 the initial state, and
+    :meth:`moves` and :meth:`is_final` answer by id from memos that every
+    scenario walked over the forest shares.
     """
 
     def __init__(self, forest: AcForest) -> None:
@@ -571,48 +575,53 @@ class MultiTrackAutomaton:
         # Per-edge rule maps: state -> char -> targets.
         self._in_map = [machine.consuming for _p, _c, machine in self._edges]
         self._out_map = [machine.emitting for _p, _c, machine in self._edges]
-        self._final: dict[tuple[int, ...], bool] = {}
-        self._moves: dict[
-            tuple[int, ...], tuple[tuple[int, str, tuple[int, ...]], ...]
-        ] = {}
+        # A product state holds one state per track, then one per edge.
+        parts = self._nfas + [machine for _p, _c, machine in self._edges]
+        self._finals = [part.finals for part in parts]
+        # Per id: the state tuple, its finality and its moves once expanded.
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._states: list[tuple[int, ...]] = []
+        self._final: list[bool] = []
+        self._moves: list[Optional[tuple[tuple[int, str, int], ...]]] = []
+        self._intern(tuple(part.initial for part in parts))
 
-    def initial(self) -> tuple[int, ...]:
-        nfa_part = tuple(nfa.initial for nfa in self._nfas)
-        edge_part = tuple(machine.initial for _p, _c, machine in self._edges)
-        return nfa_part + edge_part
+    @property
+    def size(self) -> int:
+        """How many product states have an id so far."""
+        return len(self._states)
 
-    def is_final(self, state: tuple[int, ...]) -> bool:
-        final = self._final.get(state)
-        if final is None:
-            n = len(self._nfas)
-            final = self._final[state] = all(
-                state[i] in nfa.finals for i, nfa in enumerate(self._nfas)
-            ) and all(
-                state[n + e] in machine.finals
-                for e, (_p, _c, machine) in enumerate(self._edges)
-            )
-        return final
+    def initial(self) -> int:
+        return 0
 
-    def moves(
-        self, state: tuple[int, ...]
-    ) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
-        """All (track, letter, successor) moves, in deterministic order."""
-        moves = self._moves.get(state)
+    def is_final(self, k: int) -> bool:
+        return self._final[k]
+
+    def moves(self, k: int) -> tuple[tuple[int, str, int], ...]:
+        """All (track, letter, successor id) moves, in deterministic order."""
+        moves = self._moves[k]
         if moves is None:
-            moves = self._moves[state] = tuple(self._expand(state))
+            expanded = self._expand(self._states[k])
+            moves = self._moves[k] = tuple(
+                (i, ch, self._intern(nxt)) for i, ch, nxt in expanded
+            )
         return moves
+
+    def _intern(self, state: tuple[int, ...]) -> int:
+        k = self._ids.get(state)
+        if k is None:
+            k = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._final.append(all(q in f for q, f in zip(state, self._finals)))
+            self._moves.append(None)
+        return k
 
     def _expand(
         self, state: tuple[int, ...]
     ) -> Iterator[tuple[int, str, tuple[int, ...]]]:
         n = len(self._nfas)
         for i, nfa in enumerate(self._nfas):
-            arcs = nfa.arcs_by_symbol[state[i]]
             parent = self._parent_edge[i]
-            for ch in nfa.alphabet:
-                nfa_targets = arcs.get(ch, ())
-                if not nfa_targets:
-                    continue
+            for ch, nfa_targets in nfa.arcs_by_symbol[state[i]].items():
                 if parent is not None:
                     cause = self._out_map[parent][state[n + parent]].get(ch, ())
                     if not cause:
@@ -649,13 +658,16 @@ class MultiTrackAutomaton:
 
 @dataclass(frozen=True)
 class LoweredProblem:
-    """Everything one bounded walk needs, already split-aligned."""
+    """Everything one bounded walk needs, already split-aligned.
+
+    ``trees`` are the mandatory trees: the scenario's ``extra``, then the
+    lowered integer constraints if any.
+    """
 
     automaton: MultiTrackAutomaton
     scenario: Scenario
-    int_tree: Optional[BoolTree]
+    trees: tuple[BoolTree, ...]
     int_vars: tuple[str, ...]
-    alphabet: Alphabet
 
 
 @dataclass(frozen=True)
@@ -669,31 +681,24 @@ class _Saturated(Exception):
     """A needed counter was capped; the outcome is bound-dependent."""
 
 
-def _definite_caps(
-    trees: Sequence[BoolTree],
-) -> dict[Union[NodeId, tuple[NodeId, str]], int]:
+def _definite_caps(trees: Sequence[BoolTree]) -> dict[LoweredTerm, int]:
     """Hard ceilings on piece counters implied by mandatory linear leaves.
 
     A leaf in a purely conjunctive position must hold in every model, so
     ``c*counter <= bound`` with every other coefficient nonnegative caps
     the counter at ``bound // c``.  Walk states past a cap can never
-    accept (counters only grow), so they are pruned outright.
+    accept (counters only grow), so they are pruned outright.  Each
+    ceiling is keyed by its :class:`PieceLen` or :class:`PieceCount` term.
     """
-    caps: dict[Union[NodeId, tuple[NodeId, str]], int] = {}
+    caps: dict[LoweredTerm, int] = {}
 
     def leaf_caps(atom: LoweredLinear) -> None:
         if any(coeff < 0 for coeff, _t in atom.terms):
             return
         for coeff, term in atom.terms:
-            if coeff <= 0 or isinstance(term, IntTerm):
-                continue
-            key: Union[NodeId, tuple[NodeId, str]]
-            if isinstance(term, PieceLen):
-                key = term.node
-            else:
-                key = (term.node, term.char)
-            cap = atom.bound // coeff
-            caps[key] = min(caps.get(key, cap), cap)
+            if coeff > 0 and not isinstance(term, IntTerm):
+                cap = atom.bound // coeff
+                caps[term] = min(caps.get(term, cap), cap)
 
     # (subtree, polarity) pairs still to visit; caps combine by min, so
     # the visiting order does not matter.
@@ -730,38 +735,37 @@ def counter_walk_solve(
     deterministic move order) is reconstructed into per-node words.
 
     A walk state is one flat tuple of ints: in slot 0 the id of its
-    product state, interned once per walk, then the counter vector (one
-    slot per :class:`PieceLen` or :class:`PieceCount` term that some
-    check reads), then ``(position, frozen)`` per position tracker
-    (:attr:`Scenario.terms`), then ``(KMP state, first completion)`` per
-    match tracker (:attr:`Scenario.comps`); one map per walk gives each
-    tracker object its state index.  A move bumps only counters of its
-    own track and letter, so its updates are planned once per ``(track,
-    letter)`` with every slot already a state index; each id's moves are
-    joined with their plans, successors as ids, into one step table per
-    id, built the first time a walk state on that id is popped.  A move
+    product state (the automaton's own numbering), then the counter
+    vector (one slot per :class:`PieceLen` or :class:`PieceCount` term
+    that some check reads), then ``(position, frozen)`` per position
+    tracker (:attr:`Scenario.terms`), then ``(KMP state, first
+    completion)`` per match tracker (:attr:`Scenario.comps`); one map
+    per walk gives each tracker object its state index.  A move bumps
+    only counters of its own track and letter, so its updates are
+    planned once per ``(track, letter)``, with every slot already a state
+    index and each match tracker's step read off its own ``delta``; each
+    id's moves are joined with their plans into one step table per id,
+    built the first time a walk state on that id is popped.  A move
     that can freeze no position tracker yields one successor, one that
     can freeze one yields two (unfrozen first), and each further
     freezable tracker doubles them.
 
     Each newly found walk state costs one unit of ``budget``.  The
-    mandatory trees' leaves are compiled once per walk into counter,
-    pinned-integer and free-integer parts, so an accepting state sums
-    its counters once and each combination of free integers adds only
-    its own part, costing one unit each.  When no leaf reads a free
-    integer, every combination has the same values: they are evaluated
-    once, and the budget is charged at once for the combinations the
-    enumeration would have tried.  A walk that needs more than is left
-    spends the budget and raises :class:`BudgetExhausted`.
+    leaves of :attr:`LoweredProblem.trees` are compiled once per walk
+    into counter, pinned-integer and free-integer parts, so an accepting
+    state sums its counters once and each combination of free integers
+    adds only its own part, costing one unit each.  When no leaf reads a
+    free integer, every combination has the same values: they are
+    evaluated once, and the budget is charged at once for the
+    combinations the enumeration would have tried.  A walk that needs
+    more than is left spends the budget and raises
+    :class:`BudgetExhausted`.
     """
     mta = lowered.automaton
     scenario = lowered.scenario
+    mandatory = lowered.trees
     cap = int_bound
     top = cap + 1  # saturation marker
-
-    mandatory = list(scenario.extra)
-    if lowered.int_tree is not None:
-        mandatory.append(lowered.int_tree)
     hard_caps = _definite_caps(mandatory)
 
     # --- the state layout -------------------------------------------------
@@ -783,11 +787,8 @@ def counter_walk_solve(
     links += [(LinkEq(index, 0, None, 0, ()), ()) for index in scenario.zeros]
     past_ends = [(pe, len_slots(pe.nodes)) for pe in scenario.past_ends]
     terms, comps = scenario.terms, scenario.comps
-    deltas: dict[str, list[dict[str, int]]] = {}
     for comp in comps:
         slot.setdefault(PieceLen(comp.node), len(slot) + 1)
-        if comp.needle not in deltas:
-            deltas[comp.needle] = _kmp_delta(comp.needle, lowered.alphabet)
     # ``at`` maps each tracker to its state index: a position tracker's
     # position, then its frozen flag; a match tracker's KMP state, then
     # its first completion.
@@ -814,14 +815,14 @@ def counter_walk_solve(
         length = PieceLen(node)
         return (
             tuple(
-                (slot[term], hard_caps.get(key, top))
-                for term, key in ((length, node), (PieceCount(node, ch), (node, ch)))
+                (slot[term], hard_caps.get(term, top))
+                for term in (length, PieceCount(node, ch))
                 if term in slot
             ),
             tuple(
                 (
                     at[comp],
-                    [row[ch] for row in deltas[comp.needle]],
+                    [row[ch] for row in comp.delta],
                     len(comp.needle),
                     slot[length],
                 )
@@ -832,31 +833,21 @@ def counter_walk_solve(
         )
 
     plans: dict[tuple[int, str], tuple] = {}
-    # Product states interned to per-walk ids: ``prods[k]`` is the state
-    # with id k, and ``tables[k]`` its step table once some walk state
-    # standing on it has been popped.
-    prod_ids: dict[tuple[int, ...], int] = {}
-    prods: list[tuple[int, ...]] = []
-    tables: list[Optional[tuple[bool, list[tuple]]]] = []
-
-    def intern(prod: tuple[int, ...]) -> int:
-        k = prod_ids.get(prod)
-        if k is None:
-            k = prod_ids[prod] = len(prods)
-            prods.append(prod)
-            tables.append(None)
-        return k
+    # ``tables[k]`` is product state k's step table once some walk state
+    # standing on it has been popped; the list grows with the product's
+    # numbering, so every id a table names indexes it.
+    tables: list[Optional[tuple[bool, list[tuple]]]] = [None] * mta.size
 
     def step_table(k: int) -> tuple[bool, list[tuple]]:
         """Finality and ``(successor id, track, letter, *plan)`` per move."""
-        prod = prods[k]
         table = []
-        for track, ch, nxt_prod in mta.moves(prod):
+        for track, ch, nxt in mta.moves(k):
             plan = plans.get((track, ch))
             if plan is None:
                 plan = plans[track, ch] = plan_for(track, ch)
-            table.append((intern(nxt_prod), track, ch) + plan)
-        return mta.is_final(prod), table
+            table.append((nxt, track, ch) + plan)
+        tables.extend([None] * (mta.size - len(tables)))
+        return mta.is_final(k), table
 
     # --- compiled acceptance ----------------------------------------------
     # Every string index in ``links`` is bound before the integers left
@@ -896,7 +887,7 @@ def counter_walk_solve(
 
     # --- the walk ---------------------------------------------------------
     init = (
-        (intern(mta.initial()),)
+        (mta.initial(),)
         + (0,) * len(slot)
         + (0, 0) * len(terms)
         + tuple(x for comp in comps for x in (comp.entry, -1))
@@ -1153,24 +1144,19 @@ def refuted(lowered: LoweredProblem) -> bool:
 
     Three checks, none of which reads a counter:
 
-    - a mandatory tree (the scenario's ``extra`` or ``int_tree``) is
-      false once every leaf without terms is evaluated, the others left
-      unknown;
+    - a mandatory tree (:attr:`LoweredProblem.trees`) is false once
+      every leaf without terms is evaluated, the others left unknown;
     - a position tracker's letter is on no arc of its node's automaton,
       so the tracker never freezes;
     - two links pin position trackers of one node, guessing different
       letters, to one position: same index, shift, constant and
       multiset of preceding pieces.
     """
-    scenario = lowered.scenario
-    trees = scenario.extra
-    if lowered.int_tree is not None:
-        trees += (lowered.int_tree,)
-    if any(tree_eval(tree, _constant_truth) is False for tree in trees):
+    if any(tree_eval(tree, _constant_truth) is False for tree in lowered.trees):
         return True
     letters = lowered.automaton.letters
     guesses: dict[tuple, str] = {}
-    for link in scenario.links:
+    for link in lowered.scenario.links:
         term = link.term
         if term is None:
             continue
@@ -1207,7 +1193,8 @@ class ScenarioWalks:
 
     Built once per solve, before the search: fixes the integer bound
     (``default_int_bound`` when ``int_bound`` is None), lowers the integer
-    constraints and enumerates the scenarios onto ``shapes``.
+    constraints, enumerates the scenarios onto ``shapes`` and gives each
+    its mandatory trees (:attr:`LoweredProblem.trees`), once per scenario.
     :meth:`model` then walks every scenario over one forest's product
     automaton, all on the solve's ``budget``, except those that
     :func:`refuted` rules out for that forest: these cost no budget and
@@ -1225,8 +1212,13 @@ class ScenarioWalks:
         self.shapes = shapes
         self.budget = budget
         self.int_bound = default_int_bound(problem) if int_bound is None else int_bound
-        self.int_tree = lower_integer_terms(problem.integers, shapes)
-        self.scenarios = list(enumerate_scenarios(problem, shapes))
+        int_tree = lower_integer_terms(problem.integers, shapes)
+        int_trees = () if int_tree is None else (int_tree,)
+        #: Each scenario with its mandatory trees.
+        self.scenarios = [
+            (scenario, scenario.extra + int_trees)
+            for scenario in enumerate_scenarios(problem, shapes)
+        ]
         self.walks = 0
         #: (forest, scenario) pairs skipped without a walk.
         self.refuted = 0
@@ -1245,10 +1237,8 @@ class ScenarioWalks:
             AcForest(forest.order, feasible, forest.children, forest.parent)
         )
         problem = self.problem
-        for scenario in self.scenarios:
-            lowered = LoweredProblem(
-                mta, scenario, self.int_tree, problem.int_vars, problem.alphabet
-            )
+        for scenario, trees in self.scenarios:
+            lowered = LoweredProblem(mta, scenario, trees, problem.int_vars)
             if refuted(lowered):
                 self.refuted += 1
                 continue

@@ -292,6 +292,20 @@ def test_solving_outside_the_fragment_fails_cleanly(slp, capsys):
     assert err == "not straight-line: definitions form a cycle: x -> y -> x\n"
 
 
+def test_internal_error_exits_four_not_the_unsat_code(slp, monkeypatch, capsys):
+    """A fault inside the solver is reported as such, never as ``unsat``."""
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("slsolve.cli.solve", broken)
+    for argv in (["solve", slp(CHAR_SAT)], ["bench", "ex_cacm"]):
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["solve"]) == 2

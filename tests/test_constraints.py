@@ -6,6 +6,8 @@ cases (out-of-range character positions, overlapping occurrences,
 negative integers) are pinned down here on tiny hand-built problems.
 """
 
+import re
+
 import pytest
 
 from slsolve.automata import Alphabet, nfa_from_word
@@ -37,6 +39,7 @@ from slsolve.constraints import (
     tree_leaves,
 )
 from slsolve.regex import regex_parse
+from slsolve.solver import solve
 from slsolve.transducer import erase_transducer, identity_transducer
 
 AB = Alphabet.of("ab")
@@ -252,6 +255,13 @@ def test_has_extensions_flag():
 # Static well-formedness report
 
 
+def assert_flagged(problem: Problem, fault: str) -> None:
+    """The report names ``fault``, and ``solve`` refuses the problem with it."""
+    assert any(fault in line for line in problem_wellformed(problem))
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        solve(problem)
+
+
 def test_wellformed_accepts_a_sane_problem():
     problem = Problem(
         alphabet=AB,
@@ -277,6 +287,12 @@ def test_wellformed_flags_undeclared_variables():
     )
     report = problem_wellformed(problem)
     assert any("ghost" in line for line in report)
+    ints = Problem(
+        alphabet=AB,
+        str_vars=("x",),
+        integers=Leaf(LinearAtom(((1, IntTerm("ghost")),), 5)),
+    )
+    assert_flagged(ints, "undeclared integer variable 'ghost'")
 
 
 def test_wellformed_flags_literal_outside_alphabet():
@@ -287,6 +303,24 @@ def test_wellformed_flags_literal_outside_alphabet():
     )
     report = problem_wellformed(problem)
     assert any("alphabet" in line for line in report)
+    # Character atoms only the API can build: a count, a constant, an
+    # index and a needle that the parser would refuse.
+    count = Leaf(LinearAtom(((1, CountTerm("x", "c")),), 5))
+    assert_flagged(
+        Problem(alphabet=AB, str_vars=("x",), integers=count),
+        "count term: bad character 'c'",
+    )
+    for side, fault in [
+        (CharPos("x", 0), "character index 0 must be at least 1"),
+        (CharConst("ab"), "bad character constant 'ab'"),
+    ]:
+        chars = Leaf(CharAtom(CharPos("x", 1), side))
+        assert_flagged(Problem(alphabet=AB, str_vars=("x",), chars=chars), fault)
+    needle = IndexOfAtom("u", "", Var("x"), first=True)
+    assert_flagged(
+        Problem(alphabet=AB, str_vars=("x",), int_vars=("u",), indexofs=(needle,)),
+        "indexof binding u: empty needle",
+    )
 
 
 def test_wellformed_flags_alphabet_mismatch_of_machines():
@@ -298,10 +332,17 @@ def test_wellformed_flags_alphabet_mismatch_of_machines():
     )
     report = problem_wellformed(problem)
     assert any("alphabet" in line for line in report)
+    image = TransducerEq("y", "copy", identity_transducer(other), "x")
+    assert_flagged(
+        Problem(alphabet=AB, str_vars=("x", "y"), relations=(image,)),
+        "transducer alphabet differs from problem alphabet",
+    )
 
 
 def test_wellformed_flags_duplicate_and_double_sorted_declarations():
     duplicated = Problem(alphabet=AB, str_vars=("x", "x"))
     assert any("duplicate" in line for line in problem_wellformed(duplicated))
+    ints = Problem(alphabet=AB, str_vars=("x",), int_vars=("u", "u"))
+    assert_flagged(ints, "duplicate integer variable declaration")
     both = Problem(alphabet=AB, str_vars=("u",), int_vars=("u",))
     assert any("both sorts" in line for line in problem_wellformed(both))

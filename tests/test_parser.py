@@ -144,6 +144,13 @@ def test_parse_accepts_blank_lines_and_comments_anywhere():
         "# heading\n\nalphabet \"ab\"\n# mid\nstr x\n\nregc (in x /a/)\n"
     )
     assert problem.str_vars == ("x",)
+    # Also inside a transducer block, beside a rule with quoted labels.
+    problem = parse_problem(
+        'alphabet "ab"\nstr x y\ntransducer t {\n  states 1\n  # rules\n'
+        '  initial 0\n  final 0\n  t 0 "ab"/"b" 0\n}\ny = t(x)\n'
+    )
+    [rel] = problem.relations
+    assert rel.transducer.transitions == ((0, "ab", "b", 0),)
 
 
 def test_empty_input_reports_missing_alphabet():
@@ -155,6 +162,9 @@ def test_empty_input_reports_missing_alphabet():
 
 #: Longer than the 4,300 digits Python converts from a string.
 BIG = "7" * 5_000
+
+#: A head after which a constraint is on line 4 of the file.
+H = 'alphabet "ab"\nstr x y\nint u\n'
 
 #: A transducer block whose ``{}`` line is line 4 of the file.
 BLOCK = 'alphabet "ab"\nstr x y\ntransducer t {{\n  {}\n}}\n'
@@ -211,6 +221,21 @@ def big(text: str, line_no: int, name: str):
         big(BLOCK.format(f"final 0 {BIG}"), 4, "final"),
         big(BLOCK.format(f"t {BIG} a/a 0"), 4, "rule-source"),
         big(BLOCK.format(f"t 0 a/a {BIG}"), 4, "rule-target"),
+        (H + "regc )", 4, "unexpected ')'"),
+        ("alphabet ab\n", 1, 'expected: alphabet "<characters>"'),
+        (H + "intc", 4, "empty intc constraint"),
+        (H + "regc (or)", 4, "empty (or)"),
+        (H + "intc (= (len x) 3)", 4, "expected (<= <expr> <int>)"),
+        (H + "intc (<= (* u 2) 3)", 4, "expected (* <int> <term>)"),
+        (H + "intc (<= (len 3) 3)", 4, "expected (len <var>)"),
+        (H + "intc (<= (count x a) 3)", 4, "expected (count <var> '<char>')"),
+        (H + "intc (<= (foo x) 3)", 4, "cannot parse integer expression"),
+        (H + "intc (<= /a/ 3)", 4, "unexpected '/a/' in integer expression"),
+        (H + "charc (= (x) 'a')", 4, "expected x[i] or '<char>'"),
+        (H + "charc (= u 'a')", 4, "expected x[i] or '<char>'"),
+        (H + "charc (<= x[1] 'a')", 4, "expected (= <side> <side>)"),
+        (H + "charc (= x[1] '\\a')", 4, "unknown escape \\a in character literal"),
+        (BLOCK.format("bogus"), 4, "bad transducer line"),
     ],
 )
 def test_parse_error_lines(text: str, line_no: int, needle: str):
@@ -259,6 +284,17 @@ def test_quote_word_escapes_only_quote_and_backslash():
 def test_unquote_decodes_escapes():
     assert unquote('"a\\"b"') == 'a"b'
     assert unquote('"a\\\\b"') == "a\\b"
+    # Character literals take the escapes of their own quote and of ``\``.
+    problem = parse_problem(
+        'alphabet "ab\'\\\\"\nstr x\n'
+        "charc (and (= x[1] '\\'') (= x[2] '\\\\'))\n"
+    )
+    assert problem.chars == And(
+        (
+            Leaf(CharAtom(CharPos("x", 1), CharConst("'"))),
+            Leaf(CharAtom(CharPos("x", 2), CharConst("\\"))),
+        )
+    )
 
 
 def test_unquote_rejects_dangling_backslash():
@@ -328,9 +364,10 @@ def test_nesting_a_hundred_deep_parses(line: str):
     [
         ("regc " + nested(10_000, "(not ", "(in x /a/)"), "regc constraint nested"),
         ("intc " + nested(10_000, "(not ", "(<= u 3)"), "intc constraint nested"),
+        ("charc " + nested(10_000, "(not ", "(= x[1] 'a')"), "charc constraint nested"),
         ("regc (in x /" + nested(10_000, "(", "a") + "/)", "pattern nested too deeply"),
     ],
-    ids=["regc", "intc", "regex"],
+    ids=["regc", "intc", "charc", "regex"],
 )
 def test_nesting_too_deep_is_a_parse_error(line: str, needle: str):
     with pytest.raises(ParseError) as info:
