@@ -18,7 +18,10 @@ co-reachable half of :func:`live_states`, through which every trim
 goes.  Every product is trimmed where it is built, in the one
 construction that builds it (:func:`trimmed_nfa`), so it is empty
 exactly when it has no final state; :func:`nfa_is_empty` answers for a
-machine of any other origin.
+machine of any other origin.  A trimmed machine says so, and
+:func:`nfa_reduce` does not trim it again.  The product of a machine
+with the universal automaton is only a renumbered copy, so
+:func:`nfa_bfs_copy` builds that copy without the product.
 
 Epsilon arcs are read in one place, once per machine:
 :func:`nfa_eps_eliminate` builds a machine's epsilon-free copy on first
@@ -34,6 +37,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
     Callable,
+    ClassVar,
     Hashable,
     Iterable,
     Iterator,
@@ -198,6 +202,11 @@ class Nfa:
     initial: int
     finals: frozenset[int]
 
+    #: Set on the machines :func:`trimmed_nfa` and :func:`nfa_trim`
+    #: return, whose states are all live (bar a dead initial state), so
+    #: :func:`nfa_reduce` need not trim them again.
+    _trimmed: ClassVar[bool] = False
+
     def __post_init__(self) -> None:
         n = self.n_states
         if not (0 <= self.initial < n):
@@ -321,7 +330,12 @@ def trimmed_nfa(
     remap = trim_renumbering(
         n_states, [(q, r) for q, _, r in transitions], initial, finals
     )
-    return _renumbered(alphabet, remap, transitions, initial, finals)
+    return _marked_trimmed(_renumbered(alphabet, remap, transitions, initial, finals))
+
+
+def _marked_trimmed(nfa: Nfa) -> Nfa:
+    object.__setattr__(nfa, "_trimmed", True)
+    return nfa
 
 
 def _renumbered(
@@ -355,8 +369,10 @@ def nfa_trim(nfa: Nfa) -> Nfa:
         nfa.n_states, [(q, r) for q, _, r in nfa.transitions], nfa.initial, nfa.finals
     )
     if len(remap) == nfa.n_states:
-        return nfa
-    return _renumbered(nfa.alphabet, remap, nfa.transitions, nfa.initial, nfa.finals)
+        return _marked_trimmed(nfa)
+    return _marked_trimmed(
+        _renumbered(nfa.alphabet, remap, nfa.transitions, nfa.initial, nfa.finals)
+    )
 
 
 #: Machines up to this many states are refined in full rounds; larger
@@ -383,8 +399,14 @@ def nfa_reduce(nfa: Nfa) -> Nfa:
     moved (:func:`_refine_by_splits`).  The coarsest stable partition is
     unique, so both give the same classes; they are numbered by their
     least state.
+
+    The input is trimmed first, unless it is epsilon-free and came out
+    of :func:`trimmed_nfa` or :func:`nfa_trim`, which leave nothing to
+    trim: every product, every copy of a leaf and every slice.
     """
-    nfa = nfa_trim(nfa_eps_eliminate(nfa))
+    nfa = nfa_eps_eliminate(nfa)
+    if not nfa._trimmed:
+        nfa = nfa_trim(nfa)
     n = nfa.n_states
     if n <= 1:
         return nfa
@@ -511,6 +533,27 @@ def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
         i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
     )
     return trimmed_nfa(a.alphabet, len(order), arcs, 0, finals)
+
+
+def nfa_bfs_copy(nfa: Nfa) -> Nfa:
+    """``nfa_intersect(nfa_universal(nfa.alphabet), nfa)``, without the product.
+
+    The product's pair ``(0, q)`` stands for ``q``, so the copy explores
+    the epsilon-free machine's own arcs, in the same order, and numbers
+    and trims its states as the product does.  A machine already
+    numbered breadth-first is its own copy once trimmed.
+    """
+    nfa = nfa_eps_eliminate(nfa)
+    rows = nfa.arcs_by_symbol
+
+    def successors(q: int) -> list[tuple[str, int]]:
+        return [(sym, r) for sym, rs in rows[q].items() for r in rs]
+
+    order, arcs = explore(nfa.initial, successors)
+    if order == list(range(nfa.n_states)):
+        return nfa_trim(nfa)
+    finals = frozenset(i for i, q in enumerate(order) if q in nfa.finals)
+    return trimmed_nfa(nfa.alphabet, len(order), arcs, 0, finals)
 
 
 def nfa_concat(parts: Sequence[Nfa]) -> Nfa:

@@ -58,8 +58,8 @@ and a spent budget ends the solve with ``resource-limit``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
-from itertools import chain, product as iter_product
+from dataclasses import dataclass, field, replace
+from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
 from .automata import Alphabet, Nfa, nfa_eps_eliminate
@@ -215,13 +215,20 @@ class Scenario:
 
 
 def _merge_scenarios(parts: Sequence[Scenario]) -> Scenario:
-    """Concatenate scenario pieces field by field."""
-    return Scenario(
-        *(
-            tuple(chain.from_iterable(getattr(part, f.name) for part in parts))
-            for f in fields(Scenario)
-        )
-    )
+    """Concatenate scenario pieces field by field.
+
+    The five fields are joined by name: most merges join two small
+    pieces, and reflecting on :func:`dataclasses.fields` cost more than
+    the joins themselves.
+    """
+    links = zeros = past_ends = extra = monitors = ()
+    for part in parts:
+        links += part.links
+        zeros += part.zeros
+        past_ends += part.past_ends
+        extra += part.extra
+        monitors += part.monitors
+    return Scenario(links, zeros, past_ends, extra, monitors)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .automata import (
     nfa_eps_eliminate,
     nfa_nonempty_shortest,
     nfa_reduce,
-    nfa_universal,
 )
 from .constraints import Assignment, ConcatEq, ConcatItem, Lit, Problem, Var
 from .solver import Budget, _range_step
@@ -53,17 +52,23 @@ class ForwardRanges:
 
     ``built`` counts the ranges computed so far.  Each product a range
     needs charges ``budget`` its state count, and each search the model
-    needs one unit per product state it visits.
+    needs one unit per product state it visits.  ``universal`` is the
+    solve's one universal automaton, which marks the memberships that
+    constrain nothing.
     """
 
     def __init__(
-        self, problem: Problem, graph: DependencyGraph, budget: Budget
+        self,
+        problem: Problem,
+        graph: DependencyGraph,
+        budget: Budget,
+        universal: Nfa,
     ) -> None:
         self.problem = problem
         self.graph = graph
         self.budget = budget
         self.built = 0
-        self.universal = nfa_universal(problem.alphabet)
+        self.universal = universal
         #: The left-hand side of the one relation reading each variable.
         self.user = {
             name: var for var, names in graph.uses.items() for name in names

@@ -53,6 +53,7 @@ from .automata import (
     EPSILON,
     Nfa,
     explore,
+    nfa_bfs_copy,
     nfa_complement,
     nfa_concat,
     nfa_eps_eliminate,
@@ -223,7 +224,7 @@ def fold_constant_relations(problem: Problem) -> Problem:
 
 
 def normalize_regular(
-    problem: Problem,
+    problem: Problem, universal: Optional[Nfa] = None
 ) -> Iterator[tuple[tuple[bool, ...], dict[str, Nfa]]]:
     """Yield (leaf truth vector, per-variable automaton) per branch.
 
@@ -246,19 +247,24 @@ def normalize_regular(
     gets its cut states from the boundary filter, not from enumeration,
     and it feeds the pre-images of propagation, which grow when it is
     reduced: on ``ex_mxss1`` the first pre-image has 84 states instead
-    of 52.  Every yielded automaton is a product, a reduction or the
-    universal automaton, so none has epsilon arcs and each is trimmed.
-    The split stage relies on that: a cut-free piece is the automaton
-    itself (``_pieces_for``), and a variable whose automaton is the
-    one-state universal one attaches nothing.
+    of 52.  Every yielded automaton is a product, a trimmed copy of a
+    first leaf (:func:`slsolve.automata.nfa_bfs_copy`, the machine its
+    product with the universal automaton would be, numbering included),
+    a reduction, or ``universal``, the solve's one universal automaton
+    (built here when not given); so none has epsilon arcs and each is
+    trimmed.  The split stage relies on that: a cut-free piece is the
+    automaton itself (``_pieces_for``), and a variable whose automaton
+    is the one-state universal one attaches nothing.
     """
     tree = problem.regular
     leaves = tree_leaves(tree) if tree is not None else []
     complements: dict[int, Nfa] = {}
     images = {rel.lhs for rel in problem.relations if isinstance(rel, TransducerEq)}
+    if universal is None:
+        universal = nfa_universal(problem.alphabet)
     # A key is the (leaf index, value) prefix of one variable's leaves;
     # the empty key is the universal automaton, shared by every variable.
-    products: dict[tuple, Nfa] = {(): nfa_universal(problem.alphabet)}
+    products: dict[tuple, Nfa] = {(): universal}
     reduced: dict[tuple, Nfa] = {}
 
     for values in satisfying_vectors(tree):
@@ -276,7 +282,10 @@ def normalize_regular(
                 if idx not in complements:
                     complements[idx] = nfa_complement(atom.nfa)
                 factor = complements[idx]
-            products[key] = nfa_intersect(products[prev], factor)
+            if prev:
+                products[key] = nfa_intersect(products[prev], factor)
+            else:
+                products[key] = nfa_bfs_copy(factor)
         var_nfas: dict[str, Nfa] = {}
         for var, key in keys.items():
             if not key or var in images:
@@ -478,6 +487,7 @@ def _var_ranges(
     graph: DependencyGraph,
     shapes: dict[str, Shape],
     var_nfas: dict[str, Nfa],
+    universal: Nfa,
 ) -> dict[str, Nfa]:
     """The forward range of each unsplit transducer image, by variable.
 
@@ -485,8 +495,8 @@ def _var_ranges(
     this branch (usually more).  The images use their range as a node
     refinement, which is what lets propagation refute boundary choices
     early instead of deep in a pre-image chain; only the variables they
-    depend on are computed.  A universal membership is not intersected
-    in, as the product would only copy the image.
+    depend on are computed.  A membership equal to ``universal`` is
+    not intersected in, as the product would only copy the image.
     """
     images = [
         var
@@ -496,7 +506,6 @@ def _var_ranges(
     ]
     needed = reachable(images, lambda var: graph.uses.get(var, ()))
 
-    universal = nfa_universal(problem.alphabet)
     ranges: dict[str, Nfa] = {}
     for var in graph.order:
         if var not in needed:
@@ -615,6 +624,7 @@ def _branch_forests(
     var_nfas: dict[str, Nfa],
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer],
     budget: Budget,
+    universal: Nfa,
 ) -> Iterator[AcForest]:
     """Enumerate the cut-resolved forests of one membership branch.
 
@@ -641,10 +651,10 @@ def _branch_forests(
     the filter passes ``_FILTER_STATE_CAP`` and is abandoned; then its
     boundaries are placed blind.  Each placement charges ``budget`` one
     unit; the placement that finds it spent raises
-    :class:`BudgetExhausted` out of the enumeration.
+    :class:`BudgetExhausted` out of the enumeration.  ``universal`` is
+    the solve's one universal automaton.
     """
     primary = primary_nodes(graph, shapes)
-    universal = nfa_universal(problem.alphabet)
     nodes: dict[NodeId, Nfa] = {}
     edges: list[tuple[NodeId, NodeId, Transducer]] = []
     slices: dict[tuple[str, str, int, Optional[int]], Optional[Nfa]] = {}
@@ -773,7 +783,7 @@ def _branch_forests(
         return True
 
     # Pin unsplit transducer images to their forward range.
-    for var, rng in _var_ranges(problem, graph, shapes, var_nfas).items():
+    for var, rng in _var_ranges(problem, graph, shapes, var_nfas, universal).items():
         if not rng.finals:
             return
         nodes[(var, 0)] = rng
@@ -1020,6 +1030,7 @@ def solve(
     shapes = split_concat(graph)
     seg_cache: dict[tuple[int, int, int, Optional[int]], Transducer] = {}
     budget = Budget(resource_limit)
+    universal = nfa_universal(folded.alphabet)
     walker = None
     if folded.has_extensions:
         from .extensions import ScenarioWalks
@@ -1030,10 +1041,10 @@ def solve(
     if walker is None and sharing_free(folded):
         from .forward import ForwardRanges
 
-        forward = ForwardRanges(folded, graph, budget)
+        forward = ForwardRanges(folded, graph, budget, universal)
     branches = forests = feasible_forests = 0
     try:
-        for _values, var_nfas in normalize_regular(folded):
+        for _values, var_nfas in normalize_regular(folded, universal):
             branches += 1
             if forward is not None:
                 model = forward.model(var_nfas)
@@ -1041,7 +1052,7 @@ def solve(
                     return _verified(problem, model)
                 continue
             for forest in _branch_forests(
-                folded, graph, shapes, var_nfas, seg_cache, budget
+                folded, graph, shapes, var_nfas, seg_cache, budget, universal
             ):
                 forests += 1
                 feasible = _propagate(forest)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from slsolve import solver
+from slsolve.automata import nfa_universal
 from slsolve.constraints import Problem, evaluate
 from slsolve.solver import Budget, BudgetExhausted, Verdict
 
@@ -36,12 +37,13 @@ def cut_solve(
     shapes = solver.split_concat(graph)
     seg_cache: dict = {}
     budget = Budget(resource_limit)
+    universal = nfa_universal(folded.alphabet)
     branches = forests = feasible_forests = 0
     try:
-        for _values, var_nfas in solver.normalize_regular(folded):
+        for _values, var_nfas in solver.normalize_regular(folded, universal):
             branches += 1
             for forest in solver._branch_forests(
-                folded, graph, shapes, var_nfas, seg_cache, budget
+                folded, graph, shapes, var_nfas, seg_cache, budget, universal
             ):
                 forests += 1
                 feasible = solver._propagate(forest)

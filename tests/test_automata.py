@@ -18,6 +18,7 @@ from slsolve.automata import (
     Nfa,
     explore,
     live_states,
+    nfa_bfs_copy,
     nfa_complement,
     nfa_concat,
     nfa_determinize,
@@ -35,6 +36,7 @@ from slsolve.automata import (
     nfa_union,
     nfa_universal,
     reachable,
+    trimmed_nfa,
 )
 from slsolve.oracle import _random_pattern
 from slsolve.regex import regex_parse
@@ -305,6 +307,74 @@ def test_reduce_equals_full_round_refinement(monkeypatch, full_round_states):
         assert reduced == full_round_reduce(nfa)
         merged += reduced.n_states < nfa_trim(nfa).n_states
     assert merged > 50
+
+
+def test_reduce_skips_the_trim_of_a_trimmed_construction(monkeypatch):
+    """A machine out of ``trimmed_nfa`` is reduced without a second trim,
+    to the machine the same arcs give when built directly and trimmed.
+    Raw arcs may hold epsilons; their epsilon-free copy is trimmed."""
+    trims = []
+    real_trim = automata.nfa_trim
+
+    def counting(nfa):
+        trims.append(nfa)
+        return real_trim(nfa)
+
+    monkeypatch.setattr(automata, "nfa_trim", counting)
+    rng = random.Random(11)
+    skipped = 0
+    for _ in range(800):
+        n = rng.randint(1, 12)
+        arcs = [
+            (rng.randrange(n), rng.choice(("", "a", "b", "c")), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        if rng.random() < 0.5:
+            arcs = [arc for arc in arcs if arc[1]]
+        finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+        built = trimmed_nfa(ABC, n, arcs, rng.randrange(n), finals)
+        direct = Nfa(
+            ABC, built.n_states, built.transitions, built.initial, built.finals
+        )
+        trims.clear()
+        reduced = nfa_reduce(built)
+        assert trims == ([] if not built.has_epsilon else [nfa_eps_eliminate(built)])
+        skipped += not trims
+        assert reduced == nfa_reduce(direct)
+        assert real_trim(reduced) == reduced
+    assert skipped > 300
+
+
+def test_reduce_trims_a_machine_with_a_dead_state():
+    # State 2 is reachable but can never accept; state 3 is unreachable.
+    nfa = Nfa(
+        AB,
+        4,
+        ((0, "a", 1), (0, "b", 2), (2, "a", 2), (3, "a", 1)),
+        0,
+        frozenset({1}),
+    )
+    reduced = nfa_reduce(nfa)
+    assert reduced == Nfa(AB, 2, ((0, "a", 1),), 0, frozenset({1}))
+    assert nfa_trim(reduced) == reduced
+
+
+@pytest.mark.parametrize("letters", ["ab", "abc", "cab"])
+def test_bfs_copy_is_the_product_with_the_universal_automaton(letters):
+    """The copy is ``nfa_intersect(nfa_universal(alphabet), leaf)`` arc for
+    arc, with the same numbering, for regex leaves and their complements
+    (which are complete, so their copy drops the dead sink)."""
+    alphabet = Alphabet.of(letters)
+    universal = nfa_universal(alphabet)
+    rng = random.Random(12)
+    renumbered = 0
+    for _ in range(80):
+        leaf = regex_parse(_random_pattern(rng, alphabet, depth=3), alphabet)
+        for machine in (leaf, nfa_complement(leaf)):
+            copy = nfa_bfs_copy(machine)
+            assert copy == nfa_intersect(universal, machine)
+            renumbered += copy != nfa_eps_eliminate(machine)
+    assert renumbered > 40
 
 
 # ---------------------------------------------------------------------------

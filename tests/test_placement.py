@@ -125,9 +125,12 @@ def forests_pin(problem: Problem) -> tuple[int, str]:
         return hit[1]
 
     keys = []
-    for branch, (_values, var_nfas) in enumerate(normalize_regular(folded)):
+    universal = nfa_universal(folded.alphabet)
+    for branch, (_values, var_nfas) in enumerate(normalize_regular(folded, universal)):
         budget = Budget(10**9)
-        for f in _branch_forests(folded, graph, shapes, var_nfas, {}, budget):
+        for f in _branch_forests(
+            folded, graph, shapes, var_nfas, {}, budget, universal
+        ):
             nfas = {node: key(nfa, language) for node, nfa in f.nfas.items()}
             children = {
                 node: [(child, key(seg)) for child, seg in edges]
@@ -397,10 +400,12 @@ def test_pieces_under_a_universal_variable_keep_the_source_automaton():
     )
     graph = check_straightline(problem)
     shapes = split_concat(graph)
-    ((_values, var_nfas),) = normalize_regular(problem)
-    assert var_nfas["x"] == nfa_universal(problem.alphabet)
+    universal = nfa_universal(problem.alphabet)
+    ((_values, var_nfas),) = normalize_regular(problem, universal)
+    assert var_nfas["x"] == universal
+    budget = Budget(10**6)
     forests = list(
-        _branch_forests(problem, graph, shapes, var_nfas, {}, Budget(10**6))
+        _branch_forests(problem, graph, shapes, var_nfas, {}, budget, universal)
     )
     assert len(forests) == 1
     assert forests[0].nfas[("y", 0)] is var_nfas["y"]

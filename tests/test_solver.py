@@ -6,6 +6,7 @@ bounded-exhaustive reference on string-only instances, where both are
 complete.
 """
 
+import sys
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from cut_path import cut_solve
 import slsolve.solver
 from slsolve.automata import (
     Alphabet,
+    nfa_bfs_copy,
     nfa_complement,
     nfa_intersect,
     nfa_membership,
@@ -34,7 +36,7 @@ from slsolve.constraints import (
     evaluate,
     tree_leaves,
 )
-from slsolve.oracle import OracleConfig, brute_force_solve
+from slsolve.oracle import OracleConfig, brute_force_solve, gen_random_problem
 from slsolve.parser import parse_problem
 from slsolve.regex import regex_parse
 from slsolve.solver import (
@@ -46,6 +48,7 @@ from slsolve.solver import (
 )
 from slsolve.straightline import CyclicDefinition, MultiplyDefined
 from slsolve.transducer import erase_transducer, identity_transducer
+from slsolve.websec import load_benchmark
 
 AB = Alphabet.of("ab")
 
@@ -362,11 +365,12 @@ SQUARE_D4 = 'alphabet "ab"\nstr x0 x1 x2\nx1 = x0 . x0\nx2 = x1 . x1\n'
 def test_normalization_builds_each_automaton_once(monkeypatch, xn_constraint):
     # Vectors that agree on a variable's leaves share its products and
     # their reduction; every yielded automaton is still the one a
-    # branch-by-branch rebuild gives.
+    # branch-by-branch rebuild gives.  A product of one leaf is built as
+    # a copy of the leaf (``nfa_bfs_copy``), longer ones as products.
     problem = parse_problem(
         SQUARE_D4 + f"regc (and (in x0 /(a|b)+/) {xn_constraint})\n"
     )
-    calls = {"intersect": 0, "reduce": 0}
+    calls = {"copy": 0, "intersect": 0, "reduce": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -379,6 +383,7 @@ def test_normalization_builds_each_automaton_once(monkeypatch, xn_constraint):
         slsolve.solver, "nfa_intersect", counting("intersect", nfa_intersect)
     )
     monkeypatch.setattr(slsolve.solver, "nfa_reduce", counting("reduce", nfa_reduce))
+    monkeypatch.setattr(slsolve.solver, "nfa_bfs_copy", counting("copy", nfa_bfs_copy))
     branches = list(normalize_regular(problem))
 
     leaves = tree_leaves(problem.regular)
@@ -397,7 +402,47 @@ def test_normalization_builds_each_automaton_once(monkeypatch, xn_constraint):
                 expected = nfa_reduce(expected)
             assert var_nfas[var] == expected
     assert len(branches) > 1
-    assert calls == {"intersect": len(prefixes), "reduce": len(final_keys)}
+    firsts = sum(len(prefix) == 1 for _var, prefix in prefixes)
+    assert calls == {
+        "copy": firsts,
+        "intersect": len(prefixes) - firsts,
+        "reduce": len(final_keys),
+    }
+
+
+def test_each_solve_builds_one_universal_automaton(monkeypatch):
+    """Normalization, the ranges, cut placement and the forward path all
+    share the solve's one universal automaton: ``ex_cacm`` takes the cut
+    path, ``ex_iframe`` the forward path, and extension seed 0 the cut
+    path with a counter walk."""
+    cases = [
+        (load_benchmark("ex_cacm").problem, {}, "forests"),
+        (load_benchmark("ex_iframe").problem, {}, "ranges"),
+        (
+            gen_random_problem(0, with_extensions=True),
+            {"resource_limit": 10_000},
+            "forests",
+        ),
+    ]
+    # Load the lazily imported paths first, so that every binding is counted.
+    import slsolve.extensions  # noqa: F401
+    import slsolve.forward  # noqa: F401
+
+    built = []
+
+    def counting(alphabet):
+        built.append(alphabet)
+        return nfa_universal(alphabet)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slsolve") and vars(module).get("nfa_universal"):
+            monkeypatch.setattr(module, "nfa_universal", counting)
+    for problem, kwargs, path_key in cases:
+        built.clear()
+        stats: dict = {}
+        solve(problem, stats=stats, **kwargs)
+        assert stats[path_key] > 0
+        assert len(built) == 1
 
 
 def test_stats_are_filled_when_the_search_raises(monkeypatch):
