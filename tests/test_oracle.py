@@ -9,6 +9,8 @@ the straight-line gate and stays cheap to brute-force.
 
 import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +240,11 @@ def test_seeded_corpora_are_pinned(workloads, string_problems, extension_problem
     assert digest(extension_problems) == "6872488de6c7"
 
 
+def attempt_rng(seed: int, attempt: int, with_extensions: bool) -> random.Random:
+    """The generator's random source for one attempt of a seed."""
+    return random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
+
+
 def generator_attempts(seed: int, with_extensions: bool) -> list[Problem]:
     """Every attempt the generator makes for a seed, the accepted one last.
 
@@ -245,7 +252,7 @@ def generator_attempts(seed: int, with_extensions: bool) -> list[Problem]:
     """
     attempts = []
     for attempt in range(oracle._ATTEMPTS):
-        rng = random.Random(seed * 1_000_003 + attempt * 7_919 + int(with_extensions))
+        rng = attempt_rng(seed, attempt, with_extensions)
         attempts.append(_gen_once(rng, with_extensions))
         if _feasible(attempts[-1], with_extensions):
             break
@@ -260,15 +267,31 @@ REPLAYED_ATTEMPTS = 7045
 REPLAYED_BOUNDS = "003a2e7bf8a5c24b"
 
 
+def relations_only(problem: Problem) -> Problem:
+    """The attempt with every constraint beyond its relations emptied."""
+    return replace(
+        problem,
+        int_vars=(),
+        regular=None,
+        integers=None,
+        chars=None,
+        indexofs=(),
+        disequalities=(),
+    )
+
+
 def test_lower_bound_is_sound_on_every_generator_attempt(
     string_problems, extension_problems
 ):
-    """The generator's cheap filter never rejects what the exact bound keeps.
+    """The generator's cheap filters never reject what the exact bound keeps.
 
     Every attempt is replayed, the rejected ones included: its lower
     bound is at most its exact bound, ``model_bound_exceeds`` agrees
     with the exact bound at several caps, and the exact bounds are the
-    ones recorded before the lower bound existed.
+    ones recorded before the lower bound existed.  The attempt's
+    relations alone, which are what the generator draws and prices
+    first, bound no higher than the attempt and are over a cap only
+    where the attempt is.
     """
     bounds = []
     for corpus, with_extensions, seeds in (
@@ -278,12 +301,18 @@ def test_lower_bound_is_sound_on_every_generator_attempt(
         for seed in seeds:
             attempts = generator_attempts(seed, with_extensions)
             assert attempts[-1] == corpus[seed]
-            for problem in attempts:
+            for attempt, problem in enumerate(attempts):
                 exact = max_model_bound(problem)
                 folded, graph = _checked_fold(problem)
                 assert _lower_bound(folded, graph, split_concat(graph)) <= exact
+                relations = relations_only(problem)
+                rng = attempt_rng(seed, attempt, with_extensions)
+                assert oracle._draw_relations(rng) == relations
+                assert max_model_bound(relations) <= exact
                 for cap in (0, 8, 12, 100):
                     assert model_bound_exceeds(problem, cap) == (exact > cap)
+                    if model_bound_exceeds(relations, cap):
+                        assert exact > cap
                 bounds.append(exact)
     assert len(bounds) == REPLAYED_ATTEMPTS
     assert hashlib.sha256(repr(bounds).encode()).hexdigest()[:16] == REPLAYED_BOUNDS
@@ -296,6 +325,55 @@ def test_generator_gives_up_after_its_attempt_limit(monkeypatch):
         RuntimeError, match="no feasible instance for seed 3 after 1024 attempts"
     ):
         gen_random_problem(3, with_extensions=True)
+
+
+def test_generator_gives_up_when_every_attempt_fails_on_its_relations(
+    monkeypatch,
+):
+    """Abandoning every attempt before its regexes ends the same way."""
+
+    def never_called(problem, with_extensions):
+        raise AssertionError("an attempt over the cap was drawn in full")
+
+    monkeypatch.setattr(oracle, "model_bound_exceeds", lambda problem, cap: True)
+    monkeypatch.setattr(oracle, "_feasible", never_called)
+    with pytest.raises(
+        RuntimeError, match="no feasible instance for seed 3 after 1024 attempts"
+    ):
+        gen_random_problem(3, with_extensions=True)
+
+
+def test_generator_work_is_pinned(monkeypatch, string_problems, extension_problems):
+    """The regexes the generator parses and the attempts it prices in full.
+
+    For extension seeds 0..94 (the ext-walk benchmark's) and string
+    seeds 0..99.  An attempt whose relations alone are over the cap is
+    abandoned before its regexes are drawn; when every attempt was drawn
+    in full, these read 5,128 parses and 3,358 calls, and 5,595 and
+    3,687.  Timing the generation cannot resolve such a change; these
+    counts can.
+    """
+    counts: Counter[str] = Counter()
+
+    def counting(name, func):
+        def counted(*args):
+            counts[name] += 1
+            return func(*args)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "regex_parse", counting("parse", oracle.regex_parse))
+    monkeypatch.setattr(oracle, "_feasible", counting("feasible", oracle._feasible))
+    work = {}
+    for corpus, with_extensions, seeds in (
+        (extension_problems, True, range(95)),
+        (string_problems, False, range(100)),
+    ):
+        counts.clear()
+        problems = [gen_random_problem(seed, with_extensions) for seed in seeds]
+        assert problems == corpus[: len(seeds)]
+        work[with_extensions] = (counts["parse"], counts["feasible"])
+    assert work == {True: (904, 572), False: (1_058, 693)}
 
 
 @pytest.mark.parametrize(
