@@ -15,13 +15,14 @@ disequalities — is decided here by a bounded search:
    choice between "lengths differ" and "some shared position differs".
    Choices that cannot be expressed as counters — which piece a
    position lands on, which character sits there, how a disequality is
-   discharged — are enumerated up front as *scenarios*.  Each unit — a
+   discharged — are enumerated as *scenarios*.  Each unit — a
    character-leaf occurrence under one truth vector, a disequality, an
-   index-of binding — is lowered once into its alternatives, and a
-   scenario is one pick per unit, their obligations concatenated: each
-   obligation holds the tracker objects it reads.  Where a position can
-   land is read off one walk over a variable's layout (:func:`_layout`),
-   which character sides and index-of placements share.
+   index-of binding — is lowered once, up front, into its alternatives,
+   and a scenario is one pick per unit, their obligations concatenated
+   when the search reaches it: each obligation holds the tracker
+   objects it reads.  Where a position can land is read off one walk
+   over a variable's layout (:func:`_layout`), which character sides
+   and index-of placements share.
 
 2. :func:`slsolve.solver.solve` runs its usual search and hands each
    feasible forest of piece automata and segment transducers to
@@ -60,6 +61,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product as iter_product
+from math import prod
 from typing import Iterator, Optional, Sequence, Union
 
 from .automata import Alphabet, Nfa, nfa_eps_eliminate
@@ -501,19 +503,20 @@ def _indexof_scenarios(
 # The scenario stream
 
 
-def enumerate_scenarios(
+def _scenario_units(
     problem: Problem, shapes: dict[str, Shape]
-) -> Iterator[Scenario]:
-    """The full scenario stream: chars × disequalities × index-of.
+) -> list[list[list[Scenario]]]:
+    """Per truth vector of the character tree, each unit's alternatives.
 
     Each unit is lowered once into its list of alternatives: a
     character-leaf occurrence under one truth vector (vectors in
     :func:`satisfying_vectors` order), a disequality, an index-of
-    binding.  A scenario picks one alternative per unit, the last unit
-    varying fastest.  A disequality's witness is either that the lengths
-    differ (a lowered linear disjunction) or that a shared fresh position
-    holds distinct characters in range; fresh position names are not
-    legal identifiers, so they never collide with declared integers.
+    binding.  A vector's scenarios pick one alternative per unit
+    (:func:`enumerate_scenarios`).  A disequality's witness is either
+    that the lengths differ (a lowered linear disjunction) or that a
+    shared fresh position holds distinct characters in range; fresh
+    position names are not legal identifiers, so they never collide with
+    declared integers.
     """
     alphabet = problem.alphabet
     rest: list[list[Scenario]] = []
@@ -529,13 +532,32 @@ def enumerate_scenarios(
     for atom in problem.indexofs:
         rest.append(list(_indexof_scenarios(atom, shapes, alphabet)))
     leaves = tree_leaves(problem.chars) if problem.chars is not None else []
-    for values in satisfying_vectors(problem.chars):
-        per_leaf = [
+    return [
+        [
             list(_char_leaf_scenarios(leaf.atom, value, shapes, alphabet))
             for leaf, value in zip(leaves, values)
         ]
-        for combo in iter_product(*per_leaf, *rest):
+        + rest
+        for values in satisfying_vectors(problem.chars)
+    ]
+
+
+def _merged(units: list[list[list[Scenario]]]) -> Iterator[Scenario]:
+    """Each vector's scenarios in turn, the last unit varying fastest."""
+    for vector in units:
+        for combo in iter_product(*vector):
             yield _merge_scenarios(combo)
+
+
+def enumerate_scenarios(
+    problem: Problem, shapes: dict[str, Shape]
+) -> Iterator[Scenario]:
+    """The full scenario stream: chars × disequalities × index-of.
+
+    A scenario picks one alternative per unit (:func:`_scenario_units`),
+    vector by vector, the last unit varying fastest.
+    """
+    yield from _merged(_scenario_units(problem, shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -1200,12 +1222,16 @@ class ScenarioWalks:
 
     Built once per solve, before the search: fixes the integer bound
     (``default_int_bound`` when ``int_bound`` is None), lowers the integer
-    constraints, enumerates the scenarios onto ``shapes`` and gives each
-    its mandatory trees (:attr:`LoweredProblem.trees`), once per scenario.
-    :meth:`model` then walks every scenario over one forest's product
-    automaton, all on the solve's ``budget``, except those that
+    constraints and lowers each unit onto ``shapes`` into its
+    alternatives (:func:`_scenario_units`).  :meth:`model` then merges
+    the scenarios one at a time, gives each its mandatory trees
+    (:attr:`LoweredProblem.trees`) and walks it over one forest's
+    product automaton, all on the solve's ``budget``, except those that
     :func:`refuted` rules out for that forest: these cost no budget and
-    never weaken the verdict to within-bounds.
+    never weaken the verdict to within-bounds.  So a walk that succeeds
+    or spends the budget ends the work, however many scenarios there
+    are; ``scenarios`` in :meth:`note` is their count, not how many were
+    merged.
     """
 
     def __init__(
@@ -1220,12 +1246,10 @@ class ScenarioWalks:
         self.budget = budget
         self.int_bound = default_int_bound(problem) if int_bound is None else int_bound
         int_tree = lower_integer_terms(problem.integers, shapes)
-        int_trees = () if int_tree is None else (int_tree,)
-        #: Each scenario with its mandatory trees.
-        self.scenarios = [
-            (scenario, scenario.extra + int_trees)
-            for scenario in enumerate_scenarios(problem, shapes)
-        ]
+        self.int_trees = () if int_tree is None else (int_tree,)
+        #: Per vector, each unit's alternatives; scenarios are merged
+        #: from them only as :meth:`model` reaches them.
+        self.units = _scenario_units(problem, shapes)
         self.walks = 0
         #: (forest, scenario) pairs skipped without a walk.
         self.refuted = 0
@@ -1244,7 +1268,8 @@ class ScenarioWalks:
             AcForest(forest.order, feasible, forest.children, forest.parent)
         )
         problem = self.problem
-        for scenario, trees in self.scenarios:
+        for scenario in _merged(self.units):
+            trees = scenario.extra + self.int_trees
             lowered = LoweredProblem(mta, scenario, trees, problem.int_vars)
             if refuted(lowered):
                 self.refuted += 1
@@ -1263,7 +1288,9 @@ class ScenarioWalks:
         return None
 
     def note(self, stats: dict) -> None:
-        stats["scenarios"] = len(self.scenarios)
+        stats["scenarios"] = sum(
+            prod(len(alternatives) for alternatives in vector) for vector in self.units
+        )
         stats["walks"] = self.walks
         stats["scenarios-refuted"] = self.refuted
         stats["budget-left"] = self.budget.remaining

@@ -93,7 +93,9 @@ from .transducer import (
 NodeId = tuple[str, int]
 
 #: One choice point of the splitting stage: its boundary options, its
-#: first boundary, and its piece attacher (see ``_branch_forests``).
+#: first boundary, and its piece attacher, whose ``attach(j, prev, cut)``
+#: (``cut`` None after the last piece) returns an undo callback, or None
+#: if piece ``j`` dies (see ``_branch_forests``).
 Choice = tuple[Callable[[], list], int, Callable]
 
 
@@ -123,15 +125,24 @@ class BudgetExhausted(Exception):
 class Budget:
     """A mutable work meter shared by everything one solve call does.
 
-    Cut and boundary placements, forward ranges, model extraction and
-    the counter walk draw on one limit; ``placements`` counts the first.
-    A walk charges one unit for each walk state it newly finds and one
-    for each combination of free integers its acceptance check tries.
-    Forward ranges charge each range product its state count, after it
-    is built.  Extraction, on either path, charges one unit per product
-    state its searches visit (:func:`~slsolve.transducer.shortest_related`).
-    A charge needing more than is left leaves ``remaining`` at -1 and
-    raises :class:`BudgetExhausted`.
+    The one statement of what a solve's ``resource_limit`` meters.  One
+    unit per cut or boundary placement (``placements`` counts these);
+    one per walk state a bounded walk newly finds, and one per
+    combination of free integers its acceptance check tries (when no
+    leaf reads a free integer, every combination the enumeration would
+    try, at once); each range product of the forward-range path its
+    state count, once built; one per product state that reading a model
+    through a transducer visits, on either path
+    (:func:`~slsolve.transducer.shortest_related`).  Not metered yet,
+    so a solve can take long without spending the budget: membership
+    normalization (complements included), the cut path's forward ranges
+    (``_var_ranges``), segment building, the boundary filters
+    (``_boundary_filter``; past ``_FILTER_STATE_CAP`` states a filter is
+    abandoned and its boundaries are placed blind), propagation,
+    scenario lowering, and scenarios that
+    :func:`slsolve.extensions.refuted` skips without a walk.  A charge
+    needing more than is left leaves ``remaining`` at -1 and raises
+    :class:`BudgetExhausted`.
     """
 
     def __init__(self, limit: int) -> None:
@@ -640,61 +651,29 @@ def _branch_forests(
     its forward range (``_var_ranges``), and an empty range drops the
     branch.  A choice point's boundaries — automaton or transducer
     states — are placed one at a time, states ascending, so tuples come
-    out in lexicographic order.  Piece ``j`` depends only on boundaries
-    ``j - 1`` and ``j``, so it is attached as soon as boundary ``j`` is
-    fixed (sliced once per branch through a memo, and intersected onto
-    its node through a memo keyed by both automata; segments through
-    ``seg_cache``) and detached on backtrack; an empty piece, segment
-    relation or node intersection drops every tuple extending the
-    prefix.  Every split application places only the boundary pairs
-    that its boundary filter (``_boundary_filter``) leaves alive, unless
-    the filter passes ``_FILTER_STATE_CAP`` and is abandoned; then its
-    boundaries are placed blind.  Each placement charges ``budget`` one
-    unit; the placement that finds it spent raises
-    :class:`BudgetExhausted` out of the enumeration.  ``universal`` is
-    the solve's one universal automaton.
+    out in lexicographic order.  The boundaries of every choice point
+    are placed from one stack; a choice point's options are built when
+    its first boundary is entered, once every earlier one is chosen, and
+    a forest is yielded each time the last choice point closes.  Piece
+    ``j`` depends only on boundaries ``j - 1`` and ``j``, so it is
+    attached as soon as boundary ``j`` is fixed (sliced once per branch
+    through a memo, and intersected onto its node through a memo keyed
+    by both automata; segments through ``seg_cache``) and detached on
+    backtrack; an empty piece, segment relation or node intersection
+    drops every tuple extending the prefix.  Every split application
+    places only the boundary pairs that its boundary filter
+    (``_boundary_filter``) leaves alive, unless the filter passes
+    ``_FILTER_STATE_CAP`` and is abandoned; then its boundaries are
+    placed blind.  Each placement charges ``budget`` one unit; the
+    placement that finds it spent raises :class:`BudgetExhausted` out of
+    the enumeration.  ``universal`` is the solve's one universal
+    automaton.
     """
     primary = primary_nodes(graph, shapes)
     nodes: dict[NodeId, Nfa] = {}
     edges: list[tuple[NodeId, NodeId, Transducer]] = []
     slices: dict[tuple[str, str, int, Optional[int]], Optional[Nfa]] = {}
     meets: dict[tuple[Nfa, Nfa], Nfa] = {}
-
-    def place(
-        options: list[Iterable[int]], first: int, attach: Callable
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield each boundary tuple whose pieces all attach.
-
-        ``options[j]`` holds the candidates for inner boundary ``j``;
-        ``attach(j, prev, cut)`` adds piece ``j`` from boundary ``prev``
-        to ``cut`` (None after the last piece) and returns its undo
-        callback, or None if the piece dies.
-        """
-        options = [*options, (None,)]
-        exhausted = object()
-        cuts: list[int] = []
-        undos: list[Callable[[], object]] = []
-        pending = [iter(options[0])]
-        while pending:
-            cut = next(pending[-1], exhausted)
-            if cut is exhausted:
-                pending.pop()
-                if undos:
-                    undos.pop()()
-                    cuts.pop()
-                continue
-            if cut is not None:
-                budget.place()
-            undo = attach(len(cuts), cuts[-1] if cuts else first, cut)
-            if undo is None:
-                continue
-            if cut is None:
-                yield tuple(cuts)
-                undo()
-                continue
-            cuts.append(cut)
-            undos.append(undo)
-            pending.append(iter(options[len(cuts)]))
 
     def var_choice(var: str) -> Choice:
         """How to place a variable's cuts and attach its pieces."""
@@ -842,27 +821,46 @@ def _branch_forests(
         nfas = {n: nodes.get(n, universal) for n in primary}
         return AcForest(order=primary, nfas=nfas, children=children, parent=parent)
 
-    def enter(level: int) -> Iterator[tuple[int, ...]]:
-        _var, (options, first, attach) = levels[level]
-        return place(options(), first, attach)
-
-    # Depth-first over the levels: one placement iterator per entered level.
+    # Depth-first over every boundary of every level, from one stack.  A
+    # frame is one boundary's candidates, its level, its index in that
+    # level and the level's options, built when the level's first
+    # boundary is entered; the last boundary, None, closes the level.
+    # ``attached`` holds the candidate each frame below the top attached,
+    # with its undo.
     if not levels:
         yield assemble()
         return
-    stack = [enter(0)]
+    exhausted = object()
+    attached: list[tuple[Optional[int], Callable[[], object]]] = []
+    options = [*levels[0][1][0](), (None,)]
+    stack = [(iter(options[0]), 0, 0, options)]
     while stack:
-        cuts = next(stack[-1], None)
-        if cuts is None:
+        candidates, level, j, options = stack[-1]
+        cut = next(candidates, exhausted)
+        if cut is exhausted:
             stack.pop()
+            if attached:
+                attached.pop()[1]()
             continue
-        var = levels[len(stack) - 1][0]
+        var, (_options, first, attach) = levels[level]
+        if cut is not None:
+            budget.place()
+        undo = attach(j, attached[-1][0] if j else first, cut)
+        if undo is None:
+            continue
+        if cut is not None:
+            attached.append((cut, undo))
+            stack.append((iter(options[j + 1]), level, j + 1, options))
+            continue
         if var is not None:
-            chosen[var] = cuts
-        if len(stack) == len(levels):
+            chosen[var] = tuple(c for c, _undo in attached[len(attached) - j :])
+        if level + 1 == len(levels):
             yield assemble()
-        else:
-            stack.append(enter(len(stack)))
+            undo()
+            continue
+        attached.append((None, undo))
+        options = [*levels[level + 1][1][0](), (None,)]
+        stack.append((iter(options[0]), level + 1, 0, options))
 
 
 # ---------------------------------------------------------------------------
@@ -991,20 +989,10 @@ def solve(
     constraints are present the search is exhaustive only up to
     ``int_bound`` (a default is derived from the problem when None), so
     the negative answer weakens to ``unsat-within-bounds`` unless the
-    bound provably covers all integers.  ``resource_limit`` is a budget:
-    each cut or boundary placement costs one unit.  A bounded walk
-    charges one unit for each walk state it newly finds and one for each
-    combination of free integers its acceptance check tries; when no
-    leaf reads a free integer, a check charges every combination the
-    enumeration would try at once.  Forward ranges charge the state
-    count of each range product they build.  Reading a model through a
-    transducer, on either path, charges one unit per product state the
-    search visits; a problem with no transducer runs no search.  A
-    charge that needs more than is left spends the budget, and the
-    answer is ``resource-limit``; an exhausted extension solve reports
-    ``budget-left=-1``.  Membership normalization (complements
-    included), segment building and propagation are not charged yet, so
-    a solve can take long without spending the budget.
+    bound provably covers all integers.  ``resource_limit`` is a work
+    budget; :class:`Budget` states what it charges and what it does not
+    meter yet.  A charge that needs more than is left spends the budget,
+    and the answer is ``resource-limit``.
 
     A string-only problem that is sharing-free (:func:`sharing_free`)
     is decided by forward ranges (:class:`slsolve.forward.ForwardRanges`)

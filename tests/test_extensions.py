@@ -53,6 +53,7 @@ from slsolve.transducer import (
     identity_transducer,
     transducer_membership,
 )
+from slsolve.websec import load_benchmark
 
 AB = Alphabet.of("ab")
 
@@ -365,6 +366,42 @@ def test_extension_stats_counters_are_reported():
         assert isinstance(stats[key], int)
 
 
+def test_scenarios_are_merged_only_as_they_are_walked(monkeypatch):
+    """Two character leaves over a padded ``y`` hold 58,564 scenarios,
+    and the first one walked is sat: merging every scenario before the
+    search took 59,048 ``_merge_scenarios`` calls; walking as they are
+    merged takes the 484 that lower the in-range units, plus one.  (With
+    a third leaf, 14,172,488 scenarios, the eager merge was still going
+    after 20 s and held them all in memory; it is not run here.)"""
+    merge = extensions._merge_scenarios
+    calls = 0
+
+    def counted(parts):
+        nonlocal calls
+        calls += 1
+        return merge(parts)
+
+    monkeypatch.setattr(extensions, "_merge_scenarios", counted)
+    text = (
+        'alphabet "ab"\nstr x y\nint u0 v0 u1 v1\n'
+        'y = "aaaaaaaaaa" . x . "bbbbbbbbbb"\n'
+        "charc (and (= y[u0] y[v0]) (= y[u1] y[v1]))\n"
+    )
+    stats: dict = {}
+    verdict = solve(parse_problem(text), resource_limit=100, stats=stats)
+    assert verdict.status == "sat"
+    assert verdict.model == {
+        "x": "",
+        "y": "aaaaaaaaaabbbbbbbbbb",
+        "u0": 1,
+        "v0": 1,
+        "u1": 1,
+        "v1": 1,
+    }
+    assert (stats["scenarios"], stats["walks"], stats["budget-left"]) == (58564, 1, 99)
+    assert calls <= 485
+
+
 # ---------------------------------------------------------------------------
 # Static refutation: scenarios no walk can accept are skipped
 
@@ -588,6 +625,33 @@ def test_branching_forest_tuples_match_brute_force():
         if transducer_membership(copy, x, y) and transducer_membership(drop, x, z)
     }
     assert tuples == expected
+
+
+@pytest.mark.parametrize(
+    "name, extra, ids",
+    [
+        ("ex_cacm", "intc (<= (len cat) 12)\n", 2016),
+        ("ex_mxss1", 'int k\nk = indexof("<", ci, first)\n', 1155),
+    ],
+)
+def test_walk_product_grows_only_as_the_walk_does(monkeypatch, name, extra, ids):
+    """The product numbers only the states a walk reaches, so a spent
+    budget stops it too; the reachable product of the ``ex_cacm`` case
+    built whole is far larger (ROADMAP, the north star's hand-written
+    searches)."""
+    built = []
+
+    class Recorded(MultiTrackAutomaton):
+        def __init__(self, forest):
+            super().__init__(forest)
+            built.append(self)
+
+    monkeypatch.setattr(extensions, "MultiTrackAutomaton", Recorded)
+    problem = parse_problem(load_benchmark(name).source + extra)
+    stats: dict = {}
+    assert solve(problem, resource_limit=2_000, stats=stats).status == "resource-limit"
+    assert stats["walks"] == 1
+    assert [mta.size for mta in built] == [ids]
 
 
 # ---------------------------------------------------------------------------
